@@ -297,6 +297,94 @@ def test_c3_unrelated_spec_leaves_placements_unchanged():
         assert placements_a == placements_b, error_type
 
 
+def _golden_dense_doc() -> dict:
+    errors = []
+    for error_type in ALL_ERROR_TYPES:
+        spec = {"type": error_type, "rate": 0.05}
+        if error_type in _C1_TARGETS:
+            spec["attributes"] = _C1_TARGETS[error_type]
+        if error_type in _C1_PARAMS:
+            spec["params"] = _C1_PARAMS[error_type]
+        errors.append(spec)
+    return {
+        "schema": _C1_SCHEMA,
+        "dependencies": _C1_DEPENDENCIES,
+        "errors": errors,
+        "generation": {"tuple_count": 600, "seed": 20260810},
+    }
+
+
+def _golden_params_doc() -> dict:
+    # Non-default params everywhere a type takes them, two shards, array mode,
+    # and a bias subgroup (age == 30) far smaller than the bias target.
+    doc = _golden_dense_doc()
+    params = {
+        "outlier": {"k": 3},
+        "noise": {"alpha": 0.2},
+        "semi_empty_tuple": {"empty_fraction": 0.4},
+        "redundancy_about_entity": {"near_duplicate": False},
+        "irrelevant_observation": {
+            "offdomain": {"city": {"kind": "set", "values": ["Atlantis", "El Dorado"]}}
+        },
+        "bias": {
+            "group_attribute": "age",
+            "group_value": 30,
+            "target_attribute": "city",
+            "skewed_weights": {"Berlin": 5, "Munich": 1},
+        },
+    }
+    for spec in doc["errors"]:
+        if spec["type"] in params:
+            spec["params"] = params[spec["type"]]
+    doc["generation"]["scaling"] = {"shard_count": 2}
+    doc["output"] = {"mode": "json_array"}
+    return doc
+
+
+# sha256 of every output file except run-manifest.json (its duration varies).
+_GOLDEN_DIGESTS = {
+    "demo": {
+        "clean.ndjson": "25bd2e64599a6da5de5525d037d425a6fc4e9ff91cae22ba3b6324de47bd1e8b",
+        "dirty.ndjson": "21afb044d258ecc4da2a32ff82ca5a3985c581c50a736f23a9b25a0514439551",
+        "errors.log": "6231ba872fe2e2ae1c1b5fb9650dab3a3948920c59a79fe5ddd8ca316b3b4136",
+    },
+    "dense": {
+        "clean.ndjson": "8514a5e469aaa6f7eaf184576d1bbf48ceeaa7d029fe3f0b5504e5cfc9268a28",
+        "dirty.ndjson": "7fe70375548c0e1c1237b671754b961fd2bfc8e81df827d004cdc98042b95c4c",
+        "errors.log": "0932c1cc4adde22b935287ec4ef0758b5917f488705f18865b6fce380e99926b",
+    },
+    "params": {
+        "clean.00000.json": "382e479e9a22886d880f34bdf58752c2078991bb87f2654c1b41d4e8cce2d93d",
+        "clean.00001.json": "8c28798ff7102bca64290f1c8fa8826e0c229200e03e47e1f91f8ba6f11c803b",
+        "dirty.00000.json": "622254f99404da4a886997d0060754a08ff1f77678359e8f061f6ed369c9addb",
+        "dirty.00001.json": "4c44b282e0d6f93d5413fb45b21a59cc6e8eb5951bf8f59cdadde55cb75895f1",
+        "errors.log": "0fe8e9568447d76a86c8ce45ddc09542c71dbe1406a7065983b515f8d331bf05",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_DIGESTS))
+@pytest.mark.acceptance("C3 reproducibility (pinned golden digests)")
+def test_c3_golden_digests(name, tmp_path):
+    if name == "demo":
+        config_path = Path(__file__).resolve().parent.parent / "sample_configs" / "demo.json"
+    else:
+        doc = _golden_dense_doc() if name == "dense" else _golden_params_doc()
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--config", str(config_path), "--out", str(out)]) == 0
+    digests = {
+        path.name: _digest(path)
+        for path in sorted(out.iterdir())
+        if path.name != "run-manifest.json"
+    }
+    assert digests == _GOLDEN_DIGESTS[name], (
+        f"{name}: output bytes moved. A moved digest is a change of the output "
+        f"format; a change that moves it must declare it as one and re-pin here."
+    )
+
+
 # ---------------------------------------------------------------------------
 # Criterion 6: scalability
 
