@@ -21,6 +21,7 @@ from .config import (
 )
 from .datagen import generate_clean_dataset, generate_record, generate_value
 from .errorplan import ErrorPlan, PlanEntry, applicable_population, plan_errors
+from .errortypes import ALL_ERROR_TYPES
 from .evalkit import RepairMetrics, score
 from .exceptions import (
     ConfigError,
@@ -34,7 +35,7 @@ from .exceptions import (
 from .inject import ErrorLogEntry, apply_plan, inject_stream, verify_error
 from .output import OutputSpec, read_dataset, read_error_log, write_dataset, write_error_log
 from .rng import derive_stream
-from .taxonomy import ABSENT, ALL_ERROR_TYPES
+from .taxonomy import ABSENT
 
 __all__ = [
     "ABSENT",

@@ -17,6 +17,7 @@ from . import __version__
 from .config import load_config
 from .datagen import generate_clean_dataset
 from .errorplan import applicable_population, format_plan, plan_errors, spec_target_count
+from .errortypes import ERROR_TYPES
 from .evalkit import score
 from .exceptions import ConfigError, DirtygenError, EvaluationError, GenerationError
 from .inject import inject_stream, realized_counts
@@ -150,9 +151,7 @@ def cmd_validate(args) -> int:
     if config.errors:
         print(f"{'error type':<40} {'attributes':<28} {'population':>10} {'target':>8}")
         for spec in config.errors:
-            targets = ",".join(spec.target_attributes) if spec.target_attributes else "-"
-            if spec.error_type == "bias":
-                targets = spec.params["target_attribute"]
+            targets = ",".join(ERROR_TYPES[spec.error_type].targets(spec)) or "-"
             population = applicable_population(spec, config)
             print(
                 f"{spec.error_type:<40} {targets:<28} {population:>10} "

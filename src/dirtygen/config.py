@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from . import taxonomy
 from .exceptions import ConfigError, LexiconError
 from .output import OutputSpec
+from .taxonomy import STAGE_CELL, STAGE_COLUMN, STAGE_ROW, split_count
 from .templates import template_regex, template_size
 
 BUNDLED_LEXICONS = ("first_names", "last_names", "cities", "streets", "words")
@@ -154,6 +154,17 @@ class AttributeSpec:
             return template_regex(self.source.template)
         return None
 
+    def satisfies(self, value) -> bool:
+        """Pattern and interval check; admissible-set membership is separate."""
+        if self.compiled_pattern is not None and not self.compiled_pattern.fullmatch(str(value)):
+            return False
+        if self.interval is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return False
+            if not self.interval[0] <= value <= self.interval[1]:
+                return False
+        return True
+
     def source_signature(self) -> dict:
         if self.dependency is not None:
             return {"kind": "derived", "determinant": self.dependency.determinant}
@@ -177,7 +188,6 @@ class AttributeSpec:
 @dataclass(frozen=True)
 class ScalingSpec:
     column_replication: int = 0
-    shard_count: int = 1
 
 
 @dataclass
@@ -209,6 +219,8 @@ class GeneratorConfig:
     attr_positions: dict = field(default_factory=dict, repr=False, compare=False)
     eval_order: tuple[str, ...] = ()
     caches: dict = field(default_factory=dict, repr=False, compare=False)
+    # (error type, target attribute or None) -> its spec; parse_config proves the keys unique.
+    spec_by_target: dict = field(default_factory=dict, repr=False, compare=False)
 
     def attribute(self, name: str) -> AttributeSpec:
         return self.schema[self.attr_positions[name]]
@@ -285,6 +297,12 @@ def _expect_keys(mapping: dict, allowed: set[str], what: str) -> None:
 def _expect_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{what} must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        _fail(f"{what} must be a finite number")
     return value
 
 
@@ -313,14 +331,15 @@ def _coerce(value, datatype: str, what: str):
                 return int(value)
             _fail(f"{what} must be an integer")
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        if isinstance(value, str):
-            try:
-                return float(value)
-            except ValueError:
-                _fail(f"{what} is not a number: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         _fail(f"{what} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        _fail(f"{what} is not a number: {value!r}")
+    if not math.isfinite(number):
+        _fail(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_source(raw, attr_name: str, base_dir: Path | None) -> ValueSource:
@@ -330,7 +349,7 @@ def _parse_source(raw, attr_name: str, base_dir: Path | None) -> ValueSource:
     if kind == "lexicon":
         _expect_keys(raw, {"kind", "name", "path"}, where)
         ref = raw.get("name") or raw.get("path")
-        if not ref:
+        if not ref or not isinstance(ref, str):
             _fail(f"{where}: lexicon requires 'name' or 'path'")
         return LexiconSource(name=ref, values=tuple(load_lexicon(ref, base_dir=base_dir)))
     if kind == "numeric":
@@ -489,18 +508,6 @@ def _parse_attribute(raw, base_dir: Path | None) -> AttributeSpec:
 # Constraint cross-validation
 
 
-def _check_constraints(value, attr: AttributeSpec) -> bool:
-    """Pattern + interval check; admissible membership handled separately."""
-    if attr.compiled_pattern is not None and not attr.compiled_pattern.fullmatch(str(value)):
-        return False
-    if attr.interval is not None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return False
-        if not attr.interval[0] <= value <= attr.interval[1]:
-            return False
-    return True
-
-
 def _effective_int_range(attr: AttributeSpec) -> tuple[int, int]:
     src = attr.source
     lo, hi = math.ceil(src.low), math.floor(src.high)
@@ -533,7 +540,7 @@ def _resolve_domain(attr: AttributeSpec) -> AttributeSpec:
     """Validate constraint interactions and fix the finite generation domain."""
     if attr.admissible_set is not None:
         for member in attr.admissible_set:
-            if not _check_constraints(member, attr):
+            if not attr.satisfies(member):
                 _fail(
                     f"attribute '{attr.name}': admissible_set member {member!r} "
                     f"violates the declared pattern or interval"
@@ -546,7 +553,7 @@ def _resolve_domain(attr: AttributeSpec) -> AttributeSpec:
             for v in attr.source.values
         )
         for member in typed:
-            if not _check_constraints(member, attr):
+            if not attr.satisfies(member):
                 _fail(
                     f"attribute '{attr.name}': set source value {member!r} "
                     f"violates the declared pattern or interval"
@@ -556,7 +563,7 @@ def _resolve_domain(attr: AttributeSpec) -> AttributeSpec:
     if isinstance(attr.source, LexiconSource):
         if attr.datatype != "string":
             _fail(f"attribute '{attr.name}': lexicon sources require datatype string")
-        kept = tuple(v for v in attr.source.values if _check_constraints(v, attr))
+        kept = tuple(v for v in attr.source.values if attr.satisfies(v))
         if not kept:
             _fail(
                 f"attribute '{attr.name}': no lexicon value satisfies the "
@@ -745,7 +752,7 @@ def _resolve_dependencies(
                 f"is not total; first unmapped determinant value: {missing[0]!r}"
             )
         for image in rule.mapping.values():
-            if not _check_constraints(image, dep_attr) or (
+            if not dep_attr.satisfies(image) or (
                 dep_attr.admissible_set is not None and image not in dep_attr.admissible_set
             ):
                 _fail(
@@ -777,23 +784,15 @@ def _topo_sorted(rules: list[DependencyRule], by_name: dict) -> list[DependencyR
 # ---------------------------------------------------------------------------
 # Error specs
 
-_PARAM_KEYS = {
-    "outlier": {"k"},
-    "noise": {"alpha"},
-    "semi_empty_tuple": {"empty_fraction"},
-    "redundancy_about_entity": {"near_duplicate", "perturbed_attributes"},
-    "irrelevant_observation": {"offdomain"},
-    "bias": {"group_attribute", "group_value", "target_attribute", "shift", "skewed_weights"},
-}
 
-# Types whose spec may (or must) name target attributes.
-_TARGETED_TYPES = set(taxonomy.CELL_TYPES) | {
-    "uniqueness_value_violation",
-    "synonyms_existence",
-    "outlier",
-    "noise",
-    "missing_attribute",
-}
+@dataclass(frozen=True)
+class _SpecContext:
+    """What error-spec parsing may consult: the resolved schema and rules."""
+
+    attrs: list
+    by_name: dict
+    tuple_count: int
+    dependencies: list
 
 
 def erroneous_entry_domain_size(attr: AttributeSpec, tuple_count: int) -> int | None:
@@ -817,83 +816,64 @@ def erroneous_entry_domain_size(attr: AttributeSpec, tuple_count: int) -> int | 
     return None
 
 
-def _type_applicable(error_type: str, attr: AttributeSpec, config_ctx: dict) -> bool:
-    """Can this error type target this attribute at all?"""
-    tuple_count = config_ctx["tuple_count"]
-    if error_type == "missing_value":
-        return True
-    if error_type == "syntax_violation":
-        return attr.effective_pattern() is not None
-    if error_type == "interval_violation":
-        return attr.interval is not None
-    if error_type == "set_violation":
-        return attr.admissible_set is not None
-    if error_type == "misspelling":
-        return attr.datatype == "string"
-    if error_type == "inadequate_value_to_attribute_context":
-        sig = json.dumps(attr.source_signature(), sort_keys=True)
-        return any(
-            json.dumps(o.source_signature(), sort_keys=True) != sig
-            for o in config_ctx["attrs"]
-            if o.name != attr.name
-        )
-    if error_type == "value_items_beyond_attribute_context":
-        return attr.datatype == "string" and len(config_ctx["attrs"]) >= 2
-    if error_type == "meaningless_value":
-        return True
-    if error_type == "erroneous_entry":
-        size = erroneous_entry_domain_size(attr, tuple_count)
-        return size is None or size >= 2
-    if error_type == "uniqueness_value_violation":
-        return attr.unique and tuple_count >= 2
-    if error_type == "synonyms_existence":
-        return bool(attr.synonyms)
-    if error_type in ("outlier", "noise"):
-        return (
-            isinstance(attr.source, NumericSource)
-            and attr.datatype in ("integer", "float")
-            and attr.finite_domain is None
-        )
-    if error_type == "missing_attribute":
-        return True
-    raise AssertionError(f"not an attribute-targeted type: {error_type}")
+def _parse_errors(errors_raw, ctx: _SpecContext) -> tuple[list[ErrorSpec], dict]:
+    """Parse every error spec, prove each (type, attribute) pair unique and
+    every rate feasible. Returns the specs and their (type, attribute) index."""
+    from .errortypes import ERROR_TYPES  # the registry imports this module
+
+    if errors_raw is None:
+        errors_raw = []
+    if not isinstance(errors_raw, list):
+        _fail("errors must be a list")
+    typed = []
+    for index, raw in enumerate(errors_raw):
+        raw = _expect_mapping(raw, f"errors[{index}]")
+        _expect_keys(raw, {"type", "rate", "attributes", "params"}, f"errors[{index}]")
+        error_type = raw.get("type")
+        etype = ERROR_TYPES.get(error_type) if isinstance(error_type, str) else None
+        if etype is None:
+            _fail(f"errors[{index}]: unknown error type {error_type!r}")
+        typed.append((etype, _parse_error_spec(raw, f"errors[{index}] ({error_type})", etype, ctx)))
+
+    spec_by_target = {}
+    for index, (etype, spec) in enumerate(typed):
+        for key in etype.targets(spec) or (None,):
+            pair = (spec.error_type, key)
+            if pair in spec_by_target:
+                _fail(
+                    f"errors[{index}]: duplicate spec for error type "
+                    f"'{spec.error_type}' on attribute {key!r}"
+                )
+            spec_by_target[pair] = spec
+
+    _check_feasibility(ctx, typed)
+    return [spec for _, spec in typed], spec_by_target
 
 
-def _parse_error_spec(raw, index: int, attrs: list[AttributeSpec], tuple_count: int) -> ErrorSpec:
-    raw = _expect_mapping(raw, f"errors[{index}]")
-    _expect_keys(raw, {"type", "rate", "attributes", "params"}, f"errors[{index}]")
-    error_type = raw.get("type")
-    if error_type not in taxonomy.ALL_ERROR_TYPES:
-        _fail(f"errors[{index}]: unknown error type {error_type!r}")
-    where = f"errors[{index}] ({error_type})"
+def _parse_error_spec(raw: dict, where: str, etype, ctx: _SpecContext) -> ErrorSpec:
     rate = _expect_number(raw.get("rate"), f"{where} rate")
     if not 0 <= rate <= 1:
         _fail(f"{where}: rate must be in [0, 1]")
     params = raw.get("params", {})
     params = _expect_mapping(params, f"{where} params")
-    _expect_keys(params, _PARAM_KEYS.get(error_type, set()), f"{where} params")
-
-    ctx = {"attrs": attrs, "tuple_count": tuple_count}
-    by_name = {a.name: a for a in attrs}
+    _expect_keys(params, set(etype.params), f"{where} params")
 
     targets_raw = raw.get("attributes")
-    if error_type in _TARGETED_TYPES:
+    if etype.applicable is not None:
         if targets_raw is not None:
             if not isinstance(targets_raw, list) or not targets_raw:
                 _fail(f"{where}: attributes must be a non-empty list")
             for name in targets_raw:
-                if name not in by_name:
+                if not isinstance(name, str) or name not in ctx.by_name:
                     _fail(f"{where}: unknown attribute {name!r}")
-                if not _type_applicable(error_type, by_name[name], ctx):
+                if not etype.applicable(ctx.by_name[name], ctx):
                     _fail(f"{where}: type not applicable to attribute {name!r}")
             targets = tuple(targets_raw)
         else:
-            targets = tuple(
-                a.name for a in attrs if _type_applicable(error_type, a, ctx)
-            )
+            targets = tuple(a.name for a in ctx.attrs if etype.applicable(a, ctx))
             if not targets:
                 _fail(f"{where}: no attribute in the schema is applicable")
-        if error_type == "missing_attribute" and len(targets) != 1:
+        if etype.single_target and len(targets) != 1:
             _fail(
                 f"{where}: takes exactly one target attribute; declare one spec "
                 f"per attribute"
@@ -903,156 +883,46 @@ def _parse_error_spec(raw, index: int, attrs: list[AttributeSpec], tuple_count: 
             _fail(f"{where}: this error type does not take target attributes")
         targets = ()
 
-    resolved = _resolve_params(error_type, params, where, attrs, by_name, tuple_count)
-    return ErrorSpec(error_type=error_type, rate=rate, target_attributes=targets, params=resolved)
-
-
-def _resolve_params(
-    error_type: str,
-    params: dict,
-    where: str,
-    attrs: list[AttributeSpec],
-    by_name: dict,
-    tuple_count: int,
-) -> dict:
-    out = dict(params)
-    if error_type == "outlier":
-        k = _expect_number(out.setdefault("k", 5.0), f"{where} k")
-        if k <= 0:
-            _fail(f"{where}: k must be positive")
-    elif error_type == "noise":
-        alpha = _expect_number(out.setdefault("alpha", 0.05), f"{where} alpha")
-        if alpha <= 0:
-            _fail(f"{where}: alpha must be positive")
-    elif error_type == "semi_empty_tuple":
-        frac = _expect_number(out.setdefault("empty_fraction", 0.7), f"{where} empty_fraction")
-        if not 0 < frac < 1:
-            _fail(f"{where}: empty_fraction must be in (0, 1)")
-        if len(attrs) < 2:
-            _fail(f"{where}: needs at least two attributes in the schema")
-    elif error_type == "redundancy_about_entity":
-        near = out.setdefault("near_duplicate", True)
-        if not isinstance(near, bool):
-            _fail(f"{where}: near_duplicate must be a boolean")
-        perturbed = _expect_int(out.setdefault("perturbed_attributes", 1), f"{where} perturbed_attributes")
-        if perturbed < 0:
-            _fail(f"{where}: perturbed_attributes must be >= 0")
-        if near and perturbed > 0:
-            perturbable = [a for a in attrs if not a.unique and a.datatype == "string"]
-            if not perturbable:
-                _fail(
-                    f"{where}: near-duplicate mode needs a non-unique string "
-                    f"attribute to misspell"
-                )
-    elif error_type == "inconsistency_about_entity":
-        candidates = [
-            a
-            for a in attrs
-            if not a.unique
-            and (
-                (size := erroneous_entry_domain_size(a, tuple_count)) is None or size >= 2
-            )
-        ]
-        if not candidates:
-            _fail(f"{where}: no non-unique attribute offers an alternative valid value")
-    elif error_type == "inconsistency_among_attribute_values":
-        pass  # validated against the rules by the caller
-    elif error_type == "irrelevant_observation":
-        offdomain = out.get("offdomain")
-        if offdomain is not None:
-            offdomain = _expect_mapping(offdomain, f"{where} offdomain")
-            parsed = {}
-            for name, source_raw in offdomain.items():
-                if name not in by_name:
-                    _fail(f"{where}: offdomain names unknown attribute {name!r}")
-                parsed[name] = _parse_source(source_raw, f"{name} (offdomain)", None)
-            out["offdomain"] = parsed
-    elif error_type == "bias":
-        for key in ("group_attribute", "group_value", "target_attribute"):
-            if key not in out:
-                _fail(f"{where}: params require {key}")
-        group_attr = out["group_attribute"]
-        target_attr = out["target_attribute"]
-        if group_attr not in by_name:
-            _fail(f"{where}: unknown group attribute {group_attr!r}")
-        if target_attr not in by_name:
-            _fail(f"{where}: unknown target attribute {target_attr!r}")
-        if group_attr == target_attr:
-            _fail(f"{where}: group and target attribute must differ")
-        out["group_value"] = _coerce(
-            out["group_value"], by_name[group_attr].datatype, f"{where} group_value"
-        )
-        target = by_name[target_attr]
-        weights = out.get("skewed_weights")
-        if weights is None:
-            if not isinstance(target.source, NumericSource) or target.finite_domain is not None:
-                _fail(
-                    f"{where}: numeric bias needs a distribution-sourced target; "
-                    f"categorical targets need skewed_weights"
-                )
-            shift = out.get("shift")
-            if shift is None:
-                from .datagen import distribution_params
-
-                shift = distribution_params(target)[1]
-            out["shift"] = _expect_number(shift, f"{where} shift")
-            if out["shift"] == 0:
-                _fail(f"{where}: shift must be non-zero")
-        else:
-            weights = _expect_mapping(weights, f"{where} skewed_weights")
-            if target.finite_domain is None:
-                _fail(f"{where}: skewed_weights requires a finite-domain target")
-            typed = {}
-            for key, weight in weights.items():
-                value = _coerce(key, target.datatype, f"{where} skewed_weights key")
-                if value not in target.finite_domain:
-                    _fail(f"{where}: skewed_weights key {key!r} is outside the target domain")
-                w = _expect_number(weight, f"{where} skewed_weights weight")
-                if w < 0:
-                    _fail(f"{where}: weights must be non-negative")
-                typed[value] = w
-            if len([w for w in typed.values() if w > 0]) < 2:
-                _fail(f"{where}: skewed_weights needs at least two positive-weight values")
-            out["skewed_weights"] = typed
-    return out
+    resolved = dict(params)
+    for key, default in etype.defaults.items():
+        resolved.setdefault(key, default)
+    if etype.parse is not None:
+        etype.parse(resolved, where, ctx)
+    return ErrorSpec(error_type=etype.name, rate=rate, target_attributes=targets, params=resolved)
 
 
 # ---------------------------------------------------------------------------
 # Feasibility
 
 
-def _check_feasibility(
-    attrs: list[AttributeSpec], specs: list[ErrorSpec], tuple_count: int
-) -> None:
-    n = tuple_count
+def _check_feasibility(ctx: _SpecContext, typed: list) -> None:
+    n = ctx.tuple_count
     row_claims = 0
-    for i, spec in enumerate(specs):
-        if spec.error_type in taxonomy.ROW_TYPES:
-            count = taxonomy.target_count(spec.error_type, spec.rate, 0, n)
-            row_claims += count
+    for i, (etype, spec) in enumerate(typed):
+        if etype.stage == STAGE_ROW:
+            row_claims += etype.target_count(spec.rate, 0, n)
             if row_claims > n:
                 _fail(
                     f"errors[{i}] ({spec.error_type}): infeasible rate; row-scope "
                     f"errors claim {row_claims} of {n} tuples"
                 )
     available = n - row_claims
-    per_attr = {a.name: 0 for a in attrs}
-    for i, spec in enumerate(specs):
-        stage = taxonomy.STAGE_OF[spec.error_type]
-        if stage not in (taxonomy.STAGE_COLUMN, taxonomy.STAGE_CELL):
+    per_attr = {a.name: 0 for a in ctx.attrs}
+    for i, (etype, spec) in enumerate(typed):
+        if etype.stage not in (STAGE_COLUMN, STAGE_CELL):
             continue
-        if spec.error_type == "bias":
+        if etype.shortfall is not None:
             continue  # may realize below target by design; never oversubscribes
         targets = spec.target_attributes
-        count = taxonomy.target_count(spec.error_type, spec.rate, len(targets), n)
-        if spec.error_type == "uniqueness_value_violation" and count > max(n - 1, 0):
+        count = etype.target_count(spec.rate, len(targets), n)
+        if etype.claims_donor and count > max(n - 1, 0):
             _fail(
                 f"errors[{i}] ({spec.error_type}): infeasible rate; needs {count} "
                 f"targets but only {max(n - 1, 0)} tuples have an earlier donor"
             )
-        charges = taxonomy.split_count(count, len(targets)) if targets else []
+        charges = split_count(count, len(targets)) if targets else []
         for attr_name, charge in zip(targets, charges):
-            if spec.error_type == "uniqueness_value_violation":
+            if etype.claims_donor:
                 charge *= 2  # the donor cell is claimed too
             per_attr[attr_name] += charge
             if per_attr[attr_name] > available:
@@ -1081,6 +951,10 @@ def parse_config(
         raise ConfigError(
             f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    try:
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        _fail("config contains a lone surrogate escape, which is not valid Unicode")
     doc = _expect_mapping(doc, "config document")
     _expect_keys(doc, {"schema", "dependencies", "errors", "generation", "output"}, "config")
 
@@ -1107,7 +981,7 @@ def parse_config(
     shard_count = _expect_int(scaling_raw.get("shard_count", 1), "shard_count")
     if shard_count < 1:
         _fail("shard_count must be >= 1")
-    scaling = ScalingSpec(column_replication=replication, shard_count=shard_count)
+    scaling = ScalingSpec(column_replication=replication)
 
     schema_raw = doc.get("schema")
     if not isinstance(schema_raw, list) or not schema_raw:
@@ -1165,43 +1039,15 @@ def parse_config(
                         f"never be generated"
                     )
 
-    errors_raw = doc.get("errors", [])
-    if errors_raw is None:
-        errors_raw = []
-    if not isinstance(errors_raw, list):
-        _fail("errors must be a list")
-    specs = [_parse_error_spec(raw, i, attrs, tuple_count) for i, raw in enumerate(errors_raw)]
-
-    violable = [
-        r for r in dependencies if len(set(r.mapping.values())) >= 2
-    ]
-    for i, spec in enumerate(specs):
-        if spec.error_type == "inconsistency_among_attribute_values" and not violable:
-            _fail(
-                f"errors[{i}] ({spec.error_type}): no dependency rule with at "
-                f"least two distinct dependent values is declared"
-            )
-
-    seen_pairs = set()
-    for i, spec in enumerate(specs):
-        keys = spec.target_attributes or (
-            (spec.params["target_attribute"],) if spec.error_type == "bias" else (None,)
-        )
-        for key in keys:
-            pair = (spec.error_type, key)
-            if pair in seen_pairs:
-                _fail(
-                    f"errors[{i}]: duplicate spec for error type "
-                    f"'{spec.error_type}' on attribute {key!r}"
-                )
-            seen_pairs.add(pair)
-
-    _check_feasibility(attrs, specs, tuple_count)
+    ctx = _SpecContext(attrs, {a.name: a for a in attrs}, tuple_count, dependencies)
+    specs, spec_by_target = _parse_errors(doc.get("errors", []), ctx)
 
     output_raw = doc.get("output", {})
     output_raw = _expect_mapping(output_raw, "output section")
     _expect_keys(output_raw, {"directory", "mode"}, "output")
     directory = output_raw.get("directory", "out")
+    if not isinstance(directory, str):
+        _fail("output directory must be a string")
     if output_dir_override is not None:
         directory = output_dir_override
     mode = output_raw.get("mode", "ndjson")
@@ -1220,6 +1066,7 @@ def parse_config(
         output=output,
         attr_positions={a.name: i for i, a in enumerate(attrs)},
         eval_order=_evaluation_order(attrs),
+        spec_by_target=spec_by_target,
     )
     config.config_hash = compute_config_hash(config)
     return config
@@ -1287,7 +1134,7 @@ def compute_config_hash(config: GeneratorConfig) -> str:
             "tuple_count": config.tuple_count,
             "seed": config.seed,
             "column_replication": config.scaling.column_replication,
-            "shard_count": config.scaling.shard_count,
+            "shard_count": config.output.shard_count,
         },
         "output": {"mode": config.output.mode},
     }

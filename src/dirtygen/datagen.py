@@ -28,11 +28,10 @@ from .config import (
     _effective_int_range,
 )
 from .exceptions import GenerationError
-from .rng import GOLDEN, IndexPermutation, Stream, address_key, mix64, stage_key
+from .rng import IndexPermutation, Stream, address_key
 from .taxonomy import round_half_away
-from .templates import template_decode, template_draw, template_size
+from .templates import template_decode, template_draw, template_regex, template_size
 
-_MASK64 = (1 << 64) - 1
 _RESAMPLE_LIMIT = 1000
 _FLOAT_GRID = 1 << 53
 
@@ -47,11 +46,6 @@ def distribution_params(attr: AttributeSpec) -> tuple[float, float]:
     if src.distribution == "uniform":
         return (src.low + src.high) / 2.0, (src.high - src.low) / math.sqrt(12.0)
     return src.mean, src.stddev
-
-
-def _clean_stream(config: GeneratorConfig, tuple_index: int, attribute: str) -> Stream:
-    base = stage_key(config.seed, STAGE_CLEAN, attribute)
-    return Stream(mix64(base ^ ((tuple_index * GOLDEN) & _MASK64)))
 
 
 def _unique_permutation(config: GeneratorConfig, attr: AttributeSpec, size: int) -> IndexPermutation:
@@ -98,7 +92,8 @@ def _unique_value(attr: AttributeSpec, config: GeneratorConfig, tuple_index: int
     raise GenerationError(f"attribute '{attr.name}': no unique drawing rule for its source")
 
 
-def _weighted_index(stream: Stream, weights: tuple[float, ...]) -> int:
+def weighted_index(stream: Stream, weights: tuple[float, ...]) -> int:
+    """Index i drawn with probability weights[i] / sum(weights)."""
     pick = stream.random() * sum(weights)
     acc = 0.0
     for i, w in enumerate(weights):
@@ -120,7 +115,7 @@ def draw_from_source(attr: AttributeSpec, config: GeneratorConfig, stream: Strea
     src = attr.source
     if attr.finite_domain is not None:
         if isinstance(src, ConstantSetSource) and src.weights is not None and attr.admissible_set is None:
-            return attr.finite_domain[_weighted_index(stream, src.weights)]
+            return attr.finite_domain[weighted_index(stream, src.weights)]
         return attr.finite_domain[stream.randrange(len(attr.finite_domain))]
     if isinstance(src, NumericSource):
         if src.distribution == "uniform":
@@ -154,22 +149,11 @@ def _one_normal(attr: AttributeSpec, stream: Stream):
     return round_half_away(value) if attr.datatype == "integer" else value
 
 
-def _satisfies(attr: AttributeSpec, value) -> bool:
-    if attr.compiled_pattern is not None and not attr.compiled_pattern.fullmatch(str(value)):
-        return False
-    if attr.interval is not None:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        if not attr.interval[0] <= value <= attr.interval[1]:
-            return False
-    return True
-
-
 def _resample(attr: AttributeSpec, stream: Stream, draw):
     """Redraw until the value satisfies pattern and interval constraints."""
     for _ in range(_RESAMPLE_LIMIT):
         value = draw(stream)
-        if _satisfies(attr, value):
+        if attr.satisfies(value):
             return value
     raise GenerationError(
         f"attribute '{attr.name}': no constraint-satisfying value found in "
@@ -204,6 +188,13 @@ def generate_value(
     return draw_from_source(attr, config, stream)
 
 
+def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:
+    """Can the clean value of this attribute be null (directly or through its determinants)?"""
+    while attr.dependency is not None:
+        attr = config.attribute(attr.dependency.determinant)
+    return attr.null_rate > 0
+
+
 def _dependency_images(attr: AttributeSpec, config: GeneratorConfig) -> list:
     cache = config.caches.setdefault("dependency_images", {})
     images = cache.get(attr.name)
@@ -233,7 +224,7 @@ def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, 
                     f"determinant value {det_value!r}"
                 ) from None
     else:
-        stream = _clean_stream(config, tuple_index, attribute)
+        stream = Stream(address_key(config.seed, STAGE_CLEAN, tuple_index, attribute))
         value = generate_value(attr, stream, config=config, tuple_index=tuple_index)
     _memo[attribute] = value
     return value
@@ -273,7 +264,7 @@ def value_in_domain(attr: AttributeSpec, value, config: GeneratorConfig) -> bool
             return False
         if src.distribution == "uniform" and not (src.low <= value <= src.high):
             return False
-        return _satisfies(attr, value)
+        return attr.satisfies(value)
     if isinstance(src, SequenceSource):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return False
@@ -284,9 +275,7 @@ def value_in_domain(attr: AttributeSpec, value, config: GeneratorConfig) -> bool
     if isinstance(src, TemplateSource):
         if not isinstance(value, str):
             return False
-        from .templates import template_regex
-
         if not template_regex(src.template).fullmatch(value):
             return False
-        return _satisfies(attr, value)
+        return attr.satisfies(value)
     return False

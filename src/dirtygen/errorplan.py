@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import taxonomy
 from .config import ErrorSpec, GeneratorConfig
-from .datagen import clean_cell_value
+from .datagen import clean_cell_value, may_be_null
+from .errortypes import ERROR_TYPES, ErrorType
 from .exceptions import PlanError
 from .rng import IndexPermutation, Stream, address_key
-from .taxonomy import STAGE_CELL, STAGE_COLUMN, STAGE_INSERTION, STAGE_ROW
-
-_DONOR_ATTEMPTS = 128
+from .taxonomy import STAGE_INSERTION, split_count
 
 
 @dataclass(slots=True)
@@ -63,23 +61,21 @@ class ErrorPlan:
 def applicable_population(spec: ErrorSpec, config: GeneratorConfig) -> int:
     """The denominator of the spec's rate: cells for cell-addressed types,
     tuples for row and insertion types."""
-    return taxonomy.population(
-        spec.error_type, len(spec.target_attributes), config.tuple_count
-    )
+    return ERROR_TYPES[spec.error_type].population(len(spec.target_attributes), config.tuple_count)
 
 
 def spec_target_count(spec: ErrorSpec, config: GeneratorConfig) -> int:
-    return taxonomy.round_half_away(spec.rate * applicable_population(spec, config))
-
-
-def _may_be_null(attr, config: GeneratorConfig) -> bool:
-    while attr.dependency is not None:
-        attr = config.attribute(attr.dependency.determinant)
-    return attr.null_rate > 0
+    """Exact number of errors the spec must realize."""
+    return ERROR_TYPES[spec.error_type].target_count(
+        spec.rate, len(spec.target_attributes), config.tuple_count
+    )
 
 
 class _Claims:
-    """Row and cell claims; cells are keyed as row * width + attr position."""
+    """Row and cell claims; cells are keyed as row * width + attr position.
+
+    An attribute of None stands for the whole row.
+    """
 
     def __init__(self, config: GeneratorConfig):
         self._width = len(config.schema)
@@ -87,23 +83,19 @@ class _Claims:
         self.rows: set[int] = set()
         self.cells: set[int] = set()
 
-    def cell_key(self, row: int, attribute: str) -> int:
-        return row * self._width + self._positions[attribute]
-
-    def cell_free(self, row: int, attribute: str) -> bool:
-        return row not in self.rows and self.cell_key(row, attribute) not in self.cells
-
-    def claim_cell(self, row: int, attribute: str) -> None:
-        self.cells.add(self.cell_key(row, attribute))
-
-    def row_free(self, row: int) -> bool:
+    def free(self, row: int, attribute: str | None) -> bool:
         if row in self.rows:
             return False
         base = row * self._width
+        if attribute is not None:
+            return base + self._positions[attribute] not in self.cells
         return not any(base + p in self.cells for p in range(self._width))
 
-    def claim_row(self, row: int) -> None:
-        self.rows.add(row)
+    def claim(self, row: int, attribute: str | None) -> None:
+        if attribute is None:
+            self.rows.add(row)
+        else:
+            self.cells.add(row * self._width + self._positions[attribute])
 
 
 def plan_errors(config: GeneratorConfig) -> ErrorPlan:
@@ -114,80 +106,26 @@ def plan_errors(config: GeneratorConfig) -> ErrorPlan:
     insertions: list[PlanEntry] = []
     warnings: list[str] = []
 
-    staged: dict[int, list[tuple[int, ErrorSpec]]] = {
-        STAGE_INSERTION: [],
-        STAGE_ROW: [],
-        STAGE_COLUMN: [],
-        STAGE_CELL: [],
-    }
-    for index, spec in enumerate(config.errors):
-        staged[taxonomy.STAGE_OF[spec.error_type]].append((index, spec))
-
-    for index, spec in staged[STAGE_INSERTION]:
+    # Coarse stages claim first; the sort is stable, so specs of one stage
+    # keep their declaration order.
+    staged = sorted(
+        enumerate(config.errors), key=lambda item: ERROR_TYPES[item[1].error_type].stage
+    )
+    for index, spec in staged:
+        etype = ERROR_TYPES[spec.error_type]
         count = spec_target_count(spec, config)
-        stream = Stream(address_key(config.seed, f"plan:{spec.error_type}"))
-        for _ in range(count):
-            source = None
-            if spec.error_type != "irrelevant_observation":
-                source = stream.randrange(n)  # n >= 1 whenever count >= 1
-            entry = PlanEntry(spec.error_type, "insertion", index, source, None)
-            entries.append(entry)
-            insertions.append(entry)
-
-    violable_rules = [
-        i
-        for i, rule in enumerate(config.dependencies)
-        if len(set(rule.mapping.values())) >= 2
-    ]
-    nullable_anywhere = any(_may_be_null(a, config) for a in config.schema)
-
-    for index, spec in staged[STAGE_ROW]:
-        count = spec_target_count(spec, config)
-        if count == 0:
+        if etype.stage == STAGE_INSERTION:
+            stream = Stream(address_key(config.seed, f"plan:{etype.name}"))
+            for _ in range(count):
+                # n >= 1 whenever count >= 1
+                source = stream.randrange(n) if etype.draws_source else None
+                entry = PlanEntry(etype.name, etype.scope, index, source, None)
+                entries.append(entry)
+                insertions.append(entry)
             continue
-        perm = IndexPermutation(address_key(config.seed, f"plan:{spec.error_type}"), n)
-        placed = 0
-        for j in range(n):
-            if placed >= count:
-                break
-            row = perm(j)
-            if not claims.row_free(row):
-                continue
-            entry = None
-            if spec.error_type == "semi_empty_tuple":
-                if nullable_anywhere and _non_null_cells(config, row) < 2:
-                    continue
-                entry = PlanEntry(spec.error_type, "row", index, row, None)
-            else:  # inconsistency_among_attribute_values
-                rule_index = _choose_rule(config, row, violable_rules)
-                if rule_index is None:
-                    continue
-                entry = PlanEntry(
-                    spec.error_type, "row", index, row, None, rule_index=rule_index
-                )
-            claims.claim_row(row)
-            entries.append(entry)
-            placed += 1
-        if placed < count:
-            raise PlanError(
-                f"error plan infeasible: spec {index} ({spec.error_type}, rate "
-                f"{spec.rate}) placed only {placed} of {count} targets"
-            )
-
-    for index, spec in staged[STAGE_COLUMN]:
-        if spec.error_type == "bias":
-            _plan_bias(config, index, spec, claims, entries, warnings)
-            continue
-        count = spec_target_count(spec, config)
-        targets = spec.target_attributes
-        for attribute, share in zip(targets, taxonomy.split_count(count, len(targets))):
-            _plan_cells(config, index, spec, attribute, share, claims, entries)
-
-    for index, spec in staged[STAGE_CELL]:
-        count = spec_target_count(spec, config)
-        targets = spec.target_attributes
-        for attribute, share in zip(targets, taxonomy.split_count(count, len(targets))):
-            _plan_cells(config, index, spec, attribute, share, claims, entries)
+        targets = etype.targets(spec) or (None,)
+        for attribute, share in zip(targets, split_count(count, len(targets))):
+            _place(config, index, spec, etype, attribute, share, claims, entries, warnings)
 
     row_entries: dict[int, list[PlanEntry]] = {}
     for entry in entries:
@@ -204,128 +142,56 @@ def plan_errors(config: GeneratorConfig) -> ErrorPlan:
     )
 
 
-def _non_null_cells(config: GeneratorConfig, row: int) -> int:
-    memo: dict = {}
-    return sum(
-        1 for name in config.attribute_names if clean_cell_value(config, row, name, memo) is not None
-    )
-
-
-def _choose_rule(config: GeneratorConfig, row: int, violable_rules: list[int]) -> int | None:
-    stream = Stream(address_key(config.seed, "plan:inconsistency_among_attribute_values", row))
-    rule_index = violable_rules[stream.randrange(len(violable_rules))]
-    rule = config.dependencies[rule_index]
-    memo: dict = {}
-    if clean_cell_value(config, row, rule.determinant, memo) is None:
-        return None
-    if clean_cell_value(config, row, rule.dependent, memo) is None:
-        return None
-    return rule_index
-
-
-def _plan_cells(
+def _place(
     config: GeneratorConfig,
     index: int,
     spec: ErrorSpec,
-    attribute: str,
+    etype: ErrorType,
+    attribute: str | None,
     count: int,
-    claims: _Claims,
-    entries: list[PlanEntry],
-) -> None:
-    if count == 0:
-        return
-    n = config.tuple_count
-    attr = config.attribute(attribute)
-    error_type = spec.error_type
-    scope = "column" if taxonomy.STAGE_OF[error_type] == STAGE_COLUMN else "cell"
-    needs_value = error_type not in ("missing_attribute",) and _may_be_null(attr, config)
-    check_synonym = error_type == "synonyms_existence"
-    is_uniqueness = error_type == "uniqueness_value_violation"
-
-    perm = IndexPermutation(address_key(config.seed, f"plan:{error_type}", 0, attribute), n)
-    placed = 0
-    for j in range(n):
-        if placed >= count:
-            break
-        row = perm(j)
-        if not claims.cell_free(row, attribute):
-            continue
-        if needs_value or check_synonym:
-            value = clean_cell_value(config, row, attribute)
-            if value is None:
-                continue
-            if check_synonym and not (attr.synonyms and attr.synonyms.get(value)):
-                continue
-        donor = None
-        if is_uniqueness:
-            if row == 0:
-                continue
-            donor = _find_donor(config, row, attribute, claims)
-            if donor is None:
-                continue
-        entry = PlanEntry(error_type, scope, index, row, attribute, donor=donor)
-        claims.claim_cell(row, attribute)
-        if donor is not None:
-            claims.claim_cell(donor, attribute)
-        entries.append(entry)
-        placed += 1
-    if placed < count:
-        raise PlanError(
-            f"error plan infeasible: spec {index} ({error_type} on '{attribute}', "
-            f"rate {spec.rate}) placed only {placed} of {count} targets"
-        )
-
-
-def _find_donor(config: GeneratorConfig, row: int, attribute: str, claims: _Claims) -> int | None:
-    stream = Stream(address_key(config.seed, "plan:uniqueness_value_violation:donor", row, attribute))
-    attr = config.attribute(attribute)
-    nullable = _may_be_null(attr, config)
-    for _ in range(min(_DONOR_ATTEMPTS, max(row * 4, 8))):
-        donor = stream.randrange(row)
-        if not claims.cell_free(donor, attribute):
-            continue
-        if nullable and clean_cell_value(config, donor, attribute) is None:
-            continue
-        return donor
-    return None
-
-
-def _plan_bias(
-    config: GeneratorConfig,
-    index: int,
-    spec: ErrorSpec,
     claims: _Claims,
     entries: list[PlanEntry],
     warnings: list[str],
 ) -> None:
-    count = spec_target_count(spec, config)
+    """Claim count targets of one spec on one attribute (None: whole rows),
+    walking a seeded permutation of the tuples past ineligible ones."""
     if count == 0:
         return
     n = config.tuple_count
-    group_attr = spec.params["group_attribute"]
-    group_value = spec.params["group_value"]
-    target_attr = spec.params["target_attribute"]
-    nullable = _may_be_null(config.attribute(target_attr), config)
-
-    perm = IndexPermutation(address_key(config.seed, "plan:bias", 0, target_attr), n)
+    perm = IndexPermutation(address_key(config.seed, f"plan:{etype.name}", 0, attribute or ""), n)
+    skip_null = (
+        attribute is not None
+        and etype.needs_value
+        and may_be_null(config.attribute(attribute), config)
+    )
     placed = 0
     for j in range(n):
         if placed >= count:
             break
         row = perm(j)
-        if not claims.cell_free(row, target_attr):
+        if not claims.free(row, attribute):
             continue
-        if clean_cell_value(config, row, group_attr) != group_value:
+        if skip_null and clean_cell_value(config, row, attribute) is None:
             continue
-        if nullable and clean_cell_value(config, row, target_attr) is None:
-            continue
-        entries.append(PlanEntry("bias", "column", index, row, target_attr))
-        claims.claim_cell(row, target_attr)
+        extras = {}
+        if etype.eligible is not None:
+            extras = etype.eligible(config, spec, row, attribute, claims)
+            if extras is None:
+                continue
+        entry = PlanEntry(etype.name, etype.scope, index, row, attribute, **extras)
+        claims.claim(row, attribute)
+        if entry.donor is not None:
+            claims.claim(entry.donor, attribute)
+        entries.append(entry)
         placed += 1
     if placed < count:
-        warnings.append(
-            f"bias spec {index}: only {placed} of {count} targets have "
-            f"{group_attr} = {group_value!r}; realized count is below target"
+        if etype.shortfall is not None:
+            warnings.append(etype.shortfall(spec, index, placed, count))
+            return
+        what = spec.error_type if attribute is None else f"{spec.error_type} on '{attribute}'"
+        raise PlanError(
+            f"error plan infeasible: spec {index} ({what}, rate {spec.rate}) "
+            f"placed only {placed} of {count} targets"
         )
 
 

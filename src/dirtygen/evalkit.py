@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .errortypes import INSERTION_TYPES
 from .exceptions import EvaluationError
-from .taxonomy import ABSENT, INSERTION_TYPES
+from .taxonomy import ABSENT
 
 
 def _f1(precision: float, recall: float) -> float:

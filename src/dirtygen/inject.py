@@ -11,31 +11,16 @@ test suite to confirm every logged error is real.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .config import AttributeSpec, ErrorSpec, GeneratorConfig
-from .datagen import (
-    clean_cell_value,
-    distribution_params,
-    draw_from_source,
-    generate_record,
-    value_in_domain,
-)
+from .config import AttributeSpec, GeneratorConfig
+from .datagen import generate_record
 from .errorplan import ErrorPlan, PlanEntry
+from .errortypes import ERROR_TYPES
 from .exceptions import GenerationError
 from .rng import Stream, derive_stream
-from .taxonomy import ABSENT, ALL_ERROR_TYPES, INSERTION_TYPES, round_half_away
-
-_RETRY_LIMIT = 1000
-_MEANINGLESS_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789#?%"
-
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
-_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_DIGITS = "0123456789"
-
-EDIT_OPERATIONS = ("substitute", "insert", "delete", "transpose")
+from .taxonomy import ABSENT, STAGE_INSERTION
 
 
 @dataclass(slots=True)
@@ -55,181 +40,6 @@ class ErrorLogEntry:
     dirty_value: object
 
 
-# ---------------------------------------------------------------------------
-# Character-level edits
-
-
-def _alphabet_for(ch: str) -> str:
-    if ch in _DIGITS:
-        return _DIGITS
-    if ch in _UPPER:
-        return _UPPER
-    return _LOWER
-
-
-def apply_edit(text: str, op: str, pos: int, char: str | None = None) -> str:
-    """One documented edit operation at a fixed position."""
-    if op == "substitute":
-        return text[:pos] + char + text[pos + 1 :]
-    if op == "insert":
-        return text[:pos] + char + text[pos:]
-    if op == "delete":
-        return text[:pos] + text[pos + 1 :]
-    if op == "transpose":
-        return text[:pos] + text[pos + 1] + text[pos] + text[pos + 2 :]
-    raise ValueError(f"unknown edit operation: {op}")
-
-
-def misspell(text: str, stream: Stream) -> str:
-    """Exactly one stream-drawn edit; the result always differs from the input."""
-    for _ in range(64):
-        op = EDIT_OPERATIONS[stream.randrange(4)]
-        if op == "substitute" and text:
-            pos = stream.randrange(len(text))
-            alphabet = _alphabet_for(text[pos])
-            char = alphabet[stream.randrange(len(alphabet))]
-            if char == text[pos]:
-                continue
-            return apply_edit(text, "substitute", pos, char)
-        if op == "insert":
-            pos = stream.randrange(len(text) + 1)
-            anchor = text[min(pos, len(text) - 1)] if text else "a"
-            alphabet = _alphabet_for(anchor)
-            char = alphabet[stream.randrange(len(alphabet))]
-            return apply_edit(text, "insert", pos, char)
-        if op == "delete" and text:
-            return apply_edit(text, "delete", stream.randrange(len(text)))
-        if op == "transpose" and len(text) >= 2:
-            pos = stream.randrange(len(text) - 1)
-            if text[pos] == text[pos + 1]:
-                continue
-            return apply_edit(text, "transpose", pos)
-    raise GenerationError(f"could not produce a one-edit misspelling of {text!r}")
-
-
-def edit_distance_one(a: str, b: str) -> bool:
-    """True iff b is reachable from a by exactly one of the four edit ops."""
-    if a == b:
-        return False
-    la, lb = len(a), len(b)
-    if la == lb:
-        diffs = [i for i in range(la) if a[i] != b[i]]
-        if len(diffs) == 1:
-            return True
-        if len(diffs) == 2:
-            i, j = diffs
-            return j == i + 1 and a[i] == b[j] and a[j] == b[i]
-        return False
-    if abs(la - lb) != 1:
-        return False
-    shorter, longer = (a, b) if la < lb else (b, a)
-    for i in range(len(longer)):
-        if longer[:i] + longer[i + 1 :] == shorter:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Cell-level injectors
-
-_PATTERN_MUTATIONS = (
-    "drop_separator",
-    "case_flip",
-    "digit_to_letter",
-    "letter_to_digit",
-    "append_junk",
-)
-
-
-def _break_pattern(text: str, pattern, stream: Stream) -> str:
-    """Mutate until the pattern no longer matches.
-
-    Mutation catalog: remove a separator character, flip a letter's case,
-    swap a digit for a letter or a letter for a digit, append a junk
-    character. Stream-drawn until the check fails.
-    """
-    for _ in range(100):
-        op = _PATTERN_MUTATIONS[stream.randrange(len(_PATTERN_MUTATIONS))]
-        candidate = None
-        if op == "drop_separator":
-            separators = [i for i, ch in enumerate(text) if not ch.isalnum()]
-            if separators:
-                candidate = apply_edit(text, "delete", separators[stream.randrange(len(separators))])
-        elif op == "case_flip":
-            letters = [i for i, ch in enumerate(text) if ch.isalpha()]
-            if letters:
-                pos = letters[stream.randrange(len(letters))]
-                candidate = apply_edit(text, "substitute", pos, text[pos].swapcase())
-        elif op == "digit_to_letter":
-            digits = [i for i, ch in enumerate(text) if ch.isdigit()]
-            if digits:
-                pos = digits[stream.randrange(len(digits))]
-                candidate = apply_edit(text, "substitute", pos, _LOWER[stream.randrange(26)])
-        elif op == "letter_to_digit":
-            letters = [i for i, ch in enumerate(text) if ch.isalpha()]
-            if letters:
-                pos = letters[stream.randrange(len(letters))]
-                candidate = apply_edit(text, "substitute", pos, _DIGITS[stream.randrange(10)])
-        else:
-            candidate = text + "~"
-        if candidate is not None and not pattern.fullmatch(candidate):
-            return candidate
-    raise GenerationError(
-        f"could not break the pattern {pattern.pattern!r} starting from {text!r}; "
-        f"the pattern may accept every mutation"
-    )
-
-
-def _interval_violation(clean, attr: AttributeSpec, stream: Stream):
-    lo, hi = attr.interval
-    width = hi - lo
-    go_high = stream.randrange(2) == 1
-    u = stream.random()
-    if attr.datatype == "integer":
-        delta = 1 + math.floor(u * max(width, 1))
-        return int(hi + delta) if go_high else int(lo - delta)
-    delta = (1.0 - u) * width
-    if go_high:
-        value = hi + delta
-        return value if value > hi else math.nextafter(hi, math.inf)
-    value = lo - delta
-    return value if value < lo else math.nextafter(lo, -math.inf)
-
-
-def _meaningless(config: GeneratorConfig, stream: Stream, avoid) -> str:
-    for _ in range(_RETRY_LIMIT):
-        length = 3 + stream.randrange(8)
-        text = "".join(
-            _MEANINGLESS_ALPHABET[stream.randrange(len(_MEANINGLESS_ALPHABET))]
-            for _ in range(length)
-        )
-        if text == avoid:
-            continue
-        if any(
-            a.effective_pattern() is not None and a.effective_pattern().fullmatch(text)
-            for a in config.schema
-        ):
-            continue
-        if any(a.finite_domain is not None and text in a.finite_domain for a in config.schema):
-            continue
-        return text
-    raise GenerationError("could not produce a meaningless value outside every domain")
-
-
-def _other_attributes(attr: AttributeSpec, config: GeneratorConfig, *, distinct_source: bool):
-    import json as _json
-
-    own = _json.dumps(attr.source_signature(), sort_keys=True)
-    out = []
-    for other in config.schema:
-        if other.name == attr.name:
-            continue
-        if distinct_source and _json.dumps(other.source_signature(), sort_keys=True) == own:
-            continue
-        out.append(other)
-    return out
-
-
 def inject_cell(
     error_type: str,
     clean_value,
@@ -237,97 +47,13 @@ def inject_cell(
     config: GeneratorConfig,
     stream: Stream,
     params: dict | None = None,
+    entry: PlanEntry | None = None,
 ):
-    """Dirty replacement for one cell under one of the nine cell-level types."""
-    if error_type == "missing_value":
-        return None
-    if error_type == "syntax_violation":
-        return _break_pattern(str(clean_value), attr.effective_pattern(), stream)
-    if error_type == "interval_violation":
-        return _interval_violation(clean_value, attr, stream)
-    if error_type == "set_violation":
-        members = attr.admissible_set
-        member = members[stream.randrange(len(members))]
-        text = str(member)
-        for _ in range(_RETRY_LIMIT):
-            text = misspell(text, stream)
-            candidate = _retype(text, attr.datatype)
-            if candidate not in members and candidate != clean_value:
-                return candidate
-        raise GenerationError(f"could not mutate {member!r} out of the admissible set")
-    if error_type == "misspelling":
-        return misspell(clean_value, stream)
-    if error_type == "inadequate_value_to_attribute_context":
-        others = _other_attributes(attr, config, distinct_source=True)
-        start = stream.randrange(len(others))
-        # A donor whose whole domain lies inside the target's cannot work
-        # (ints fit any unbounded numeric target, say); fall through to the
-        # next candidate instead of retrying one donor forever.
-        for offset in range(len(others)):
-            other = others[(start + offset) % len(others)]
-            for _ in range(100):
-                value = draw_from_source(other, config, stream)
-                if value != clean_value and not value_in_domain(attr, value, config):
-                    return value
-        raise GenerationError(
-            f"no other attribute's values land outside the domain of '{attr.name}'"
-        )
-    if error_type == "value_items_beyond_attribute_context":
-        others = _other_attributes(attr, config, distinct_source=False)
-        other = others[stream.randrange(len(others))]
-        token = str(draw_from_source(other, config, stream))
-        return f"{clean_value} {token}"
-    if error_type == "meaningless_value":
-        return _meaningless(config, stream, clean_value)
-    if error_type == "erroneous_entry":
-        for _ in range(_RETRY_LIMIT):
-            value = draw_from_source(attr, config, stream)
-            if value != clean_value:
-                return value
-        raise GenerationError(
-            f"the source of '{attr.name}' produced no value different from {clean_value!r}"
-        )
-    raise GenerationError(f"not a cell-level error type: {error_type}")
-
-
-def _retype(text: str, datatype: str):
-    if datatype == "integer":
-        try:
-            return int(text)
-        except ValueError:
-            return text
-    if datatype == "float":
-        try:
-            return float(text)
-        except ValueError:
-            return text
-    return text
-
-
-# ---------------------------------------------------------------------------
-# Orchestration
-
-
-def _spec_params(config: GeneratorConfig, entry: PlanEntry) -> dict:
-    return config.errors[entry.spec_index].params
-
-
-def _log(
-    dirty_index: int,
-    clean_index: int | None,
-    attribute: str | None,
-    error_type: str,
-    clean_value,
-    dirty_value,
-) -> ErrorLogEntry:
-    return ErrorLogEntry(
-        dirty_tuple_index=dirty_index,
-        clean_tuple_index=clean_index,
-        attribute=attribute,
-        error_type=error_type,
-        clean_value=clean_value,
-        dirty_value=dirty_value,
-    )
+    """Dirty replacement for one cell under a cell- or column-addressed type."""
+    etype = ERROR_TYPES.get(error_type)
+    if etype is None or etype.marker:
+        raise GenerationError(f"not a cell-level error type: {error_type}")
+    return etype.inject(clean_value, attr, stream, config, params, entry)
 
 
 def _apply_base_entry(
@@ -337,194 +63,47 @@ def _apply_base_entry(
     row: int,
     config: GeneratorConfig,
 ) -> list[ErrorLogEntry]:
-    error_type = entry.error_type
-    seed = config.seed
-    if entry.scope in ("cell", "column") and error_type != "missing_attribute":
-        attr = config.attribute(entry.attribute)
-        stream = derive_stream(seed, f"inject:{error_type}", row, entry.attribute)
-        clean_value = clean[entry.attribute]
-        if error_type == "uniqueness_value_violation":
-            new_value = clean_cell_value(config, entry.donor, entry.attribute)
-        elif error_type == "synonyms_existence":
-            alternatives = attr.synonyms[clean_value]
-            new_value = alternatives[stream.randrange(len(alternatives))]
-        elif error_type == "outlier":
-            mu, sigma = distribution_params(attr)
-            k = _spec_params(config, entry)["k"]
-            sign = 1.0 if stream.randrange(2) == 1 else -1.0
-            new_value = mu + sign * k * sigma * (1.0 + stream.random())
-        elif error_type == "noise":
-            mu, sigma = distribution_params(attr)
-            alpha = _spec_params(config, entry)["alpha"]
-            epsilon = stream.normal(0.0, alpha * sigma)
-            while epsilon == 0.0:
-                epsilon = stream.normal(0.0, alpha * sigma)
-            new_value = clean_value + epsilon
-        elif error_type == "bias":
-            params = _spec_params(config, entry)
-            weights = params.get("skewed_weights")
-            if weights is None:
-                new_value = clean_value + params["shift"]
-            else:
-                values = list(weights)
-                weight_list = [weights[v] for v in values]
-                total = sum(weight_list)
-                for _ in range(_RETRY_LIMIT):
-                    pick = stream.random() * total
-                    acc = 0.0
-                    new_value = values[-1]
-                    for v, w in zip(values, weight_list):
-                        acc += w
-                        if pick < acc:
-                            new_value = v
-                            break
-                    if new_value != clean_value:
-                        break
-                else:
-                    raise GenerationError("bias redraw never left the clean value")
-        else:
-            new_value = inject_cell(
-                error_type, clean_value, attr, config, stream, _spec_params(config, entry)
-            )
+    etype = ERROR_TYPES[entry.error_type]
+    attribute = entry.attribute
+    stream = derive_stream(config.seed, f"inject:{etype.name}", row, attribute or "")
+    params = config.errors[entry.spec_index].params
+    logs = []
+    if etype.marker:
+        logs.append(ErrorLogEntry(row, row, None, etype.name, ABSENT, ABSENT))
+        changes = etype.inject(dirty, config, stream, params, entry)
+    else:
+        clean_value = clean[attribute]
+        new_value = inject_cell(
+            etype.name, clean_value, config.attribute(attribute), config, stream, params, entry
+        )
         if new_value == clean_value:
             raise GenerationError(
-                f"injector for {error_type} on '{entry.attribute}' reproduced the "
+                f"injector for {etype.name} on '{attribute}' reproduced the "
                 f"clean value {clean_value!r}; refusing to log a non-error"
             )
-        dirty[entry.attribute] = new_value
-        return [_log(row, row, entry.attribute, error_type, clean_value, new_value)]
-
-    if error_type == "missing_attribute":
-        clean_value = clean[entry.attribute]
-        del dirty[entry.attribute]
-        return [_log(row, row, entry.attribute, error_type, clean_value, ABSENT)]
-
-    if error_type == "semi_empty_tuple":
-        return _apply_semi_empty(entry, dirty, clean, row, config)
-
-    if error_type == "inconsistency_among_attribute_values":
-        return _apply_inconsistency_among(entry, dirty, clean, row, config)
-
-    raise GenerationError(f"unhandled plan entry type: {error_type}")
-
-
-def _apply_semi_empty(entry, dirty, clean, row, config) -> list[ErrorLogEntry]:
-    params = _spec_params(config, entry)
-    stream = derive_stream(config.seed, "inject:semi_empty_tuple", row)
-    names = config.attribute_names
-    candidates = [name for name in names if dirty.get(name) is not None]
-    width = len(names)
-    n_null = round_half_away(params["empty_fraction"] * width)
-    n_null = min(max(n_null, 2), width - 1, len(candidates) - 1)
-    if n_null < 1:
-        raise GenerationError(f"semi-empty tuple at row {row} has nothing left to null")
-    chosen = sorted(stream.sample_indices(len(candidates), n_null))
-    logs = [_log(row, row, None, "semi_empty_tuple", ABSENT, ABSENT)]
-    for index in chosen:
-        name = candidates[index]
-        logs.append(_log(row, row, name, "semi_empty_tuple", clean[name], None))
-        dirty[name] = None
+        changes = [(attribute, clean_value, new_value)]
+    for name, clean_value, new_value in changes:
+        if new_value is ABSENT:
+            del dirty[name]
+        else:
+            dirty[name] = new_value
+        logs.append(ErrorLogEntry(row, row, name, etype.name, clean_value, new_value))
     return logs
-
-
-def _apply_inconsistency_among(entry, dirty, clean, row, config) -> list[ErrorLogEntry]:
-    rule = config.dependencies[entry.rule_index]
-    stream = derive_stream(config.seed, "inject:inconsistency_among_attribute_values", row)
-    current = dirty[rule.dependent]
-    alternatives = sorted(
-        {v for v in rule.mapping.values() if v != current}, key=repr
-    )
-    new_value = alternatives[stream.randrange(len(alternatives))]
-    dirty[rule.dependent] = new_value
-    return [
-        _log(row, row, None, "inconsistency_among_attribute_values", ABSENT, ABSENT),
-        _log(row, row, rule.dependent, "inconsistency_among_attribute_values", current, new_value),
-    ]
 
 
 def _build_insertion(
     config: GeneratorConfig, entry: PlanEntry, dirty_index: int
 ) -> tuple[dict, list[ErrorLogEntry]]:
-    error_type = entry.error_type
-    stream = derive_stream(config.seed, f"inject:{error_type}", dirty_index)
-    logs = [_log(dirty_index, None, None, error_type, ABSENT, ABSENT)]
-
-    if error_type == "irrelevant_observation":
-        params = _spec_params(config, entry)
-        offdomain = params.get("offdomain") or {}
-        record = {}
-        for attr in config.schema:
-            cell_stream = derive_stream(
-                config.seed, "inject:irrelevant_observation", dirty_index, attr.name
-            )
-            source = offdomain.get(attr.name)
-            if source is not None:
-                value = _draw_offdomain(attr, source, config, cell_stream)
-            else:
-                value = _meaningless(config, cell_stream, None)
-            record[attr.name] = value
-            logs.append(
-                _log(dirty_index, None, attr.name, error_type, ABSENT, value)
-            )
-        return record, logs
-
-    source_row = entry.row
-    source = generate_record(config, source_row)
-    record = dict(source)
-
-    if error_type == "redundancy_about_entity":
-        params = _spec_params(config, entry)
-        if params["near_duplicate"] and params["perturbed_attributes"] > 0:
-            perturbable = [
-                a.name
-                for a in config.schema
-                if not a.unique and a.datatype == "string" and source[a.name] is not None
-            ]
-            m = min(params["perturbed_attributes"], len(perturbable))
-            for index in stream.sample_indices(len(perturbable), m):
-                name = perturbable[index]
-                cell_stream = derive_stream(
-                    config.seed, "inject:redundancy_about_entity", dirty_index, name
-                )
-                record[name] = misspell(str(source[name]), cell_stream)
-    else:  # inconsistency_about_entity
-        candidates = [
-            a
-            for a in config.schema
-            if not a.unique and source[a.name] is not None
-        ]
-        conflict_attr = None
-        for _ in range(_RETRY_LIMIT):
-            candidate = candidates[stream.randrange(len(candidates))]
-            value = draw_from_source(candidate, config, stream)
-            if value != source[candidate.name]:
-                conflict_attr = candidate
-                break
-        if conflict_attr is None:
-            raise GenerationError(
-                f"no conflicting value found for the inserted copy of tuple {source_row}"
-            )
-        record[conflict_attr.name] = value
-
+    etype = ERROR_TYPES[entry.error_type]
+    stream = derive_stream(config.seed, f"inject:{etype.name}", dirty_index)
+    source = None if entry.row is None else generate_record(config, entry.row)
+    params = config.errors[entry.spec_index].params
+    record = etype.inject(source, config, stream, params, entry, dirty_index)
+    logs = [ErrorLogEntry(dirty_index, None, None, etype.name, ABSENT, ABSENT)]
     for name in config.attribute_names:
-        logs.append(_log(dirty_index, None, name, error_type, source[name], record[name]))
+        clean_value = ABSENT if source is None else source[name]
+        logs.append(ErrorLogEntry(dirty_index, None, name, etype.name, clean_value, record[name]))
     return record, logs
-
-
-def _draw_offdomain(attr, source, config, stream):
-    from .datagen import draw_from_source as draw
-    from .config import AttributeSpec as _Attr
-
-    carrier = _Attr(name=attr.name, datatype="string", source=source)
-    if hasattr(source, "values"):
-        carrier.finite_domain = tuple(source.values)
-    for _ in range(_RETRY_LIMIT):
-        value = draw(carrier, config, stream)
-        if not value_in_domain(attr, value, config):
-            return value
-    raise GenerationError(
-        f"offdomain source for '{attr.name}' keeps producing in-domain values"
-    )
 
 
 def inject_stream(
@@ -576,30 +155,13 @@ def realized_counts(entries: Iterable[ErrorLogEntry]) -> dict[str, int]:
     """Errors realized per type: markers for row/insertion scopes, cells otherwise."""
     counts: dict[str, int] = {}
     for entry in entries:
-        row_scoped = entry.error_type in INSERTION_TYPES or entry.error_type in (
-            "semi_empty_tuple",
-            "inconsistency_among_attribute_values",
-        )
-        is_primary = entry.attribute is None if row_scoped else entry.attribute is not None
-        if is_primary:
+        if (entry.attribute is None) == ERROR_TYPES[entry.error_type].marker:
             counts[entry.error_type] = counts.get(entry.error_type, 0) + 1
     return counts
 
 
 # ---------------------------------------------------------------------------
 # Verification
-
-
-def _spec_for(config: GeneratorConfig, error_type: str, attribute: str | None) -> ErrorSpec | None:
-    for spec in config.errors:
-        if spec.error_type != error_type:
-            continue
-        if error_type == "bias":
-            if attribute is None or spec.params["target_attribute"] == attribute:
-                return spec
-        elif not spec.target_attributes or attribute is None or attribute in spec.target_attributes:
-            return spec
-    return None
 
 
 def verify_error(
@@ -617,240 +179,43 @@ def verify_error(
     Column- and entity-scoped checks need dataset context; pass dirty_dataset
     (all dirty records) and clean_dataset (all clean records) for a full
     check. Without them those aspects degrade to local consistency checks.
+    A type whose spec is missing from the config is checked with its
+    default params.
     """
-    error_type = entry.error_type
-    if error_type in INSERTION_TYPES:
-        return _verify_insertion(entry, dirty_record, config, clean_dataset)
+    etype = ERROR_TYPES.get(entry.error_type)
+    if etype is None:
+        return False
+    spec = config.spec_by_target.get((etype.name, entry.attribute))
+    params = etype.defaults if spec is None else spec.params
+
+    if etype.stage == STAGE_INSERTION:
+        if entry.clean_tuple_index is not None:
+            return False
+        if entry.attribute is None:
+            return etype.verify_marker(None, dirty_record, config, params, clean_dataset)
+        # Content provenance entry: the record must carry the logged value.
+        if dirty_record.get(entry.attribute, ABSENT) != entry.dirty_value:
+            return False
+        if etype.draws_source and entry.clean_value == entry.dirty_value:
+            return True  # unperturbed copy of the source value
+        return etype.verify(
+            entry.clean_value, entry.dirty_value, config.attribute(entry.attribute),
+            config, params, None, dirty_record, dirty_dataset,
+        )
 
     if clean_record is None or entry.clean_tuple_index is None:
         return False
-
     if entry.attribute is None:
-        return _verify_row_marker(entry, clean_record, dirty_record, config)
-
-    attribute = entry.attribute
-    if attribute not in config.attr_positions:
+        return etype.marker and etype.verify_marker(
+            clean_record, dirty_record, config, params, clean_dataset
+        )
+    if entry.attribute not in config.attr_positions:
         return False
-    attr = config.attribute(attribute)
-    clean_value = clean_record.get(attribute, ABSENT)
-    dirty_value = dirty_record.get(attribute, ABSENT)
+    clean_value = clean_record.get(entry.attribute, ABSENT)
+    dirty_value = dirty_record.get(entry.attribute, ABSENT)
     if clean_value != entry.clean_value or dirty_value != entry.dirty_value:
         return False
-
-    if error_type == "missing_value":
-        return clean_value is not None and dirty_value is None
-    if error_type == "syntax_violation":
-        pattern = attr.effective_pattern()
-        return (
-            pattern is not None
-            and pattern.fullmatch(str(clean_value)) is not None
-            and pattern.fullmatch(str(dirty_value)) is None
-        )
-    if error_type == "interval_violation":
-        lo, hi = attr.interval
-        if not isinstance(dirty_value, (int, float)) or isinstance(dirty_value, bool):
-            return False
-        return lo <= clean_value <= hi and not lo <= dirty_value <= hi
-    if error_type == "set_violation":
-        members = attr.admissible_set
-        return clean_value in members and dirty_value not in members
-    if error_type == "misspelling":
-        return (
-            isinstance(clean_value, str)
-            and isinstance(dirty_value, str)
-            and edit_distance_one(clean_value, dirty_value)
-        )
-    if error_type == "inadequate_value_to_attribute_context":
-        if dirty_value == clean_value or value_in_domain(attr, dirty_value, config):
-            return False
-        return any(
-            value_in_domain(other, dirty_value, config)
-            for other in _other_attributes(attr, config, distinct_source=True)
-        )
-    if error_type == "value_items_beyond_attribute_context":
-        return (
-            isinstance(dirty_value, str)
-            and isinstance(clean_value, str)
-            and dirty_value.startswith(clean_value + " ")
-            and len(dirty_value) > len(clean_value) + 1
-        )
-    if error_type == "meaningless_value":
-        if not isinstance(dirty_value, str) or not 3 <= len(dirty_value) <= 10:
-            return False
-        if any(ch not in _MEANINGLESS_ALPHABET for ch in dirty_value):
-            return False
-        for other in config.schema:
-            pattern = other.effective_pattern()
-            if pattern is not None and pattern.fullmatch(dirty_value):
-                return False
-            if other.finite_domain is not None and dirty_value in other.finite_domain:
-                return False
-        return True
-    if error_type == "erroneous_entry":
-        return dirty_value != clean_value and value_in_domain(attr, dirty_value, config)
-    if error_type == "uniqueness_value_violation":
-        if dirty_value == clean_value:
-            return False
-        if dirty_dataset is None:
-            return True
-        occurrences = sum(
-            1 for record in dirty_dataset if record.get(attribute, ABSENT) == dirty_value
-        )
-        return occurrences >= 2
-    if error_type == "synonyms_existence":
-        return (
-            attr.synonyms is not None
-            and clean_value in attr.synonyms
-            and dirty_value in attr.synonyms[clean_value]
-        )
-    if error_type == "outlier":
-        spec = _spec_for(config, "outlier", attribute)
-        k = spec.params["k"] if spec else 5.0
-        mu, sigma = distribution_params(attr)
-        if not isinstance(dirty_value, (int, float)) or isinstance(dirty_value, bool):
-            return False
-        return dirty_value != clean_value and abs(dirty_value - mu) >= k * sigma
-    if error_type == "missing_attribute":
-        return attribute not in dirty_record and attribute in clean_record
-    if error_type == "noise":
-        spec = _spec_for(config, "noise", attribute)
-        alpha = spec.params["alpha"] if spec else 0.05
-        _, sigma = distribution_params(attr)
-        if not isinstance(dirty_value, (int, float)) or isinstance(dirty_value, bool):
-            return False
-        deviation = abs(dirty_value - clean_value)
-        return 0 < deviation <= 8 * alpha * sigma
-    if error_type == "bias":
-        spec = _spec_for(config, "bias", attribute)
-        if spec is None:
-            return False
-        params = spec.params
-        if clean_record.get(params["group_attribute"]) != params["group_value"]:
-            return False
-        weights = params.get("skewed_weights")
-        if weights is None:
-            return dirty_value == clean_value + params["shift"]
-        return dirty_value != clean_value and dirty_value in weights
-    if error_type == "semi_empty_tuple":
-        return clean_value is not None and dirty_value is None
-    if error_type == "inconsistency_among_attribute_values":
-        return _verify_inconsistency_cell(entry, clean_record, dirty_record, config)
-    return False
-
-
-def _verify_row_marker(entry, clean_record, dirty_record, config) -> bool:
-    if entry.error_type == "semi_empty_tuple":
-        spec = _spec_for(config, "semi_empty_tuple", None)
-        fraction = spec.params["empty_fraction"] if spec else 0.7
-        width = len(config.schema)
-        clean_non_null = [n for n in config.attribute_names if clean_record.get(n) is not None]
-        expected = round_half_away(fraction * width)
-        expected = min(max(expected, 2), width - 1, len(clean_non_null) - 1)
-        nulled = [
-            n
-            for n in config.attribute_names
-            if clean_record.get(n) is not None and dirty_record.get(n, ABSENT) is None
-        ]
-        kept = [n for n in clean_non_null if dirty_record.get(n, ABSENT) is not None]
-        return len(nulled) == expected and len(kept) >= 1
-    if entry.error_type == "inconsistency_among_attribute_values":
-        return any(
-            _rule_violated(rule, clean_record, dirty_record)
-            for rule in config.dependencies
-        )
-    return False
-
-
-def _rule_violated(rule, clean_record, dirty_record) -> bool:
-    det = dirty_record.get(rule.determinant, ABSENT)
-    dep = dirty_record.get(rule.dependent, ABSENT)
-    if det is ABSENT or dep is ABSENT or det is None:
-        return False
-    expected = rule.mapping.get(det)
-    clean_det = clean_record.get(rule.determinant)
-    clean_dep = clean_record.get(rule.dependent)
-    clean_ok = clean_det is None or rule.mapping.get(clean_det) == clean_dep
-    return expected is not None and dep != expected and clean_ok
-
-
-def _verify_inconsistency_cell(entry, clean_record, dirty_record, config) -> bool:
-    for rule in config.dependencies:
-        if rule.dependent != entry.attribute:
-            continue
-        det = dirty_record.get(rule.determinant, ABSENT)
-        if det is ABSENT or det is None:
-            continue
-        expected = rule.mapping.get(det)
-        dirty_value = dirty_record.get(entry.attribute, ABSENT)
-        if (
-            expected is not None
-            and dirty_value != expected
-            and dirty_value in set(rule.mapping.values())
-            and clean_record.get(entry.attribute) == rule.mapping.get(clean_record.get(rule.determinant))
-        ):
-            return True
-    return False
-
-
-def _verify_insertion(entry, dirty_record, config, clean_dataset) -> bool:
-    if entry.clean_tuple_index is not None:
-        return False
-    error_type = entry.error_type
-
-    if entry.attribute is not None:
-        # Content provenance entry: the record must carry the logged value.
-        recorded = dirty_record.get(entry.attribute, ABSENT)
-        if recorded != entry.dirty_value:
-            return False
-        if error_type == "irrelevant_observation":
-            return not value_in_domain(
-                config.attribute(entry.attribute), recorded, config
-            )
-        if entry.clean_value == entry.dirty_value:
-            return True  # unperturbed copy of the source value
-        if error_type == "redundancy_about_entity":
-            return isinstance(entry.clean_value, str) and edit_distance_one(
-                str(entry.clean_value), str(entry.dirty_value)
-            )
-        return value_in_domain(config.attribute(entry.attribute), entry.dirty_value, config)
-
-    # Marker entries.
-    if error_type == "irrelevant_observation":
-        return all(
-            not value_in_domain(attr, dirty_record.get(attr.name, ABSENT), config)
-            for attr in config.schema
-        )
-    if clean_dataset is None:
-        return True
-    if error_type == "redundancy_about_entity":
-        spec = _spec_for(config, "redundancy_about_entity", None)
-        allowed = spec.params["perturbed_attributes"] if spec and spec.params["near_duplicate"] else 0
-        for source in clean_dataset:
-            diffs = [
-                name
-                for name in config.attribute_names
-                if source.get(name, ABSENT) != dirty_record.get(name, ABSENT)
-            ]
-            if len(diffs) <= allowed and all(
-                isinstance(source.get(name), str)
-                and isinstance(dirty_record.get(name), str)
-                and edit_distance_one(source[name], dirty_record[name])
-                for name in diffs
-            ):
-                return True
-        return False
-    # inconsistency_about_entity: one conflicting non-key attribute.
-    for source in clean_dataset:
-        diffs = [
-            name
-            for name in config.attribute_names
-            if source.get(name, ABSENT) != dirty_record.get(name, ABSENT)
-        ]
-        if len(diffs) != 1:
-            continue
-        attr = config.attribute(diffs[0])
-        if attr.unique:
-            continue
-        if value_in_domain(attr, dirty_record.get(diffs[0]), config):
-            return True
-    return False
+    return etype.verify(
+        clean_value, dirty_value, config.attribute(entry.attribute),
+        config, params, clean_record, dirty_record, dirty_dataset,
+    )

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .exceptions import DatasetFormatError
-from .taxonomy import ABSENT, ALL_ERROR_TYPES
+from .taxonomy import ABSENT
 
 LOG_FORMAT_VERSION = "dirtygen-log-v1"
 _LOG_COLUMNS = "dirty_index,clean_index,attribute,error_type,clean_value,dirty_value"
@@ -235,7 +235,8 @@ class ErrorLogWriter:
 
 def read_error_log(path: str | Path) -> list:
     """Parse an error log back into ErrorLogEntry objects."""
-    from .inject import ErrorLogEntry  # late import; inject depends on this module
+    from .errortypes import ERROR_TYPES  # late imports: both depend on this module
+    from .inject import ErrorLogEntry
 
     path = Path(path)
     entries = []
@@ -253,7 +254,7 @@ def read_error_log(path: str | Path) -> list:
                     f"{path}: line {lineno}: expected 6 tab-separated fields, got {len(fields)}"
                 )
             dirty_idx, clean_idx, attribute, error_type, clean_val, dirty_val = fields
-            if error_type not in ALL_ERROR_TYPES:
+            if error_type not in ERROR_TYPES:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: unknown error type {error_type!r}"
                 )

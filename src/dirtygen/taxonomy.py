@@ -1,11 +1,9 @@
-"""Error-type taxonomy: the 20 injectable error types and their scoping rules.
+"""Error-type taxonomy: planning stages, the ABSENT sentinel and count rounding.
 
-Each type belongs to one planning stage. Stages are processed in a fixed
-priority order so that coarse-scope errors claim their targets before
-fine-scope ones (insertions, then whole rows, then column-addressed cells,
-then plain cell edits). The stage also fixes the denominator of an error
-rate: cell-addressed types count cells (targets x tuple_count), row and
-insertion types count tuples.
+Each of the 20 error types (declared once, in errortypes) belongs to one
+planning stage. Stages are processed in a fixed priority order so that
+coarse-scope errors claim their targets before fine-scope ones (insertions,
+then whole rows, then column-addressed cells, then plain cell edits).
 """
 
 from __future__ import annotations
@@ -18,54 +16,15 @@ STAGE_ROW = 2
 STAGE_COLUMN = 3
 STAGE_CELL = 4
 
-CELL_TYPES = (
-    "missing_value",
-    "syntax_violation",
-    "interval_violation",
-    "set_violation",
-    "misspelling",
-    "inadequate_value_to_attribute_context",
-    "value_items_beyond_attribute_context",
-    "meaningless_value",
-    "erroneous_entry",
-)
 
-# Column-addressed rewrites plus the dataset-level cell rewriters (bias,
-# noise): all claim individual cells but are planned before plain cell edits.
-COLUMN_TYPES = (
-    "uniqueness_value_violation",
-    "synonyms_existence",
-    "outlier",
-    "missing_attribute",
-    "bias",
-    "noise",
-)
+def __getattr__(name: str):
+    # The type lists are derived from the registry in errortypes, which
+    # imports modules that import this one, so they resolve on first use.
+    if name in ("ALL_ERROR_TYPES", "INSERTION_TYPES"):
+        from . import errortypes
 
-ROW_TYPES = (
-    "semi_empty_tuple",
-    "inconsistency_among_attribute_values",
-)
-
-INSERTION_TYPES = (
-    "irrelevant_observation",
-    "redundancy_about_entity",
-    "inconsistency_about_entity",
-)
-
-ALL_ERROR_TYPES = CELL_TYPES + COLUMN_TYPES + ROW_TYPES + INSERTION_TYPES
-
-STAGE_OF = (
-    {name: STAGE_CELL for name in CELL_TYPES}
-    | {name: STAGE_COLUMN for name in COLUMN_TYPES}
-    | {name: STAGE_ROW for name in ROW_TYPES}
-    | {name: STAGE_INSERTION for name in INSERTION_TYPES}
-)
-
-# Types whose rate denominator is the tuple count, not a cell count.
-TUPLE_POPULATION_TYPES = frozenset(ROW_TYPES) | frozenset(INSERTION_TYPES) | {
-    "missing_attribute",
-    "bias",
-}
+        return getattr(errortypes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Absent:
@@ -91,18 +50,6 @@ ABSENT = _Absent()
 def round_half_away(x: float) -> int:
     """Round to the nearest integer, halves away from zero."""
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
-def population(error_type: str, n_targets: int, tuple_count: int) -> int:
-    """Size of the population an error rate applies to."""
-    if error_type in TUPLE_POPULATION_TYPES:
-        return tuple_count
-    return n_targets * tuple_count
-
-
-def target_count(error_type: str, rate: float, n_targets: int, tuple_count: int) -> int:
-    """Exact number of errors a spec must realize."""
-    return round_half_away(rate * population(error_type, n_targets, tuple_count))
 
 
 def split_count(total: int, n_parts: int) -> list[int]:

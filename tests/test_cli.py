@@ -75,6 +75,25 @@ def test_generate_missing_config_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source, errors",
+    [
+        ({"kind": "numeric", "distribution": "uniform", "min": 0, "max": "@@"}, []),
+        (None, [{"type": "outlier", "rate": 0.1, "attributes": ["score"], "params": {"k": "@@"}}]),
+    ],
+)
+def test_generate_non_finite_config_exit_1_writes_nothing(tmp_path, capsys, source, errors):
+    doc = json.loads(make_config_text(errors=errors))
+    if source is not None:
+        doc["schema"][2]["source"] = source
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc).replace('"@@"', "Infinity" if source else "NaN"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_is_byte_reproducible(tmp_path):
     config = write_config(tmp_path, errors=ERRORS, tuple_count=300)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dirtygen import ConfigError, LexiconError, load_lexicon, parse_config
+from dirtygen import ConfigError, GeneratorConfig, LexiconError, load_lexicon, parse_config
 from dirtygen.config import compute_config_hash
+from dirtygen.errortypes import ALL_ERROR_TYPES, ERROR_TYPES
 
 from conftest import make_config_text
 
@@ -245,3 +248,94 @@ def test_uniqueness_rate_needs_donors():
     }
     with pytest.raises(ConfigError, match="earlier donor"):
         parse_config(json.dumps(doc))
+
+
+def _doc_text(mutate, literal: str) -> str:
+    """The base config with mutate applied; the string "@@" it plants is
+    replaced by a raw JSON literal (Infinity, NaN and 1e999 are not dumpable)."""
+    doc = json.loads(make_config_text())
+    mutate(doc)
+    return json.dumps(doc).replace('"@@"', literal)
+
+
+def _source(name):
+    return lambda doc: next(a for a in doc["schema"] if a["name"] == name)["source"]
+
+
+def _error(spec):
+    return lambda doc: doc.__setitem__("errors", [spec])
+
+
+_BIAS_ON_SCORE = {"group_attribute": "score", "target_attribute": "age"}
+
+
+@pytest.mark.parametrize(
+    "mutate, literal",
+    [
+        (lambda doc: _source("age")(doc).update(max="@@"), "Infinity"),
+        (lambda doc: _source("age")(doc).update(min="@@"), "-Infinity"),
+        (lambda doc: _source("score")(doc).update(mean="@@"), "1e999"),
+        (_error({"type": "outlier", "rate": 0.1, "attributes": ["score"], "params": {"k": "@@"}}), "NaN"),
+        (_error({"type": "noise", "rate": "@@", "attributes": ["score"]}), "1e999"),
+        (_error({"type": "bias", "rate": 0.1, "params": dict(_BIAS_ON_SCORE, group_value=1, shift="@@")}), "Infinity"),
+        (_error({"type": "bias", "rate": 0.1, "params": dict(_BIAS_ON_SCORE, group_value="@@")}), '"nan"'),
+        (lambda doc: doc["schema"][3].update(admissible_set=["@@", 50.0]), '"inf"'),
+        (lambda doc: doc["schema"][3].update(admissible_set=["@@", 50.0]), '"-Infinity"'),
+    ],
+)
+def test_non_finite_numbers_rejected(mutate, literal):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(_doc_text(mutate, literal))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.__setitem__("output", {"directory": 5}),
+        lambda doc: doc.__setitem__("output", {"directory": None}),
+        lambda doc: doc.__setitem__("output", {"directory": {}}),
+        _error({"type": "missing_value", "rate": 0.1, "attributes": [["city"]]}),
+        _error({"type": "missing_value", "rate": 0.1, "attributes": [{}]}),
+        _error({"type": ["missing_value"], "rate": 0.1}),
+        _error({"type": "bias", "rate": 0.1, "params": dict(_BIAS_ON_SCORE, group_attribute=["city"], group_value=1)}),
+        _error({"type": "irrelevant_observation", "rate": 0.1, "params": {"offdomain": {"city": {"kind": "lexicon", "name": ["x"]}}}}),
+        _error({"type": "bias", "rate": 0.1, "params": {"group_attribute": "city", "group_value": "\ud800", "target_attribute": "age"}}),
+    ],
+)
+def test_malformed_values_raise_config_error(mutate):
+    with pytest.raises(ConfigError):
+        parse_config(_doc_text(mutate, ""))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+_NAMES = st.sampled_from(["id", "first_name", "age", "score", "city", "zip", "nope"])
+_PARAM_KEYS = st.sampled_from(sorted({key for etype in ERROR_TYPES.values() for key in etype.params}))
+_SPEC = st.fixed_dictionaries(
+    {},
+    optional={
+        "type": st.sampled_from(ALL_ERROR_TYPES) | _JSON,
+        "rate": st.floats(0, 0.2) | _JSON,
+        "attributes": st.lists(_NAMES | _JSON, max_size=3) | _JSON,
+        "params": st.dictionaries(_PARAM_KEYS, _NAMES | _JSON, max_size=4) | _JSON,
+    },
+)
+_OUTPUT = st.fixed_dictionaries(
+    {}, optional={"directory": st.just("out") | _JSON, "mode": st.just("json_array") | _JSON}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(errors=st.lists(_SPEC | _JSON, max_size=4) | _JSON, output=_OUTPUT | _JSON)
+def test_errors_and_output_sections_raise_only_config_error(errors, output):
+    doc = json.loads(make_config_text())
+    doc["errors"] = errors
+    doc["output"] = output
+    try:
+        config = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert isinstance(config, GeneratorConfig)

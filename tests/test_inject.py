@@ -6,14 +6,8 @@ from hypothesis import strategies as st
 
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, verify_error
 from dirtygen.datagen import clean_cell_value, generate_clean_dataset
-from dirtygen.inject import (
-    _interval_violation,
-    apply_edit,
-    edit_distance_one,
-    inject_cell,
-    misspell,
-    realized_counts,
-)
+from dirtygen.errortypes import _interval_violation, apply_edit, edit_distance_one, misspell
+from dirtygen.inject import inject_cell, realized_counts
 from dirtygen.rng import derive_stream
 
 from conftest import make_config_text
