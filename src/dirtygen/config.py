@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .exceptions import ConfigError, LexiconError
 from .output import OutputSpec
@@ -785,8 +786,7 @@ def _topo_sorted(rules: list[DependencyRule], by_name: dict) -> list[DependencyR
 # Error specs
 
 
-@dataclass(frozen=True)
-class _SpecContext:
+class _SpecContext(NamedTuple):
     """What error-spec parsing may consult: the resolved schema and rules."""
 
     attrs: list

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .config import (
@@ -61,7 +62,7 @@ _SCOPES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # one record per type: identity is equality
 class ErrorType:
     """What one error type means, for every step of the pipeline.
 
@@ -109,7 +110,7 @@ class ErrorType:
         the marker, not the cell entries, is what their counts count."""
         return self.stage in (STAGE_ROW, STAGE_INSERTION)
 
-    @property
+    @cached_property
     def defaults(self) -> dict:
         return {key: value for key, value in self.params.items() if value is not None}
 
@@ -483,7 +484,8 @@ def _duplicated(clean, dirty, attr, config, params, clean_record, dirty_record, 
         return False
     if dirty_dataset is None:
         return True
-    return sum(1 for record in dirty_dataset if record.get(attr.name, ABSENT) == dirty) >= 2
+    name = attr.name
+    return sum(1 for record in dirty_dataset if record.get(name, ABSENT) == dirty) >= 2
 
 
 def _synonym(clean, attr, stream, *_):
@@ -828,20 +830,20 @@ def _misspelled_copy(clean, dirty, *_) -> bool:
     return isinstance(clean, str) and edit_distance_one(str(clean), str(dirty))
 
 
-def _differing(source: dict, dirty_record: dict, config) -> list[str]:
-    return [
-        name
-        for name in config.attribute_names
-        if source.get(name, ABSENT) != dirty_record.get(name, ABSENT)
-    ]
+def _differing(dirty_record: dict, config, clean_dataset):
+    """Each clean tuple with the attributes where dirty_record differs from it."""
+    names = config.attribute_names
+    for source in clean_dataset:
+        yield source, [
+            name for name in names if source.get(name, ABSENT) != dirty_record.get(name, ABSENT)
+        ]
 
 
 def _duplicates_a_tuple(clean_record, dirty_record, config, params, clean_dataset) -> bool:
     if clean_dataset is None:
         return True
     allowed = params["perturbed_attributes"] if params["near_duplicate"] else 0
-    for source in clean_dataset:
-        diffs = _differing(source, dirty_record, config)
+    for source, diffs in _differing(dirty_record, config, clean_dataset):
         if len(diffs) <= allowed and all(
             isinstance(source.get(name), str)
             and isinstance(dirty_record.get(name), str)
@@ -885,8 +887,7 @@ def _conflicts_with_a_tuple(clean_record, dirty_record, config, params, clean_da
     """One non-key attribute differs from some clean tuple, with a valid value."""
     if clean_dataset is None:
         return True
-    for source in clean_dataset:
-        diffs = _differing(source, dirty_record, config)
+    for _, diffs in _differing(dirty_record, config, clean_dataset):
         if len(diffs) != 1:
             continue
         attr = config.attribute(diffs[0])
