@@ -341,6 +341,78 @@ def _golden_params_doc() -> dict:
     return doc
 
 
+def _golden_sources_doc() -> dict:
+    # Every clean-generation rule the other configs leave out: nulls in the
+    # clean data (also behind a dependency), unique draws from each source
+    # kind, a weighted set, resampling under a pattern or an interval, an
+    # integer normal, a fractional float sequence and a two-level dependency
+    # chain listed before its determinant. The error specs draw in-domain
+    # values from these sources (erroneous entries, values borrowed from
+    # other attributes, conflicting copies) and off-domain ones through
+    # stand-in attributes (offdomain sources of every kind).
+    def numeric(distribution, **bounds):
+        return {"kind": "numeric", "distribution": distribution, **bounds}
+
+    schema = [
+        {"name": "uid", "datatype": "integer", "source": numeric("uniform", min=1000, max=999999), "unique": True},
+        {"name": "uword", "datatype": "string", "source": {"kind": "lexicon", "name": "words"}, "unique": True},
+        {"name": "utag", "datatype": "string", "source": {"kind": "template", "template": "AA-#"}, "unique": True},
+        {"name": "ufloat", "datatype": "float", "source": numeric("uniform", min=-5, max=5), "unique": True},
+        {"name": "unormal", "datatype": "float", "source": numeric("normal", mean=100, stddev=15),
+         "interval": [70, 150], "unique": True},
+        {"name": "zonecode", "datatype": "integer"},
+        {"name": "bounded", "datatype": "float", "source": numeric("normal", mean=50, stddev=10), "interval": [40, 65]},
+        {"name": "inormal", "datatype": "integer", "source": numeric("normal", mean=30, stddev=8)},
+        {"name": "fseq", "datatype": "float", "source": {"kind": "sequence", "start": 0.5, "step": 0.25}},
+        {"name": "wset", "datatype": "string",
+         "source": {"kind": "set", "values": ["a", "b", "c"], "weights": [5, 1, 0.5]}},
+        {"name": "pint", "datatype": "integer", "source": numeric("uniform", min=0, max=9999), "pattern": "[0-9]*7"},
+        {"name": "ptag", "datatype": "string", "source": {"kind": "template", "template": "A#A#"},
+         "pattern": "[A-M][0-9][A-Z][0-4]"},
+        {"name": "city", "datatype": "string", "source": {"kind": "set", "values": ["Berlin", "Munich", "Hamburg"]},
+         "nullable_in_clean": True, "null_rate": 0.2},
+        {"name": "zone", "datatype": "string"},
+        {"name": "nick", "datatype": "string", "source": {"kind": "lexicon", "name": "first_names"},
+         "nullable_in_clean": True, "null_rate": 0.1},
+        {"name": "ratio", "datatype": "float", "source": numeric("uniform", min=0, max=2),
+         "nullable_in_clean": True, "null_rate": 0.15},
+    ]
+    dependencies = [
+        {"determinant": "city", "dependent": "zone", "mapping": {"Berlin": "N", "Munich": "S", "Hamburg": "N"}},
+        {"determinant": "zone", "dependent": "zonecode", "mapping": {"N": 1, "S": 2}},
+    ]
+    offdomain = {
+        "uid": {"kind": "set", "values": [-1, -2, -3], "weights": [1, 2, 3]},
+        "wset": numeric("normal", mean=0, stddev=1),
+        "ptag": {"kind": "template", "template": "####"},
+        "nick": {"kind": "sequence", "start": 1, "step": 1},
+        "ratio": numeric("uniform", min=10, max=20),
+        "uword": {"kind": "lexicon", "name": "cities"},
+    }
+    errors = [
+        {"type": "missing_value", "rate": 0.03, "attributes": ["zone", "nick"]},
+        {"type": "erroneous_entry", "rate": 0.03,
+         "attributes": ["wset", "zone", "fseq", "pint", "ptag", "bounded", "inormal", "ratio"]},
+        {"type": "inadequate_value_to_attribute_context", "rate": 0.05, "attributes": ["uword"]},
+        {"type": "value_items_beyond_attribute_context", "rate": 0.05, "attributes": ["ptag"]},
+        {"type": "uniqueness_value_violation", "rate": 0.02, "attributes": ["utag"]},
+        {"type": "outlier", "rate": 0.03, "attributes": ["inormal", "ufloat"]},
+        {"type": "noise", "rate": 0.03, "attributes": ["bounded", "unormal"]},
+        {"type": "bias", "rate": 0.02,
+         "params": {"group_attribute": "wset", "group_value": "a", "target_attribute": "inormal"}},
+        {"type": "inconsistency_among_attribute_values", "rate": 0.03},
+        {"type": "irrelevant_observation", "rate": 0.02, "params": {"offdomain": offdomain}},
+        {"type": "redundancy_about_entity", "rate": 0.02},
+        {"type": "inconsistency_about_entity", "rate": 0.02},
+    ]
+    return {
+        "schema": schema,
+        "dependencies": dependencies,
+        "errors": errors,
+        "generation": {"tuple_count": 240, "seed": 3141},
+    }
+
+
 # sha256 of every output file except run-manifest.json (its duration varies).
 _GOLDEN_DIGESTS = {
     "demo": {
@@ -360,6 +432,11 @@ _GOLDEN_DIGESTS = {
         "dirty.00001.json": "4c44b282e0d6f93d5413fb45b21a59cc6e8eb5951bf8f59cdadde55cb75895f1",
         "errors.log": "0fe8e9568447d76a86c8ce45ddc09542c71dbe1406a7065983b515f8d331bf05",
     },
+    "sources": {
+        "clean.ndjson": "acb3b6e84f1112dd1e7be9cf351680e401ea9693acb22d16923113085354f967",
+        "dirty.ndjson": "b10b8f684d73b4d326bd4d2467290d2e44ca3667877c3d1eb05046a69a17846f",
+        "errors.log": "2305fc4cbe0788ffdfbe9e2face50604c8104273b00bff3bc54091345a37165d",
+    },
 }
 
 
@@ -369,7 +446,7 @@ def test_c3_golden_digests(name, tmp_path):
     if name == "demo":
         config_path = Path(__file__).resolve().parent.parent / "sample_configs" / "demo.json"
     else:
-        doc = _golden_dense_doc() if name == "dense" else _golden_params_doc()
+        doc = {"dense": _golden_dense_doc, "params": _golden_params_doc, "sources": _golden_sources_doc}[name]()
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
