@@ -88,16 +88,20 @@ def cmd_generate(args) -> int:
         clean_writer = DatasetWriter(out, "clean", config.tuple_count)
         dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
         counts: dict[str, int] = {}
+        last_clean = [None, None]  # the latest clean record and its encoded line
 
         def clean_and_tee():
             for record in generate_clean_dataset(config):
-                clean_writer.write(record)
+                last_clean[:] = record, clean_writer.write(record)
                 yield record
 
         with open(out.log_path, "w", encoding="utf-8", newline="\n") as log_file:
             log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
             for dirty_record, entries in inject_stream(clean_and_tee(), plan, config):
-                dirty_writer.write(dirty_record)
+                # inject_stream passes an untouched row through as the clean
+                # dict itself, with no log entries: its line is already encoded.
+                untouched = not entries and dirty_record is last_clean[0]
+                dirty_writer.write(dirty_record, last_clean[1] if untouched else None)
                 for entry in entries:
                     log_writer.write(entry)
                 for error_type, amount in realized_counts(entries).items():

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .exceptions import ConfigError, LexiconError
 from .output import OutputSpec
 from .taxonomy import STAGE_CELL, STAGE_COLUMN, STAGE_ROW, split_count
-from .templates import template_regex, template_size
+from .templates import template_decode, template_regex, template_size
 
 BUNDLED_LEXICONS = ("first_names", "last_names", "cities", "streets", "words")
 LEXICON_DIR_ENV = "DIRTYGEN_LEXICON_DIR"
@@ -222,13 +222,13 @@ class GeneratorConfig:
     caches: dict = field(default_factory=dict, repr=False, compare=False)
     # (error type, target attribute or None) -> its spec; parse_config proves the keys unique.
     spec_by_target: dict = field(default_factory=dict, repr=False, compare=False)
+    attribute_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.attribute_names = tuple(a.name for a in self.schema)
 
     def attribute(self, name: str) -> AttributeSpec:
         return self.schema[self.attr_positions[name]]
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,8 @@ def _parse_source(raw, attr_name: str, base_dir: Path | None) -> ValueSource:
             high = _expect_number(raw.get("max"), f"{where} max")
             if not low < high:
                 _fail(f"{where}: uniform requires min < max")
+            if not math.isfinite(float(high) - float(low)):
+                _fail(f"{where}: max - min exceeds the float range")
             return NumericSource("uniform", low=low, high=high)
         if dist == "normal":
             _expect_keys(raw, {"kind", "distribution", "mean", "stddev"}, where)
@@ -368,6 +370,9 @@ def _parse_source(raw, attr_name: str, base_dir: Path | None) -> ValueSource:
             stddev = _expect_number(raw.get("stddev"), f"{where} stddev")
             if not stddev > 0:
                 _fail(f"{where}: normal requires stddev > 0")
+            # A Box-Muller draw lies within 8.57 stddev of the mean.
+            if not math.isfinite(abs(float(mean)) + 9.0 * float(stddev)):
+                _fail(f"{where}: mean + 9 stddev exceeds the float range")
             return NumericSource("normal", mean=mean, stddev=stddev)
         _fail(f"{where}: unknown distribution {dist!r} (expected 'uniform' or 'normal')")
     if kind == "template":
@@ -581,11 +586,16 @@ def _resolve_domain(attr: AttributeSpec) -> AttributeSpec:
     if isinstance(attr.source, SequenceSource) and attr.datatype == "integer":
         if attr.source.start != int(attr.source.start) or attr.source.step != int(attr.source.step):
             _fail(f"attribute '{attr.name}': integer sequences need integer start and step")
+    if isinstance(attr.source, NumericSource) and attr.source.distribution == "uniform":
+        # Fails when the range and the interval leave nothing to draw.
+        (_effective_int_range if attr.datatype == "integer" else _effective_float_range)(attr)
     return attr
 
 
 def unique_domain_size(attr: AttributeSpec) -> int | None:
     """How many distinct values the attribute can produce; None means unbounded."""
+    if attr.dependency is not None:
+        return len(set(attr.dependency.mapping.values()))
     if attr.finite_domain is not None:
         return len(attr.finite_domain)
     src = attr.source
@@ -671,8 +681,6 @@ def enumerate_clean_domain(attr: AttributeSpec, tuple_count: int) -> list | None
     if isinstance(src, TemplateSource):
         size = template_size(src.template)
         if size <= _MAX_DETERMINANT_DOMAIN:
-            from .templates import template_decode
-
             return [template_decode(src.template, i) for i in range(size)]
     return None
 
@@ -795,27 +803,6 @@ class _SpecContext(NamedTuple):
     dependencies: list
 
 
-def erroneous_entry_domain_size(attr: AttributeSpec, tuple_count: int) -> int | None:
-    """Distinct values a plausible-but-wrong draw can produce; None = unbounded."""
-    if attr.dependency is not None:
-        return len(set(attr.dependency.mapping.values()))
-    if attr.finite_domain is not None:
-        return len(attr.finite_domain)
-    src = attr.source
-    if isinstance(src, NumericSource):
-        if src.distribution == "normal":
-            return None
-        if attr.datatype == "integer":
-            lo, hi = _effective_int_range(attr)
-            return hi - lo + 1
-        return None
-    if isinstance(src, SequenceSource):
-        return max(tuple_count, 2) if src.step != 0 else 1
-    if isinstance(src, TemplateSource):
-        return template_size(src.template)
-    return None
-
-
 def _parse_errors(errors_raw, ctx: _SpecContext) -> tuple[list[ErrorSpec], dict]:
     """Parse every error spec, prove each (type, attribute) pair unique and
     every rate feasible. Returns the specs and their (type, attribute) index."""
@@ -888,7 +875,12 @@ def _parse_error_spec(raw: dict, where: str, etype, ctx: _SpecContext) -> ErrorS
         resolved.setdefault(key, default)
     if etype.parse is not None:
         etype.parse(resolved, where, ctx)
-    return ErrorSpec(error_type=etype.name, rate=rate, target_attributes=targets, params=resolved)
+    spec = ErrorSpec(error_type=etype.name, rate=rate, target_attributes=targets, params=resolved)
+    if etype.bound is not None:
+        for name in etype.targets(spec):
+            if not math.isfinite(etype.bound(ctx.by_name[name], resolved)):
+                _fail(f"{where}: values injected into {name!r} would exceed the float range")
+    return spec
 
 
 # ---------------------------------------------------------------------------

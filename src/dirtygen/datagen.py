@@ -5,35 +5,35 @@ set sources draw an index, numeric sources draw from their distribution and
 resample into the interval, sequences are index-keyed, and unique attributes
 read position i of a seeded permutation of their value domain. Dependent
 attributes are never sampled; they are looked up through their rule from the
-determinant's generated value. Because cells are independently addressable,
-any single cell can be regenerated in O(1) without touching its neighbours,
-which the error planner and the injectors rely on.
+determinant's generated value. Each attribute's rule is resolved once per
+run, on first use, into a kernel kept in config.caches; clean generation and
+the injectors' in-domain draws share it. Any single cell can still be
+regenerated in O(1) without touching its neighbours, which the error planner
+and the injectors rely on, and stream keys are derived as rng documents.
 """
 
 from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .config import (
     AttributeSpec,
-    ConstantSetSource,
     GeneratorConfig,
-    LexiconSource,
     NumericSource,
     SequenceSource,
     TemplateSource,
     _effective_float_range,
     _effective_int_range,
+    unique_domain_size,
 )
 from .exceptions import GenerationError
-from .rng import IndexPermutation, Stream, address_key
+from .rng import IndexPermutation, Stream, address_key, stage_key, tuple_key
 from .taxonomy import round_half_away
-from .templates import template_decode, template_draw, template_regex, template_size
+from .templates import template_decode, template_drawer, template_regex
 
 _RESAMPLE_LIMIT = 1000
-_FLOAT_GRID = 1 << 53
 
 STAGE_CLEAN = "clean"
 
@@ -48,50 +48,6 @@ def distribution_params(attr: AttributeSpec) -> tuple[float, float]:
     return src.mean, src.stddev
 
 
-def _unique_permutation(config: GeneratorConfig, attr: AttributeSpec, size: int) -> IndexPermutation:
-    cache = config.caches.setdefault("unique_perms", {})
-    perm = cache.get(attr.name)
-    if perm is None:
-        perm = IndexPermutation(address_key(config.seed, "unique", 0, attr.name), size)
-        cache[attr.name] = perm
-    return perm
-
-
-def _unique_value(attr: AttributeSpec, config: GeneratorConfig, tuple_index: int):
-    src = attr.source
-    if isinstance(src, SequenceSource):
-        value = src.start + tuple_index * src.step
-        return int(value) if attr.datatype == "integer" else value
-    if attr.finite_domain is not None:
-        perm = _unique_permutation(config, attr, len(attr.finite_domain))
-        return attr.finite_domain[perm(tuple_index)]
-    if isinstance(src, TemplateSource):
-        perm = _unique_permutation(config, attr, template_size(src.template))
-        return template_decode(src.template, perm(tuple_index))
-    if isinstance(src, NumericSource):
-        if attr.datatype == "integer":
-            lo, hi = _effective_int_range(attr)
-            perm = _unique_permutation(config, attr, hi - lo + 1)
-            return lo + perm(tuple_index)
-        perm = _unique_permutation(config, attr, _FLOAT_GRID)
-        u = (perm(tuple_index) + 0.5) / _FLOAT_GRID
-        if src.distribution == "uniform":
-            lo, hi = _effective_float_range(attr)
-            return lo + u * (hi - lo)
-        dist = NormalDist(src.mean, src.stddev)
-        if attr.interval is not None:
-            p_lo = dist.cdf(attr.interval[0])
-            p_hi = dist.cdf(attr.interval[1])
-            if p_hi - p_lo <= 0:
-                raise GenerationError(
-                    f"attribute '{attr.name}': the interval captures no probability "
-                    f"mass of the declared normal distribution"
-                )
-            u = p_lo + u * (p_hi - p_lo)
-        return dist.inv_cdf(u)
-    raise GenerationError(f"attribute '{attr.name}': no unique drawing rule for its source")
-
-
 def weighted_index(stream: Stream, weights: tuple[float, ...]) -> int:
     """Index i drawn with probability weights[i] / sum(weights)."""
     pick = stream.random() * sum(weights)
@@ -103,63 +59,177 @@ def weighted_index(stream: Stream, weights: tuple[float, ...]) -> int:
     return len(weights) - 1
 
 
+# ---------------------------------------------------------------------------
+# Per-attribute kernels
+
+
+class _Kernel(NamedTuple):
+    """One attribute's rules, resolved once per run."""
+
+    attr: AttributeSpec
+    draw: Callable  # stream -> one value from the attribute's own domain, never null
+    value: Callable  # (stream, tuple index) -> the clean value drawn from that stream
+    cell: Callable  # tuple index (a dependent: its determinant's value) -> the clean value
+    determinant: str | None
+
+
+def _drawer(attr: AttributeSpec, config: GeneratorConfig) -> Callable:
+    """The attribute's draw rule, one per source kind."""
+    if attr.dependency is not None:
+        images = tuple(sorted(set(attr.dependency.mapping.values()), key=repr))
+        return lambda stream: images[stream.randrange(len(images))]
+    src, domain = attr.source, attr.finite_domain
+    if domain is not None:
+        if src.kind == "set" and src.weights is not None and attr.admissible_set is None:
+            return lambda stream: domain[weighted_index(stream, src.weights)]
+        return lambda stream: domain[stream.randrange(len(domain))]
+    if src.kind == "sequence":
+        at, span = _sequence(attr), max(config.tuple_count, 2)
+        return lambda stream: at(stream.randrange(span))
+    if src.kind == "template":
+        return _resampling(attr, template_drawer(src.template), attr.compiled_pattern is not None)
+    if src.kind != "numeric":
+        raise GenerationError(f"attribute '{attr.name}' has no value source")
+    if src.distribution == "normal":
+        mean, stddev = src.mean, src.stddev
+        typed = round_half_away if attr.datatype == "integer" else float
+        draw = lambda stream: typed(stream.normal(mean, stddev))  # noqa: E731
+        return _resampling(attr, draw, attr.compiled_pattern is not None or attr.interval is not None)
+    # A uniform range is already cut to the interval; only a pattern can reject.
+    if attr.datatype == "integer":
+        lo, hi = _effective_int_range(attr)
+        draw = lambda stream: lo + stream.randrange(hi - lo + 1)  # noqa: E731
+    else:
+        lo, hi = _effective_float_range(attr)
+        draw = lambda stream: lo + stream.random() * (hi - lo)  # noqa: E731
+    return _resampling(attr, draw, attr.compiled_pattern is not None)
+
+
+def _resampling(attr: AttributeSpec, draw: Callable, can_reject: bool) -> Callable:
+    """draw, redrawn until the value satisfies pattern and interval where they can reject it."""
+    if not can_reject:
+        return draw
+    satisfies = attr.satisfies
+
+    def resample(stream):
+        for _ in range(_RESAMPLE_LIMIT):
+            value = draw(stream)
+            if satisfies(value):
+                return value
+        raise GenerationError(
+            f"attribute '{attr.name}': no constraint-satisfying value found in "
+            f"{_RESAMPLE_LIMIT} draws; the distribution and the constraints are "
+            f"nearly disjoint"
+        )
+
+    return resample
+
+
+def _sequence(attr: AttributeSpec) -> Callable:
+    """k -> the k-th member of the attribute's sequence."""
+    start, step = attr.source.start, attr.source.step
+    if attr.datatype == "integer":
+        return lambda k: int(start + k * step)
+    return lambda k: start + k * step
+
+
+def _index_rule(attr: AttributeSpec, config: GeneratorConfig) -> Callable | None:
+    """tuple index -> clean value for sequences, and for unique attributes,
+    which read a seeded permutation of their domain; None for the rest."""
+    src = attr.source
+    if src is not None and src.kind == "sequence":
+        return _sequence(attr)
+    if not attr.unique:
+        return None
+    size = unique_domain_size(attr)
+    perm = IndexPermutation(address_key(config.seed, "unique", 0, attr.name), size)
+    domain = attr.finite_domain
+    if domain is not None:
+        return lambda i: domain[perm(i)]
+    if src.kind == "template":
+        return lambda i: template_decode(src.template, perm(i))
+    if attr.datatype == "integer":
+        lo = _effective_int_range(attr)[0]
+        return lambda i: lo + perm(i)
+    # A unique float reads point (perm(i) + 0.5) / size of a grid over [0, 1).
+    if src.distribution == "uniform":
+        lo, hi = _effective_float_range(attr)
+        return lambda i: lo + (perm(i) + 0.5) / size * (hi - lo)
+    dist = NormalDist(src.mean, src.stddev)
+    p_lo, p_hi = 0.0, 1.0
+    if attr.interval is not None:
+        p_lo, p_hi = dist.cdf(attr.interval[0]), dist.cdf(attr.interval[1])
+    mass = p_hi - p_lo
+    if mass <= 0:
+        raise GenerationError(
+            f"attribute '{attr.name}': the interval captures no probability "
+            f"mass of the declared normal distribution"
+        )
+    return lambda i: dist.inv_cdf(p_lo + (perm(i) + 0.5) / size * mass)
+
+
+def _compile(attr: AttributeSpec, config: GeneratorConfig) -> _Kernel:
+    draw, index_rule, null_rate = _drawer(attr, config), _index_rule(attr, config), attr.null_rate
+
+    def value(stream: Stream, tuple_index: int):
+        if null_rate > 0 and stream.random() < null_rate:
+            return None
+        return draw(stream) if index_rule is None else index_rule(tuple_index)
+
+    if attr.dependency is not None:
+        # parse_config proves the mapping total over the determinant's clean
+        # values; a null determinant gives a null dependent.
+        mapped = {None: None, **attr.dependency.mapping}.__getitem__
+        return _Kernel(attr, draw, value, mapped, attr.dependency.determinant)
+    base = stage_key(config.seed, STAGE_CLEAN, attr.name)
+    if null_rate > 0:
+        cell = lambda i: value(Stream(tuple_key(base, i)), i)  # noqa: E731
+    elif index_rule is not None:
+        cell = index_rule  # the cell's stream would go unread
+    else:
+        cell = lambda i: draw(Stream(tuple_key(base, i)))  # noqa: E731
+    return _Kernel(attr, draw, value, cell, None)
+
+
+def _compiled(config: GeneratorConfig) -> tuple[dict, Callable]:
+    """Every attribute's kernel by name, and the record function, which walks
+    eval_order and keys the record in schema order; built on first use."""
+    compiled = config.caches.get("clean_generation")
+    if compiled is not None:
+        return compiled
+    kernels = {a.name: _compile(a, config) for a in config.schema}
+    steps = tuple((name, kernels[name].cell, kernels[name].determinant) for name in config.eval_order)
+    names = config.attribute_names
+    in_schema_order = config.eval_order == names
+
+    def record(tuple_index: int) -> dict:
+        values = {}
+        for name, cell, determinant in steps:
+            values[name] = cell(tuple_index if determinant is None else values[determinant])
+        return values if in_schema_order else {name: values[name] for name in names}
+
+    compiled = config.caches["clean_generation"] = (kernels, record)
+    return compiled
+
+
+def _kernel(attr: AttributeSpec, config: GeneratorConfig) -> _Kernel:
+    kernel = _compiled(config)[0].get(attr.name)
+    if kernel is None or kernel.attr is not attr:  # a stand-in, such as an offdomain carrier
+        kernel = _compile(attr, config)
+    return kernel
+
+
+# ---------------------------------------------------------------------------
+# Public entry points
+
+
 def draw_from_source(attr: AttributeSpec, config: GeneratorConfig, stream: Stream):
     """One plausible value from the attribute's own domain (never null).
 
     Shared by clean generation and by injectors that need in-domain values
     (plausible-but-wrong entries, values borrowed from other attributes).
     """
-    if attr.dependency is not None:
-        images = _dependency_images(attr, config)
-        return images[stream.randrange(len(images))]
-    src = attr.source
-    if attr.finite_domain is not None:
-        if isinstance(src, ConstantSetSource) and src.weights is not None and attr.admissible_set is None:
-            return attr.finite_domain[weighted_index(stream, src.weights)]
-        return attr.finite_domain[stream.randrange(len(attr.finite_domain))]
-    if isinstance(src, NumericSource):
-        if src.distribution == "uniform":
-            if attr.compiled_pattern is None:
-                return _one_uniform(attr, stream)
-            return _resample(attr, stream, lambda s: _one_uniform(attr, s))
-        return _resample(attr, stream, lambda s: _one_normal(attr, s))
-    if isinstance(src, SequenceSource):
-        span = max(config.tuple_count, 2)
-        k = stream.randrange(span)
-        value = src.start + k * src.step
-        return int(value) if attr.datatype == "integer" else value
-    if isinstance(src, TemplateSource):
-        if attr.compiled_pattern is None:
-            return template_draw(src.template, stream)
-        return _resample(attr, stream, lambda s: template_draw(src.template, s))
-    raise GenerationError(f"attribute '{attr.name}' has no value source")
-
-
-def _one_uniform(attr: AttributeSpec, stream: Stream):
-    if attr.datatype == "integer":
-        lo, hi = _effective_int_range(attr)
-        return stream.randint(lo, hi)
-    lo, hi = _effective_float_range(attr)
-    return stream.uniform(lo, hi)
-
-
-def _one_normal(attr: AttributeSpec, stream: Stream):
-    src = attr.source
-    value = stream.normal(src.mean, src.stddev)
-    return round_half_away(value) if attr.datatype == "integer" else value
-
-
-def _resample(attr: AttributeSpec, stream: Stream, draw):
-    """Redraw until the value satisfies pattern and interval constraints."""
-    for _ in range(_RESAMPLE_LIMIT):
-        value = draw(stream)
-        if attr.satisfies(value):
-            return value
-    raise GenerationError(
-        f"attribute '{attr.name}': no constraint-satisfying value found in "
-        f"{_RESAMPLE_LIMIT} draws; the distribution and the constraints are "
-        f"nearly disjoint"
-    )
+    return _kernel(attr, config).draw(stream)
 
 
 def generate_value(
@@ -174,18 +244,9 @@ def generate_value(
     Unique and sequence sources are index-keyed, so the tuple index matters
     for them; everything else depends only on the stream.
     """
-    if attr.null_rate > 0 and stream.random() < attr.null_rate:
-        return None
-    if attr.unique:
-        if config is None:
-            raise GenerationError("unique attributes need the run config for their permutation")
-        return _unique_value(attr, config, tuple_index)
-    if isinstance(attr.source, SequenceSource):
-        value = attr.source.start + tuple_index * attr.source.step
-        return int(value) if attr.datatype == "integer" else value
     if config is None:
         raise GenerationError(f"attribute '{attr.name}' needs the run config to draw values")
-    return draw_from_source(attr, config, stream)
+    return _kernel(attr, config).value(stream, tuple_index)
 
 
 def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:
@@ -195,53 +256,31 @@ def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:
     return attr.null_rate > 0
 
 
-def _dependency_images(attr: AttributeSpec, config: GeneratorConfig) -> list:
-    cache = config.caches.setdefault("dependency_images", {})
-    images = cache.get(attr.name)
-    if images is None:
-        images = sorted(set(attr.dependency.mapping.values()), key=repr)
-        cache[attr.name] = images
-    return images
-
-
 def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, _memo=None):
     """Regenerate the clean value of one cell in O(1)."""
     if _memo is None:
         _memo = {}
-    if attribute in _memo:
+    elif attribute in _memo:
         return _memo[attribute]
-    attr = config.attribute(attribute)
-    if attr.dependency is not None:
-        det_value = clean_cell_value(config, tuple_index, attr.dependency.determinant, _memo)
-        if det_value is None:
-            value = None
-        else:
-            try:
-                value = attr.dependency.mapping[det_value]
-            except KeyError:
-                raise GenerationError(
-                    f"dependency mapping for '{attribute}' has no entry for "
-                    f"determinant value {det_value!r}"
-                ) from None
+    kernel = (config.caches.get("clean_generation") or _compiled(config))[0][attribute]
+    if kernel.determinant is None:
+        value = kernel.cell(tuple_index)
     else:
-        stream = Stream(address_key(config.seed, STAGE_CLEAN, tuple_index, attribute))
-        value = generate_value(attr, stream, config=config, tuple_index=tuple_index)
+        value = kernel.cell(clean_cell_value(config, tuple_index, kernel.determinant, _memo))
     _memo[attribute] = value
     return value
 
 
 def generate_record(config: GeneratorConfig, tuple_index: int) -> dict:
     """One clean record, keys in schema order."""
-    memo: dict = {}
-    for name in config.eval_order:
-        clean_cell_value(config, tuple_index, name, memo)
-    return {name: memo[name] for name in config.attribute_names}
+    return _compiled(config)[1](tuple_index)
 
 
 def generate_clean_dataset(config: GeneratorConfig) -> Iterator[dict]:
     """All tuple_count records in index order; memory does not grow with N."""
+    record = _compiled(config)[1]
     for i in range(config.tuple_count):
-        yield generate_record(config, i)
+        yield record(i)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .config import (
     _expect_number,
     _fail,
     _parse_source,
-    erroneous_entry_domain_size,
+    unique_domain_size,
 )
 from .datagen import (
     clean_cell_value,
@@ -99,6 +99,9 @@ class ErrorType:
     claims_donor: bool = False  # each target also claims an earlier tuple's cell
     # (spec, index, placed, count) -> the warning for a shortfall; None: a shortfall fails the plan
     shortfall: Callable | None = None
+    # (attr, params) -> the largest magnitude an injected value can take;
+    # parse_config rejects a spec whose bound on one of its targets is not finite
+    bound: Callable | None = None
 
     @property
     def scope(self) -> str:
@@ -447,7 +450,7 @@ def _plausible_but_wrong(clean, dirty, attr, config, *_) -> bool:
 
 
 def _has_alternative(attr, ctx) -> bool:
-    size = erroneous_entry_domain_size(attr, ctx.tuple_count)
+    size = unique_domain_size(attr)
     return size is None or size >= 2
 
 
@@ -508,6 +511,29 @@ def _distribution_sourced(attr, ctx) -> bool:
         and attr.datatype in ("integer", "float")
         and attr.finite_domain is None
     )
+
+
+def _draw_bound(attr) -> float:
+    """Largest magnitude of a clean draw from a numeric source; a Box-Muller
+    draw lies within 8.57 stddev of the mean."""
+    src = attr.source
+    if src.distribution == "uniform":
+        return max(abs(float(src.low)), abs(float(src.high)))
+    return abs(float(src.mean)) + 9.0 * float(src.stddev)
+
+
+def _outlier_bound(attr, params) -> float:
+    mu, sigma = distribution_params(attr)
+    return abs(mu) + 2 * params["k"] * sigma
+
+
+def _noise_bound(attr, params) -> float:
+    return _draw_bound(attr) + 9 * params["alpha"] * distribution_params(attr)[1]
+
+
+def _bias_bound(attr, params) -> float:
+    shift = params.get("shift")  # None: categorical bias, which only picks set members
+    return 0.0 if shift is None else _draw_bound(attr) + abs(shift)
 
 
 def _outlier(clean, attr, stream, config, params, entry):
@@ -967,6 +993,7 @@ _RECORDS = (
         applicable=_distribution_sourced,
         params={"k": 5.0},
         parse=_positive("k"),
+        bound=_outlier_bound,
     ),
     ErrorType(
         "missing_attribute", STAGE_COLUMN, lambda *_: ABSENT, _key_removed,
@@ -989,12 +1016,14 @@ _RECORDS = (
         targets=lambda spec: (spec.params["target_attribute"],),
         eligible=_in_group,
         shortfall=_bias_shortfall,
+        bound=_bias_bound,
     ),
     ErrorType(
         "noise", STAGE_COLUMN, _noise, _is_noise,
         applicable=_distribution_sourced,
         params={"alpha": 0.05},
         parse=_positive("alpha"),
+        bound=_noise_bound,
     ),
     ErrorType(
         "semi_empty_tuple", STAGE_ROW, _semi_empty, _nulled, _is_semi_empty,

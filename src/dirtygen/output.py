@@ -60,9 +60,14 @@ class OutputSpec:
         return self.directory / "run-manifest.json"
 
 
+# What json.dumps(value, ensure_ascii=False, separators=(",", ":"),
+# allow_nan=False) runs, built once rather than per call.
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
+
+
 def encode_record(record: dict) -> str:
     """Compact one-line JSON for a record, keys in insertion order."""
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+    return _encode(record)
 
 
 class DatasetWriter:
@@ -94,8 +99,9 @@ class DatasetWriter:
         self._file.close()
         self._file = None
 
-    def write(self, record: dict | None) -> None:
-        """Write one record; None writes a JSON null line (a deleted row)."""
+    def write(self, record: dict | None, line: str | None = None) -> str:
+        """Write one record; None writes a JSON null line (a deleted row).
+        Pass line when the record's encoding is already at hand; returns it."""
         if self._total >= self._expected:
             raise DatasetFormatError(
                 f"writer received more than the declared {self._expected} records"
@@ -106,13 +112,15 @@ class DatasetWriter:
             self._close_current()
             self._shard += 1
             self._open_next()
-        line = "null" if record is None else encode_record(record)
+        if line is None:
+            line = "null" if record is None else encode_record(record)
         if self.spec.mode == "ndjson":
             self._file.write(line + "\n")
         else:
             self._file.write(("\n" if self._written_in_shard == 0 else ",\n") + line)
         self._written_in_shard += 1
         self._total += 1
+        return line
 
     def close(self) -> list[Path]:
         if self._file is not None:
@@ -192,7 +200,7 @@ def _check_row(obj, path: Path, position: int, allow_deleted: bool):
 def _encode_log_value(value) -> str:
     if value is ABSENT:
         return "-"
-    return json.dumps(value, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+    return _encode(value)
 
 
 def _decode_log_value(text: str):

@@ -51,8 +51,13 @@ def stage_key(seed: int, stage: str, attribute: str = "") -> int:
     return mix64(h ^ _label_hash(attribute))
 
 
+def tuple_key(base: int, tuple_index: int) -> int:
+    """key(i) from a partially applied address, base = stage_key(seed, stage, attribute)."""
+    return mix64(base ^ ((tuple_index * GOLDEN) & _MASK64))
+
+
 def address_key(seed: int, stage: str, tuple_index: int = 0, attribute: str = "") -> int:
-    return mix64(stage_key(seed, stage, attribute) ^ ((tuple_index * GOLDEN) & _MASK64))
+    return tuple_key(stage_key(seed, stage, attribute), tuple_index)
 
 
 class Stream:
@@ -64,8 +69,11 @@ class Stream:
         self._state = key & _MASK64
 
     def u64(self) -> int:
-        self._state = (self._state + GOLDEN) & _MASK64
-        return mix64(self._state)
+        # mix64 of the advanced state, inlined: this is the innermost call of every draw.
+        x = self._state = (self._state + GOLDEN) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return x ^ (x >> 31)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -81,22 +89,12 @@ class Stream:
             raise ValueError("randrange requires n >= 1")
         return (self.u64() * n) >> 64
 
-    def randint(self, a: int, b: int) -> int:
-        """Uniform int in [a, b] inclusive."""
-        return a + self.randrange(b - a + 1)
-
-    def uniform(self, a: float, b: float) -> float:
-        return a + self.random() * (b - a)
-
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """One Box-Muller draw; consumes exactly two uniforms."""
         u1 = self.random_open()
         u2 = self.random()
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         return mu + sigma * z
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), drawn via partial Fisher-Yates."""

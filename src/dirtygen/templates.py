@@ -41,10 +41,11 @@ def template_decode(template: str, index: int) -> str:
     return "".join(out)
 
 
-def template_draw(template: str, stream) -> str:
-    """Uniform expansion drawn from a stream, one draw per placeholder."""
-    out = []
-    for ch in template:
-        alphabet = CLASSES.get(ch)
-        out.append(alphabet[stream.randrange(len(alphabet))] if alphabet else ch)
-    return "".join(out)
+def template_drawer(template: str):
+    """draw(stream): a uniform expansion, one draw per placeholder, left to right."""
+    slots = tuple((ch, CLASSES.get(ch), len(CLASSES.get(ch, ""))) for ch in template)
+
+    def draw(stream) -> str:
+        return "".join([alphabet[stream.randrange(n)] if alphabet else ch for ch, alphabet, n in slots])
+
+    return draw

@@ -94,6 +94,42 @@ def test_generate_non_finite_config_exit_1_writes_nothing(tmp_path, capsys, sour
     assert not out.exists()
 
 
+def test_generate_overflowing_config_exit_1_writes_nothing(tmp_path, capsys):
+    doc = json.loads(make_config_text())
+    doc["schema"][3]["source"] = {"kind": "numeric", "distribution": "normal", "mean": 0, "stddev": 1e308}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+    assert "float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_dirty_lines_of_touched_rows_are_their_own(tmp_path):
+    # Untouched rows reuse the clean row's encoding; a touched row never may.
+    from dirtygen import apply_plan, load_config, plan_errors
+    from dirtygen.datagen import generate_clean_dataset
+    from dirtygen.output import encode_record
+
+    path = write_config(tmp_path, errors=ERRORS, tuple_count=300)
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    config = load_config(path)
+    plan = plan_errors(config)
+    clean = list(generate_clean_dataset(config))
+    dirty, log = apply_plan(clean, plan, config)
+    clean_lines = (out / "clean.ndjson").read_text(encoding="utf-8").splitlines()
+    dirty_lines = (out / "dirty.ndjson").read_text(encoding="utf-8").splitlines()
+    touched = {entry.dirty_tuple_index for entry in log}
+    assert touched and len(dirty_lines) == len(dirty)
+    for index, line in enumerate(dirty_lines):
+        assert line == encode_record(dirty[index]), index
+        if index in touched and index < len(clean_lines):
+            assert line != clean_lines[index], index
+        elif index not in touched:
+            assert line == clean_lines[index], index
+
+
 def test_generate_is_byte_reproducible(tmp_path):
     config = write_config(tmp_path, errors=ERRORS, tuple_count=300)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

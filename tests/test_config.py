@@ -288,6 +288,54 @@ def test_non_finite_numbers_rejected(mutate, literal):
         parse_config(_doc_text(mutate, literal))
 
 
+_SCORE_NEAR_MAX = {"kind": "numeric", "distribution": "normal", "mean": 1.7e308, "stddev": 1e306}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # A Box-Muller draw reaches 8.57 stddev from the mean.
+        lambda doc: _source("score")(doc).update(stddev=1e308),
+        # uniform draws lo + u * (hi - lo), and hi - lo is inf.
+        lambda doc: _source("age")(doc).update(min=-1.7e308, max=1.7e308),
+        lambda doc: doc["schema"][3].update(source={"kind": "numeric", "distribution": "uniform", "min": -1.7e308, "max": 1.7e308}),
+        # outlier draws mu +- k * sigma * (1 + u).
+        lambda doc: (_source("score")(doc).update(stddev=1e300),
+                     _error({"type": "outlier", "rate": 0.1, "attributes": ["score"], "params": {"k": 1e10}})(doc)),
+        # noise adds up to 8.57 * alpha * sigma to a clean value.
+        lambda doc: (doc["schema"][3].update(source=_SCORE_NEAR_MAX),
+                     _error({"type": "noise", "rate": 0.1, "attributes": ["score"], "params": {"alpha": 10}})(doc)),
+        # bias adds its shift to a clean value.
+        lambda doc: (doc["schema"][3].update(source=_SCORE_NEAR_MAX),
+                     _error({"type": "bias", "rate": 0.1, "params": {"group_attribute": "age", "group_value": 30,
+                                                                      "target_attribute": "score", "shift": 1e308}})(doc)),
+        # offdomain sources are parsed as sources too.
+        _error({"type": "irrelevant_observation", "rate": 0.1, "params": {"offdomain": {
+            "city": {"kind": "numeric", "distribution": "normal", "mean": 0, "stddev": 1e308}}}}),
+    ],
+)
+def test_draws_beyond_the_float_range_rejected(mutate):
+    with pytest.raises(ConfigError, match="float range"):
+        parse_config(_doc_text(mutate, ""))
+
+
+def test_draws_just_inside_the_float_range_accepted():
+    doc = json.loads(make_config_text(errors=[
+        {"type": "outlier", "rate": 0.1, "attributes": ["score"], "params": {"k": 1e5}},
+        {"type": "noise", "rate": 0.1, "attributes": ["score"], "params": {"alpha": 1e5}},
+    ]))
+    doc["schema"][3]["source"] = {"kind": "numeric", "distribution": "normal", "mean": -1e307, "stddev": 1e300}
+    parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("datatype", ["integer", "float"])
+def test_uniform_range_outside_the_interval_rejected(datatype):
+    doc = json.loads(make_config_text())
+    doc["schema"][2].update(datatype=datatype, interval=[200, 300])  # age: uniform over [0, 120]
+    with pytest.raises(ConfigError, match="interval"):
+        parse_config(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

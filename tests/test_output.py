@@ -35,6 +35,31 @@ def test_float_shortest_roundtrip():
     assert json.loads(encode_record({"x": value}))["x"] == value
 
 
+_FLAT_VALUES = (
+    st.text()
+    | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "中", "😀"])
+    | st.integers()
+    | st.integers(min_value=2**64 - 5, max_value=2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, -5e-324, 1.7976931348623157e308])
+    | st.none()
+    | st.booleans()
+)
+
+
+@given(st.dictionaries(st.text(max_size=8), _FLAT_VALUES, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_encode_record_is_compact_json_dumps(record):
+    expected = json.dumps(record, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+    assert encode_record(record) == expected
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_encode_record_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        encode_record({"x": value})
+
+
 def test_ndjson_bytes(tmp_path):
     records = [{"a": 1}, {"a": None}, {"b": "x"}]
     paths = write_dataset(records, spec_for(tmp_path), "clean")
