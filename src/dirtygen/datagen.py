@@ -26,6 +26,7 @@ from .config import (
     TemplateSource,
     _effective_float_range,
     _effective_int_range,
+    enumerate_clean_domain,
     unique_domain_size,
 )
 from .exceptions import GenerationError
@@ -76,7 +77,7 @@ class _Kernel(NamedTuple):
 def _drawer(attr: AttributeSpec, config: GeneratorConfig) -> Callable:
     """The attribute's draw rule, one per source kind."""
     if attr.dependency is not None:
-        images = tuple(sorted(set(attr.dependency.mapping.values()), key=repr))
+        images = tuple(enumerate_clean_domain(attr, config.tuple_count))
         return lambda stream: images[stream.randrange(len(images))]
     src, domain = attr.source, attr.finite_domain
     if domain is not None:
