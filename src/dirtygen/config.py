@@ -6,7 +6,8 @@ document into a fully validated GeneratorConfig: every lexicon is loaded,
 every constraint cross-checked, every error spec resolved to concrete target
 attributes with type-specific parameters, and rate feasibility proven with
 exact integer target counts. A config that parses is guaranteed to run
-without applicability errors.
+without applicability errors. Each attribute's domain is resolved here, once,
+by the one resolver in domains.py, and stored on its AttributeSpec.
 
 The full grammar is documented in docs/config-reference.md.
 """
@@ -23,21 +24,17 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
+from .domains import MAX_MEMBERS, Domain, finite, resolve
 from .exceptions import ConfigError, LexiconError
 from .output import OutputSpec
+from .rng import NORMAL_Z_BOUND
 from .taxonomy import STAGE_CELL, STAGE_COLUMN, STAGE_ROW, split_count
-from .templates import template_decode, template_regex, template_size
+from .templates import template_regex
 
 BUNDLED_LEXICONS = ("first_names", "last_names", "cities", "streets", "words")
 LEXICON_DIR_ENV = "DIRTYGEN_LEXICON_DIR"
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-# Enumerable determinant domains above this size are rejected; checking
-# mapping totality would be disproportionate.
-_MAX_DETERMINANT_DOMAIN = 10_000
-
-_FLOAT_GRID_BITS = 53  # unique float values are drawn from a 2^53 grid
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +142,7 @@ class AttributeSpec:
     # Resolved during parsing:
     dependency: DependencyRule | None = field(default=None, repr=False, compare=False)
     finite_domain: tuple | None = field(default=None, repr=False, compare=False)
+    domain: Domain | None = field(default=None, repr=False, compare=False)
     compiled_pattern: re.Pattern | None = field(default=None, repr=False, compare=False)
 
     def effective_pattern(self) -> re.Pattern | None:
@@ -370,9 +368,8 @@ def _parse_source(raw, attr_name: str, base_dir: Path | None) -> ValueSource:
             stddev = _expect_number(raw.get("stddev"), f"{where} stddev")
             if not stddev > 0:
                 _fail(f"{where}: normal requires stddev > 0")
-            # A Box-Muller draw lies within 8.57 stddev of the mean.
-            if not math.isfinite(abs(float(mean)) + 9.0 * float(stddev)):
-                _fail(f"{where}: mean + 9 stddev exceeds the float range")
+            if not math.isfinite(abs(float(mean)) + NORMAL_Z_BOUND * float(stddev)):
+                _fail(f"{where}: mean + {NORMAL_Z_BOUND} stddev exceeds the float range")
             return NumericSource("normal", mean=mean, stddev=stddev)
         _fail(f"{where}: unknown distribution {dist!r} (expected 'uniform' or 'normal')")
     if kind == "template":
@@ -514,36 +511,9 @@ def _parse_attribute(raw, base_dir: Path | None) -> AttributeSpec:
 # Constraint cross-validation
 
 
-def _effective_int_range(attr: AttributeSpec) -> tuple[int, int]:
-    src = attr.source
-    lo, hi = math.ceil(src.low), math.floor(src.high)
-    if attr.interval is not None:
-        lo = max(lo, math.ceil(attr.interval[0]))
-        hi = min(hi, math.floor(attr.interval[1]))
-    if lo > hi:
-        _fail(
-            f"attribute '{attr.name}': no integer satisfies both the uniform "
-            f"range and the interval constraint"
-        )
-    return lo, hi
-
-
-def _effective_float_range(attr: AttributeSpec) -> tuple[float, float]:
-    src = attr.source
-    lo, hi = src.low, src.high
-    if attr.interval is not None:
-        lo = max(lo, attr.interval[0])
-        hi = min(hi, attr.interval[1])
-    if not lo < hi:
-        _fail(
-            f"attribute '{attr.name}': the uniform range and the interval "
-            f"constraint do not overlap"
-        )
-    return lo, hi
-
-
-def _resolve_domain(attr: AttributeSpec) -> AttributeSpec:
-    """Validate constraint interactions and fix the finite generation domain."""
+def _resolve_domain(attr: AttributeSpec, tuple_count: int) -> None:
+    """Validate constraint interactions, fix the finite generation domain and
+    resolve the attribute's Domain."""
     if attr.admissible_set is not None:
         for member in attr.admissible_set:
             if not attr.satisfies(member):
@@ -552,8 +522,7 @@ def _resolve_domain(attr: AttributeSpec) -> AttributeSpec:
                     f"violates the declared pattern or interval"
                 )
         attr.finite_domain = attr.admissible_set
-        return attr
-    if isinstance(attr.source, ConstantSetSource):
+    elif isinstance(attr.source, ConstantSetSource):
         typed = tuple(
             _coerce(v, attr.datatype, f"attribute '{attr.name}' set value")
             for v in attr.source.values
@@ -565,8 +534,7 @@ def _resolve_domain(attr: AttributeSpec) -> AttributeSpec:
                     f"violates the declared pattern or interval"
                 )
         attr.finite_domain = typed
-        return attr
-    if isinstance(attr.source, LexiconSource):
+    elif isinstance(attr.source, LexiconSource):
         if attr.datatype != "string":
             _fail(f"attribute '{attr.name}': lexicon sources require datatype string")
         kept = tuple(v for v in attr.source.values if attr.satisfies(v))
@@ -576,41 +544,18 @@ def _resolve_domain(attr: AttributeSpec) -> AttributeSpec:
                 f"declared constraints"
             )
         attr.finite_domain = kept
-        return attr
-    if isinstance(attr.source, TemplateSource) and attr.datatype != "string":
+    elif isinstance(attr.source, TemplateSource) and attr.datatype != "string":
         _fail(f"attribute '{attr.name}': template sources require datatype string")
-    if isinstance(attr.source, NumericSource) and attr.datatype == "string":
+    elif isinstance(attr.source, NumericSource) and attr.datatype == "string":
         _fail(f"attribute '{attr.name}': numeric sources require a numeric datatype")
-    if isinstance(attr.source, SequenceSource) and attr.datatype == "string":
+    elif isinstance(attr.source, SequenceSource) and attr.datatype == "string":
         _fail(f"attribute '{attr.name}': sequence sources require a numeric datatype")
-    if isinstance(attr.source, SequenceSource) and attr.datatype == "integer":
+    elif isinstance(attr.source, SequenceSource) and attr.datatype == "integer":
         if attr.source.start != int(attr.source.start) or attr.source.step != int(attr.source.step):
             _fail(f"attribute '{attr.name}': integer sequences need integer start and step")
-    if isinstance(attr.source, NumericSource) and attr.source.distribution == "uniform":
-        # Fails when the range and the interval leave nothing to draw.
-        (_effective_int_range if attr.datatype == "integer" else _effective_float_range)(attr)
-    return attr
-
-
-def unique_domain_size(attr: AttributeSpec) -> int | None:
-    """How many distinct values the attribute can produce; None means unbounded."""
-    if attr.dependency is not None:
-        return len(set(attr.dependency.mapping.values()))
-    if attr.finite_domain is not None:
-        return len(attr.finite_domain)
-    src = attr.source
-    if isinstance(src, SequenceSource):
-        return None if src.step != 0 else 1
-    if isinstance(src, TemplateSource):
-        return template_size(src.template)
-    if isinstance(src, NumericSource):
-        if attr.datatype == "integer":
-            if src.distribution == "normal":
-                return None  # rejected for unique at validation time
-            lo, hi = _effective_int_range(attr)
-            return hi - lo + 1
-        return 1 << _FLOAT_GRID_BITS
-    return None
+    # Fails where a uniform range and the interval leave nothing to draw, and
+    # where a unique normal's interval holds no probability mass.
+    attr.domain = resolve(attr, tuple_count)
 
 
 def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
@@ -635,7 +580,7 @@ def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
         )
     if isinstance(src, NumericSource) and attr.compiled_pattern is not None:
         _fail(f"attribute '{attr.name}': unique numeric attributes cannot take a pattern")
-    size = unique_domain_size(attr)
+    size = attr.domain.size
     if size is not None and size < tuple_count:
         _fail(
             f"attribute '{attr.name}': unique source exhausted: the value domain has "
@@ -660,34 +605,7 @@ def _validate_sequence_interval(attr: AttributeSpec, tuple_count: int) -> None:
 # Dependencies
 
 
-def enumerate_clean_domain(attr: AttributeSpec, tuple_count: int) -> list | None:
-    """All values the clean generator can emit, or None if not enumerable."""
-    if attr.dependency is not None:
-        return sorted(set(attr.dependency.mapping.values()), key=repr)
-    if attr.finite_domain is not None:
-        return list(attr.finite_domain)
-    src = attr.source
-    if isinstance(src, SequenceSource):
-        return [
-            int(src.start + i * src.step) if attr.datatype == "integer"
-            else src.start + i * src.step
-            for i in range(tuple_count)
-        ]
-    if isinstance(src, NumericSource) and attr.datatype == "integer" and src.distribution == "uniform":
-        lo, hi = _effective_int_range(attr)
-        if hi - lo + 1 <= _MAX_DETERMINANT_DOMAIN:
-            return list(range(lo, hi + 1))
-        return None
-    if isinstance(src, TemplateSource):
-        size = template_size(src.template)
-        if size <= _MAX_DETERMINANT_DOMAIN:
-            return [template_decode(src.template, i) for i in range(size)]
-    return None
-
-
-def _resolve_dependencies(
-    attrs: list[AttributeSpec], raw_rules, tuple_count: int
-) -> list[DependencyRule]:
+def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules) -> list[DependencyRule]:
     by_name = {a.name: a for a in attrs}
     rules: list[DependencyRule] = []
     dependents_seen = set()
@@ -726,6 +644,7 @@ def _resolve_dependencies(
                 f"its own value source"
             )
         by_name[dep].dependency = rule
+        by_name[dep].domain = finite(tuple(sorted(set(mapping.values()), key=repr)))
         rules.append(rule)
 
     # Cycle check: walk determinant chains.
@@ -738,21 +657,17 @@ def _resolve_dependencies(
             seen.add(cursor.name)
             cursor = by_name[cursor.dependency.determinant]
 
-    # Totality and image validity, in chain order so chained domains resolve.
-    for rule in _topo_sorted(rules, by_name):
+    # Totality and image validity; every rule is attached, so a chained
+    # determinant's domain is its own rule's images.
+    for rule in rules:
         det_attr, dep_attr = by_name[rule.determinant], by_name[rule.dependent]
-        domain = enumerate_clean_domain(det_attr, tuple_count)
+        # Above MAX_MEMBERS values, checking totality would be disproportionate.
+        domain = det_attr.domain.members()
         if domain is None:
             _fail(
                 f"dependency rule {rule.determinant!r} -> {rule.dependent!r}: the "
-                f"determinant needs a finite value domain (lexicon, set, integer "
-                f"range, short sequence, or template)"
-            )
-        if len(domain) > _MAX_DETERMINANT_DOMAIN:
-            _fail(
-                f"dependency rule {rule.determinant!r} -> {rule.dependent!r}: "
-                f"determinant domain has {len(domain)} values, above the supported "
-                f"{_MAX_DETERMINANT_DOMAIN}"
+                f"determinant needs a finite value domain of at most {MAX_MEMBERS} "
+                f"values (lexicon, set, integer range, short sequence, or template)"
             )
         missing = [v for v in domain if v not in rule.mapping]
         if missing:
@@ -769,25 +684,6 @@ def _resolve_dependencies(
                     f"mapped value {image!r} violates the dependent's constraints"
                 )
     return rules
-
-
-def _topo_sorted(rules: list[DependencyRule], by_name: dict) -> list[DependencyRule]:
-    """Rules ordered so a chained determinant's own rule comes first."""
-    order: list[DependencyRule] = []
-    visited: set[str] = set()
-
-    def visit(rule: DependencyRule):
-        if rule.dependent in visited:
-            return
-        det_attr = by_name[rule.determinant]
-        if det_attr.dependency is not None:
-            visit(det_attr.dependency)
-        visited.add(rule.dependent)
-        order.append(rule)
-
-    for rule in rules:
-        visit(rule)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -937,16 +833,21 @@ def parse_config(
     output_dir_override: str | Path | None = None,
 ) -> GeneratorConfig:
     """Parse and fully validate a configuration document."""
+    too_deep = "config nests arrays or objects too deeply"
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ConfigError(too_deep) from None
     try:
         json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
         _fail("config contains a lone surrogate escape, which is not valid Unicode")
+    except RecursionError:  # json.loads reads deeper documents than json.dumps writes
+        raise ConfigError(too_deep) from None
     doc = _expect_mapping(doc, "config document")
     _expect_keys(doc, {"schema", "dependencies", "errors", "generation", "output"}, "config")
 
@@ -1010,26 +911,21 @@ def parse_config(
         if attr.source is None and not _is_dependent(attr.name, doc.get("dependencies")):
             _fail(f"attribute '{attr.name}' declares no value source and no dependency rule")
         if attr.source is not None:
-            _resolve_domain(attr)
+            _resolve_domain(attr, tuple_count)
 
-    dependencies = _resolve_dependencies(attrs, doc.get("dependencies"), tuple_count)
+    dependencies = _resolve_dependencies(attrs, doc.get("dependencies"))
 
     for attr in attrs:
         _validate_sequence_interval(attr, tuple_count)
         _validate_unique(attr, tuple_count)
-        if attr.synonyms is not None:
-            domain = (
-                enumerate_clean_domain(attr, tuple_count)
-                if (attr.finite_domain is not None or attr.dependency is not None)
-                else None
-            )
-            if domain is not None:
-                orphan = [k for k in attr.synonyms if k not in domain]
-                if orphan:
-                    _fail(
-                        f"attribute '{attr.name}': synonym key {orphan[0]!r} can "
-                        f"never be generated"
-                    )
+        # Only finite domains (dependents' included) list their members.
+        if attr.synonyms is not None and attr.domain.values is not None:
+            orphan = [k for k in attr.synonyms if k not in attr.domain.values]
+            if orphan:
+                _fail(
+                    f"attribute '{attr.name}': synonym key {orphan[0]!r} can "
+                    f"never be generated"
+                )
 
     ctx = _SpecContext(attrs, {a.name: a for a in attrs}, tuple_count, dependencies)
     specs, spec_by_target = _parse_errors(doc.get("errors", []), ctx)
@@ -1060,7 +956,10 @@ def parse_config(
         eval_order=_evaluation_order(attrs),
         spec_by_target=spec_by_target,
     )
-    config.config_hash = compute_config_hash(config)
+    try:
+        config.config_hash = compute_config_hash(config)
+    except RecursionError:  # an offdomain set value nested just below the first check's limit
+        raise ConfigError(too_deep) from None
     return config
 
 
@@ -1139,10 +1038,7 @@ def _error_signature(spec: ErrorSpec) -> dict:
     params = {}
     for key, value in sig["params"].items():
         if key == "offdomain" and isinstance(value, dict):
-            params[key] = {
-                name: src.signature() if hasattr(src, "signature") else src
-                for name, src in value.items()
-            }
+            params[key] = {name: carrier.source.signature() for name, carrier in value.items()}
         elif key == "skewed_weights" and isinstance(value, dict):
             params[key] = {json.dumps(k, ensure_ascii=False): w for k, w in value.items()}
         else:

@@ -23,25 +23,17 @@ from typing import Callable
 
 from .config import (
     AttributeSpec,
-    NumericSource,
     _coerce,
     _expect_int,
     _expect_mapping,
     _expect_number,
     _fail,
     _parse_source,
-    unique_domain_size,
 )
-from .datagen import (
-    clean_cell_value,
-    distribution_params,
-    draw_from_source,
-    may_be_null,
-    value_in_domain,
-    weighted_index,
-)
+from .datagen import clean_cell_value, distribution_params, may_be_null, value_in_domain
+from .domains import resolve, weighted_index
 from .exceptions import GenerationError
-from .rng import Stream, derive_stream
+from .rng import NORMAL_Z_BOUND, Stream, derive_stream
 from .taxonomy import ABSENT, STAGE_CELL, STAGE_COLUMN, STAGE_INSERTION, STAGE_ROW, round_half_away
 
 _RETRY_LIMIT = 1000
@@ -393,7 +385,7 @@ def _inadequate_value(clean, attr, stream, config, *_):
     for offset in range(len(others)):
         other = others[(start + offset) % len(others)]
         for _ in range(100):
-            value = draw_from_source(other, config, stream)
+            value = other.domain.draw(stream)
             if value != clean and not value_in_domain(attr, value, config):
                 return value
     raise GenerationError(f"no other attribute's values land outside the domain of '{attr.name}'")
@@ -411,7 +403,7 @@ def _from_other_domain(clean, dirty, attr, config, *_) -> bool:
 def _items_beyond(clean, attr, stream, config, *_):
     others = _other_attributes(attr, config.schema, distinct_source=False)
     other = others[stream.randrange(len(others))]
-    return f"{clean} {draw_from_source(other, config, stream)}"
+    return f"{clean} {other.domain.draw(stream)}"
 
 
 def _has_extra_items(clean, dirty, *_) -> bool:
@@ -439,7 +431,7 @@ def _is_meaningless(clean, dirty, attr, config, *_) -> bool:
 
 def _erroneous_entry(clean, attr, stream, config, *_):
     for _ in range(_RETRY_LIMIT):
-        value = draw_from_source(attr, config, stream)
+        value = attr.domain.draw(stream)
         if value != clean:
             return value
     raise GenerationError(f"the source of '{attr.name}' produced no value different from {clean!r}")
@@ -450,7 +442,7 @@ def _plausible_but_wrong(clean, dirty, attr, config, *_) -> bool:
 
 
 def _has_alternative(attr, ctx) -> bool:
-    size = unique_domain_size(attr)
+    size = attr.domain.size
     return size is None or size >= 2
 
 
@@ -506,20 +498,7 @@ def _is_synonym(clean, dirty, attr, *_) -> bool:
 
 
 def _distribution_sourced(attr, ctx) -> bool:
-    return (
-        isinstance(attr.source, NumericSource)
-        and attr.datatype in ("integer", "float")
-        and attr.finite_domain is None
-    )
-
-
-def _draw_bound(attr) -> float:
-    """Largest magnitude of a clean draw from a numeric source; a Box-Muller
-    draw lies within 8.57 stddev of the mean."""
-    src = attr.source
-    if src.distribution == "uniform":
-        return max(abs(float(src.low)), abs(float(src.high)))
-    return abs(float(src.mean)) + 9.0 * float(src.stddev)
+    return attr.domain.mean is not None
 
 
 def _outlier_bound(attr, params) -> float:
@@ -528,12 +507,12 @@ def _outlier_bound(attr, params) -> float:
 
 
 def _noise_bound(attr, params) -> float:
-    return _draw_bound(attr) + 9 * params["alpha"] * distribution_params(attr)[1]
+    return attr.domain.bound + NORMAL_Z_BOUND * params["alpha"] * attr.domain.stddev
 
 
 def _bias_bound(attr, params) -> float:
     shift = params.get("shift")  # None: categorical bias, which only picks set members
-    return 0.0 if shift is None else _draw_bound(attr) + abs(shift)
+    return 0.0 if shift is None else attr.domain.bound + abs(shift)
 
 
 def _outlier(clean, attr, stream, config, params, entry):
@@ -561,7 +540,7 @@ def _is_noise(clean, dirty, attr, config, params, *_) -> bool:
     _, sigma = distribution_params(attr)
     if not _is_number(dirty):
         return False
-    return 0 < abs(dirty - clean) <= 8 * params["alpha"] * sigma
+    return 0 < abs(dirty - clean) <= NORMAL_Z_BOUND * params["alpha"] * sigma
 
 
 def _key_removed(clean, dirty, attr, config, params, clean_record, dirty_record, _) -> bool:
@@ -625,14 +604,14 @@ def _parse_bias(params: dict, where: str, ctx) -> None:
     target = ctx.by_name[target_attr]
     weights = params.get("skewed_weights")
     if weights is None:
-        if not isinstance(target.source, NumericSource) or target.finite_domain is not None:
+        if target.domain.mean is None:
             _fail(
                 f"{where}: numeric bias needs a distribution-sourced target; "
                 f"categorical targets need skewed_weights"
             )
         shift = params.get("shift")
         if shift is None:
-            shift = distribution_params(target)[1]
+            shift = target.domain.stddev
         params["shift"] = _expect_number(shift, f"{where} shift")
         if params["shift"] == 0:
             _fail(f"{where}: shift must be non-zero")
@@ -784,12 +763,9 @@ def _parse_inconsistency_among(params: dict, where: str, ctx) -> None:
 # Insertion types: an extra tuple is appended to the dirty dataset
 
 
-def _draw_offdomain(attr, source, config, stream):
-    carrier = AttributeSpec(name=attr.name, datatype="string", source=source)
-    if hasattr(source, "values"):
-        carrier.finite_domain = tuple(source.values)
+def _draw_offdomain(attr, carrier, config, stream):
     for _ in range(_RETRY_LIMIT):
-        value = draw_from_source(carrier, config, stream)
+        value = carrier.domain.draw(stream)
         if not value_in_domain(attr, value, config):
             return value
     raise GenerationError(f"offdomain source for '{attr.name}' keeps producing in-domain values")
@@ -830,7 +806,10 @@ def _parse_offdomain(params: dict, where: str, ctx) -> None:
     for name, source_raw in offdomain.items():
         if name not in ctx.by_name:
             _fail(f"{where}: offdomain names unknown attribute {name!r}")
-        parsed[name] = _parse_source(source_raw, f"{name} (offdomain)", None)
+        # A stand-in attribute that draws from the bare source.
+        carrier = AttributeSpec(name, "string", _parse_source(source_raw, f"{name} (offdomain)", None))
+        carrier.domain = resolve(carrier, ctx.tuple_count)
+        parsed[name] = carrier
     params["offdomain"] = parsed
 
 
@@ -897,7 +876,7 @@ def _conflicting_copy(source, config, stream, params, entry, dirty_index) -> dic
     candidates = [a for a in config.schema if not a.unique and source[a.name] is not None]
     for _ in range(_RETRY_LIMIT):
         candidate = candidates[stream.randrange(len(candidates))]
-        value = draw_from_source(candidate, config, stream)
+        value = candidate.domain.draw(stream)
         if value != source[candidate.name]:
             record = dict(source)
             record[candidate.name] = value

@@ -84,8 +84,6 @@ def score(
     dirty: Sequence[dict],
     repaired: Sequence[dict | None],
     log: Iterable,
-    *,
-    attributes: Sequence[str] | None = None,
 ) -> RepairMetrics:
     """Cell-level detection and repair metrics for a repaired dataset.
 
@@ -105,12 +103,11 @@ def score(
     if any(row is None for row in dirty):
         raise EvaluationError("the dirty dataset cannot contain deleted rows")
 
-    if attributes is None:
-        seen: dict[str, None] = {}
-        for record in clean:
-            for key in record:
-                seen.setdefault(key)
-        attributes = list(seen)
+    seen: dict[str, None] = {}
+    for record in clean:
+        for key in record:
+            seen.setdefault(key)
+    attributes = list(seen)
 
     logged_cells: dict[tuple[int, str], str] = {}
     inserted_rows: dict[int, str] = {}

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .exceptions import DatasetFormatError
-from .taxonomy import ABSENT
+from .taxonomy import ABSENT, split_count
 
 LOG_FORMAT_VERSION = "dirtygen-log-v1"
 _LOG_COLUMNS = "dirty_index,clean_index,attribute,error_type,clean_value,dirty_value"
@@ -76,8 +76,7 @@ class DatasetWriter:
     def __init__(self, spec: OutputSpec, which: str, total_count: int):
         self.spec = spec
         self.paths = spec.dataset_paths(which)
-        base, extra = divmod(total_count, spec.shard_count)
-        self._shard_sizes = [base + (1 if s < extra else 0) for s in range(spec.shard_count)]
+        self._shard_sizes = split_count(total_count, spec.shard_count)
         self._shard = 0
         self._written_in_shard = 0
         self._total = 0

@@ -29,6 +29,11 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 _TWO53_INV = 1.0 / (1 << 53)
 
+# Stream.normal's |z| is at most sqrt(-2 ln 2^-53) = sqrt(106 ln 2) ~ 8.5717,
+# since random_open() is at least 2^-53: every draw lies within
+# NORMAL_Z_BOUND standard deviations of its mean.
+NORMAL_Z_BOUND = 9
+
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer: a fixed, well-mixed permutation of 64-bit ints."""

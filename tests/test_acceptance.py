@@ -24,7 +24,7 @@ import pytest
 
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, score, verify_error
 from dirtygen.cli import main as cli_main
-from dirtygen.datagen import generate_clean_dataset
+from dirtygen.datagen import generate_clean_dataset, value_in_domain
 from dirtygen.errorplan import spec_target_count
 from dirtygen.inject import ErrorLogEntry, realized_counts
 from dirtygen.output import encode_record, read_dataset, write_dataset
@@ -231,6 +231,29 @@ def test_property_verifier_soundness(property_runs):
                 dirty_dataset=dirty,
                 clean_dataset=clean,
             ), f"seed {config.seed}: unverifiable entry {entry}"
+
+
+def test_property_clean_values_in_domain(property_runs):
+    # Every clean value is a member of its attribute's resolved domain, by
+    # membership and, where the domain lists its members, by enumeration.
+    config = parse_config(json.dumps(_golden_sources_doc()))
+    runs = [(config, list(generate_clean_dataset(config)))]
+    runs += [(config, clean) for config, clean, *_ in property_runs]
+    for config, clean in runs:
+        for attr in config.schema:
+            domain = attr.domain
+            members = domain.members()
+            if members is not None:
+                # A sequence is unbounded and lists its first tuple_count members.
+                listed = domain.values is None and attr.source is not None and attr.source.kind == "sequence"
+                assert len(members) == (config.tuple_count if listed else domain.size), attr.name
+                members = set(members)
+            for record in clean:
+                value = record[attr.name]
+                if value is None:
+                    continue
+                assert value_in_domain(attr, value, config), (config.seed, attr.name, value)
+                assert members is None or value in members, (config.seed, attr.name, value)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,14 @@ def test_validate_oversubscribed_exit_1(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_validate_deeply_nested_config_exit_1(tmp_path):
+    path = write_config(tmp_path, text="[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli("validate", "--config", str(path))
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_validate_missing_file_exit_1(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "none.json")]) == 1
 

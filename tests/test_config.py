@@ -336,6 +336,33 @@ def test_uniform_range_outside_the_interval_rejected(datatype):
         parse_config(json.dumps(doc))
 
 
+def test_unique_normal_without_probability_mass_rejected():
+    doc = json.loads(make_config_text())
+    doc["schema"][3]["interval"] = [200, 300]  # score: normal(50, 10)
+    parse_config(json.dumps(doc))  # draws are resampled; only a unique attribute needs the mass
+    doc["schema"][3]["unique"] = True
+    with pytest.raises(ConfigError, match="probability mass"):
+        parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("depth", [995, 100_000])
+def test_deeply_nested_document_raises_config_error(depth):
+    with pytest.raises(ConfigError, match="too deeply"):
+        parse_config("[" * depth + "]" * depth)
+
+
+def test_nested_offdomain_value_parses_or_raises_config_error():
+    # An offdomain set value is the one place a config keeps nested JSON; near
+    # the recursion limit it can pass one encoder and not the next.
+    text = make_config_text(errors=[{"type": "irrelevant_observation", "rate": 0.1, "params": {
+        "offdomain": {"city": {"kind": "set", "values": ["@@"]}}}}])
+    for depth in range(900, 1001):
+        try:
+            parse_config(text.replace('"@@"', "[" * depth + "]" * depth))
+        except ConfigError:
+            pass
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

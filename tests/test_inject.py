@@ -186,6 +186,24 @@ def test_noise_formula_with_fixed_epsilon():
     assert abs(epsilon) <= 8 * alpha * sigma
 
 
+def test_noise_verifier_accepts_the_largest_box_muller_draw(base_config):
+    from dirtygen.errortypes import _is_noise
+    from dirtygen.rng import NORMAL_Z_BOUND, Stream
+
+    class Extreme:  # the smallest first uniform, and a second one at which cos is 1
+        def random_open(self):
+            return 2.0**-53
+
+        def random(self):
+            return 0.0
+
+    z = Stream.normal(Extreme(), 0.0, 1.0)
+    assert 8.57 < abs(z) <= NORMAL_Z_BOUND
+    attr, alpha = base_config.attribute("score"), 0.05
+    sigma = attr.domain.stddev
+    assert _is_noise(50.0, 50.0 + 8.5 * alpha * sigma, attr, base_config, {"alpha": alpha})
+
+
 def test_syntax_violation_breaks_pattern():
     doc = {
         "schema": [
