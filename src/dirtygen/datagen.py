@@ -50,7 +50,8 @@ def _index_rule(attr: AttributeSpec, config: GeneratorConfig) -> Callable | None
         return domain.by_index
     if not attr.unique:
         return None
-    perm, at = IndexPermutation(address_key(config.seed, "unique", 0, attr.name), domain.size), domain.at
+    at = domain.at
+    perm = IndexPermutation(address_key(config.seed, "unique", 0, attr.name), domain.size)
     return lambda i: at(perm(i))
 
 

@@ -87,12 +87,12 @@ def resolve(attr, tuple_count: int) -> Domain:
             domain = domain._replace(by_index=_sequence_at(attr))
         return domain
     if src.kind == "sequence":
-        return _sequence(attr, tuple_count)
+        return _sequence_domain(attr, tuple_count)
     if src.kind == "template":
-        return _template(attr)
+        return _template_domain(attr)
     if src.distribution == "normal":
-        return _normal(attr)
-    return _uniform(attr)
+        return _normal_domain(attr)
+    return _uniform_domain(attr)
 
 
 def _resampling(attr, draw: Callable, can_reject: bool) -> Callable:
@@ -122,7 +122,7 @@ def _sequence_at(attr) -> Callable:
     return lambda k: start + k * step
 
 
-def _sequence(attr, tuple_count: int) -> Domain:
+def _sequence_domain(attr, tuple_count: int) -> Domain:
     at, start, step = _sequence_at(attr), attr.source.start, attr.source.step
     span = max(tuple_count, 2)
 
@@ -138,7 +138,7 @@ def _sequence(attr, tuple_count: int) -> Domain:
     return Domain(None if step != 0 else 1, draw, contains, at, tuple_count, by_index=at)
 
 
-def _template(attr) -> Domain:
+def _template_domain(attr) -> Domain:
     template = attr.source.template
     size, regex, satisfies = template_size(template), template_regex(template), attr.satisfies
 
@@ -164,7 +164,7 @@ def _numeric_contains(attr, low=None, high=None) -> Callable:
     return contains
 
 
-def _uniform(attr) -> Domain:
+def _uniform_domain(attr) -> Domain:
     src = attr.source
     # The range is cut to the interval, so only a pattern can reject a draw.
     if attr.datatype == "integer":
@@ -206,7 +206,7 @@ def _uniform(attr) -> Domain:
     )
 
 
-def _normal(attr) -> Domain:
+def _normal_domain(attr) -> Domain:
     mean, stddev = attr.source.mean, attr.source.stddev
     typed = round_half_away if attr.datatype == "integer" else float
     draw = lambda stream: typed(stream.normal(mean, stddev))  # noqa: E731

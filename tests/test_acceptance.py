@@ -236,8 +236,8 @@ def test_property_verifier_soundness(property_runs):
 def test_property_clean_values_in_domain(property_runs):
     # Every clean value is a member of its attribute's resolved domain, by
     # membership and, where the domain lists its members, by enumeration.
-    config = parse_config(json.dumps(_golden_sources_doc()))
-    runs = [(config, list(generate_clean_dataset(config)))]
+    sources = parse_config(json.dumps(_golden_sources_doc()))
+    runs = [(sources, list(generate_clean_dataset(sources)))]
     runs += [(config, clean) for config, clean, *_ in property_runs]
     for config, clean in runs:
         for attr in config.schema:
