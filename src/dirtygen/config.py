@@ -6,8 +6,10 @@ document into a fully validated GeneratorConfig: every lexicon is loaded,
 every constraint cross-checked, every error spec resolved to concrete target
 attributes with type-specific parameters, and rate feasibility proven with
 exact integer target counts. A config that parses is guaranteed to run
-without applicability errors. Each attribute's domain is resolved here, once,
-by the one resolver in domains.py, and stored on its AttributeSpec.
+without applicability errors. The config is the one model of a run and
+nothing changes it afterwards: each attribute's domain (domains.resolve) and
+clean-cell rule (datagen.cell_rule) are resolved here, once, and the config
+is built before the errors section, whose hooks read that same object.
 
 The full grammar is documented in docs/config-reference.md.
 """
@@ -22,8 +24,9 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable
 
+from .datagen import cell_rule
 from .domains import MAX_MEMBERS, Domain, finite, resolve
 from .exceptions import ConfigError, LexiconError
 from .output import OutputSpec
@@ -143,6 +146,8 @@ class AttributeSpec:
     dependency: DependencyRule | None = field(default=None, repr=False, compare=False)
     finite_domain: tuple | None = field(default=None, repr=False, compare=False)
     domain: Domain | None = field(default=None, repr=False, compare=False)
+    # tuple index -> clean value; for a dependent, determinant value -> clean value
+    cell: Callable | None = field(default=None, repr=False, compare=False)
     compiled_pattern: re.Pattern | None = field(default=None, repr=False, compare=False)
 
     def effective_pattern(self) -> re.Pattern | None:
@@ -217,7 +222,6 @@ class GeneratorConfig:
     config_hash: str = ""
     attr_positions: dict = field(default_factory=dict, repr=False, compare=False)
     eval_order: tuple[str, ...] = ()
-    caches: dict = field(default_factory=dict, repr=False, compare=False)
     # (error type, target attribute or None) -> its spec; parse_config proves the keys unique.
     spec_by_target: dict = field(default_factory=dict, repr=False, compare=False)
     attribute_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -690,18 +694,10 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules) -> list[Depende
 # Error specs
 
 
-class _SpecContext(NamedTuple):
-    """What error-spec parsing may consult: the resolved schema and rules."""
-
-    attrs: list
-    by_name: dict
-    tuple_count: int
-    dependencies: list
-
-
-def _parse_errors(errors_raw, ctx: _SpecContext) -> tuple[list[ErrorSpec], dict]:
-    """Parse every error spec, prove each (type, attribute) pair unique and
-    every rate feasible. Returns the specs and their (type, attribute) index."""
+def _parse_errors(errors_raw, config: GeneratorConfig) -> tuple[tuple[ErrorSpec, ...], dict]:
+    """Parse every error spec against the config's resolved schema and rules,
+    prove each (type, attribute) pair unique and every rate feasible. Returns
+    the specs and their (type, attribute) index."""
     from .errortypes import ERROR_TYPES  # the registry imports this module
 
     if errors_raw is None:
@@ -716,7 +712,7 @@ def _parse_errors(errors_raw, ctx: _SpecContext) -> tuple[list[ErrorSpec], dict]
         etype = ERROR_TYPES.get(error_type) if isinstance(error_type, str) else None
         if etype is None:
             _fail(f"errors[{index}]: unknown error type {error_type!r}")
-        typed.append((etype, _parse_error_spec(raw, f"errors[{index}] ({error_type})", etype, ctx)))
+        typed.append((etype, _parse_error_spec(raw, f"errors[{index}] ({error_type})", etype, config)))
 
     spec_by_target = {}
     for index, (etype, spec) in enumerate(typed):
@@ -729,11 +725,11 @@ def _parse_errors(errors_raw, ctx: _SpecContext) -> tuple[list[ErrorSpec], dict]
                 )
             spec_by_target[pair] = spec
 
-    _check_feasibility(ctx, typed)
-    return [spec for _, spec in typed], spec_by_target
+    _check_feasibility(config, typed)
+    return tuple(spec for _, spec in typed), spec_by_target
 
 
-def _parse_error_spec(raw: dict, where: str, etype, ctx: _SpecContext) -> ErrorSpec:
+def _parse_error_spec(raw: dict, where: str, etype, config: GeneratorConfig) -> ErrorSpec:
     rate = _expect_number(raw.get("rate"), f"{where} rate")
     if not 0 <= rate <= 1:
         _fail(f"{where}: rate must be in [0, 1]")
@@ -747,13 +743,13 @@ def _parse_error_spec(raw: dict, where: str, etype, ctx: _SpecContext) -> ErrorS
             if not isinstance(targets_raw, list) or not targets_raw:
                 _fail(f"{where}: attributes must be a non-empty list")
             for name in targets_raw:
-                if not isinstance(name, str) or name not in ctx.by_name:
+                if not isinstance(name, str) or name not in config.attr_positions:
                     _fail(f"{where}: unknown attribute {name!r}")
-                if not etype.applicable(ctx.by_name[name], ctx):
+                if not etype.applicable(config.attribute(name), config):
                     _fail(f"{where}: type not applicable to attribute {name!r}")
             targets = tuple(targets_raw)
         else:
-            targets = tuple(a.name for a in ctx.attrs if etype.applicable(a, ctx))
+            targets = tuple(a.name for a in config.schema if etype.applicable(a, config))
             if not targets:
                 _fail(f"{where}: no attribute in the schema is applicable")
         if etype.single_target and len(targets) != 1:
@@ -770,11 +766,11 @@ def _parse_error_spec(raw: dict, where: str, etype, ctx: _SpecContext) -> ErrorS
     for key, default in etype.defaults.items():
         resolved.setdefault(key, default)
     if etype.parse is not None:
-        etype.parse(resolved, where, ctx)
+        etype.parse(resolved, where, config)
     spec = ErrorSpec(error_type=etype.name, rate=rate, target_attributes=targets, params=resolved)
     if etype.bound is not None:
         for name in etype.targets(spec):
-            if not math.isfinite(etype.bound(ctx.by_name[name], resolved)):
+            if not math.isfinite(etype.bound(config.attribute(name), resolved)):
                 _fail(f"{where}: values injected into {name!r} would exceed the float range")
     return spec
 
@@ -783,8 +779,8 @@ def _parse_error_spec(raw: dict, where: str, etype, ctx: _SpecContext) -> ErrorS
 # Feasibility
 
 
-def _check_feasibility(ctx: _SpecContext, typed: list) -> None:
-    n = ctx.tuple_count
+def _check_feasibility(config: GeneratorConfig, typed: list) -> None:
+    n = config.tuple_count
     row_claims = 0
     for i, (etype, spec) in enumerate(typed):
         if etype.stage == STAGE_ROW:
@@ -795,7 +791,7 @@ def _check_feasibility(ctx: _SpecContext, typed: list) -> None:
                     f"errors claim {row_claims} of {n} tuples"
                 )
     available = n - row_claims
-    per_attr = {a.name: 0 for a in ctx.attrs}
+    per_attr = dict.fromkeys(config.attribute_names, 0)
     for i, (etype, spec) in enumerate(typed):
         if etype.stage not in (STAGE_COLUMN, STAGE_CELL):
             continue
@@ -926,9 +922,7 @@ def parse_config(
                     f"attribute '{attr.name}': synonym key {orphan[0]!r} can "
                     f"never be generated"
                 )
-
-    ctx = _SpecContext(attrs, {a.name: a for a in attrs}, tuple_count, dependencies)
-    specs, spec_by_target = _parse_errors(doc.get("errors", []), ctx)
+        attr.cell = cell_rule(attr, seed)
 
     output_raw = doc.get("output", {})
     output_raw = _expect_mapping(output_raw, "output section")
@@ -947,15 +941,15 @@ def parse_config(
     config = GeneratorConfig(
         schema=tuple(attrs),
         dependencies=tuple(dependencies),
-        errors=tuple(specs),
+        errors=(),
         tuple_count=tuple_count,
         seed=seed,
         scaling=scaling,
         output=output,
         attr_positions={a.name: i for i, a in enumerate(attrs)},
         eval_order=_evaluation_order(attrs),
-        spec_by_target=spec_by_target,
     )
+    config.errors, config.spec_by_target = _parse_errors(doc.get("errors", []), config)
     try:
         config.config_hash = compute_config_hash(config)
     except RecursionError:  # an offdomain set value nested just below the first check's limit

@@ -4,21 +4,23 @@ Every cell is a pure function of (seed, tuple index, attribute): most
 attributes draw from their domain, sequences are index-keyed, and unique
 attributes read position i of a seeded permutation of their value domain.
 Dependent attributes are never sampled; they are looked up through their
-rule from the determinant's generated value. Domains are resolved once, at
-parse time, by the one resolver in domains.py; this module adds the null
-rate, the tuple keys and the permutations, compiled on first use into one
-kernel per attribute kept in config.caches. Any single cell can still be
-regenerated in O(1) without touching its neighbours, which the error planner
-and the injectors rely on, and stream keys are derived as rng documents.
+rule from the determinant's generated value. parse_config resolves each
+attribute's domain (domains.py) and clean-cell rule (cell_rule) once and
+stores both on the AttributeSpec; nothing here keeps state. Any single cell
+can still be regenerated without touching its neighbours, which the error
+planner and the injectors rely on, and stream keys are derived as rng
+documents.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .config import AttributeSpec, GeneratorConfig
 from .exceptions import GenerationError
 from .rng import IndexPermutation, Stream, address_key, stage_key, tuple_key
+
+if TYPE_CHECKING:  # config calls cell_rule while it parses
+    from .config import AttributeSpec, GeneratorConfig
 
 STAGE_CLEAN = "clean"
 
@@ -31,18 +33,10 @@ def distribution_params(attr: AttributeSpec) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Per-attribute kernels
+# Clean-cell rules
 
 
-class _Kernel(NamedTuple):
-    """One attribute's rules, resolved once per run."""
-
-    value: Callable  # (stream, tuple index) -> the clean value drawn from that stream
-    cell: Callable  # tuple index (a dependent: its determinant's value) -> the clean value
-    determinant: str | None
-
-
-def _index_rule(attr: AttributeSpec, config: GeneratorConfig) -> Callable | None:
+def _index_rule(attr: AttributeSpec, seed: int) -> Callable | None:
     """tuple index -> clean value for sequences, and for unique attributes,
     which read a seeded permutation of their domain; None for the rest."""
     domain = attr.domain
@@ -51,41 +45,47 @@ def _index_rule(attr: AttributeSpec, config: GeneratorConfig) -> Callable | None
     if not attr.unique:
         return None
     at = domain.at
-    perm = IndexPermutation(address_key(config.seed, "unique", 0, attr.name), domain.size)
+    perm = IndexPermutation(address_key(seed, "unique", 0, attr.name), domain.size)
     return lambda i: at(perm(i))
 
 
-def _compile(attr: AttributeSpec, config: GeneratorConfig) -> _Kernel:
-    draw, index_rule, null_rate = attr.domain.draw, _index_rule(attr, config), attr.null_rate
+def _value_rule(attr: AttributeSpec, index_rule: Callable | None) -> Callable:
+    """(stream, tuple index) -> the clean value drawn from that stream."""
+    draw, null_rate = attr.domain.draw, attr.null_rate
 
     def value(stream: Stream, tuple_index: int):
         if null_rate > 0 and stream.random() < null_rate:
             return None
         return draw(stream) if index_rule is None else index_rule(tuple_index)
 
+    return value
+
+
+def cell_rule(attr: AttributeSpec, seed: int) -> Callable:
+    """tuple index -> clean value, or for a dependent, determinant value ->
+    clean value; parse_config stores it as attr.cell once the attribute's
+    domain and rule are resolved and validated."""
     if attr.dependency is not None:
         # parse_config proves the mapping total over the determinant's clean
         # values; a null determinant gives a null dependent.
-        mapped = {None: None, **attr.dependency.mapping}.__getitem__
-        return _Kernel(value, mapped, attr.dependency.determinant)
-    base = stage_key(config.seed, STAGE_CLEAN, attr.name)
-    if null_rate > 0:
-        cell = lambda i: value(Stream(tuple_key(base, i)), i)  # noqa: E731
-    elif index_rule is not None:
-        cell = index_rule  # the cell's stream would go unread
-    else:
-        cell = lambda i: draw(Stream(tuple_key(base, i)))  # noqa: E731
-    return _Kernel(value, cell, None)
+        return {None: None, **attr.dependency.mapping}.__getitem__
+    index_rule = _index_rule(attr, seed)
+    base = stage_key(seed, STAGE_CLEAN, attr.name)
+    if attr.null_rate > 0:
+        value = _value_rule(attr, index_rule)
+        return lambda i: value(Stream(tuple_key(base, i)), i)
+    if index_rule is not None:
+        return index_rule  # the cell's stream would go unread
+    draw = attr.domain.draw
+    return lambda i: draw(Stream(tuple_key(base, i)))
 
 
-def _compiled(config: GeneratorConfig) -> tuple[dict, Callable]:
-    """Every attribute's kernel by name, and the record function, which walks
-    eval_order and keys the record in schema order; built on first use."""
-    compiled = config.caches.get("clean_generation")
-    if compiled is not None:
-        return compiled
-    kernels = {a.name: _compile(a, config) for a in config.schema}
-    steps = tuple((name, kernels[name].cell, kernels[name].determinant) for name in config.eval_order)
+def _record_function(config: GeneratorConfig) -> Callable:
+    """tuple index -> the clean record: walks eval_order, keys in schema order."""
+    steps = tuple(
+        (attr.name, attr.cell, None if attr.dependency is None else attr.dependency.determinant)
+        for attr in map(config.attribute, config.eval_order)
+    )
     names = config.attribute_names
     in_schema_order = config.eval_order == names
 
@@ -95,8 +95,7 @@ def _compiled(config: GeneratorConfig) -> tuple[dict, Callable]:
             values[name] = cell(tuple_index if determinant is None else values[determinant])
         return values if in_schema_order else {name: values[name] for name in names}
 
-    compiled = config.caches["clean_generation"] = (kernels, record)
-    return compiled
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,9 @@ def generate_value(
     Unique and sequence sources are index-keyed, so the tuple index matters
     for them; everything else depends only on the stream.
     """
-    return _compiled(config)[0][attr.name].value(stream, tuple_index)
+    # A unique attribute draws no nulls, so its cell rule is its index rule.
+    index_rule = attr.cell if attr.unique else attr.domain.by_index
+    return _value_rule(attr, index_rule)(stream, tuple_index)
 
 
 def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:
@@ -131,23 +132,23 @@ def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, 
         _memo = {}
     elif attribute in _memo:
         return _memo[attribute]
-    kernel = (config.caches.get("clean_generation") or _compiled(config))[0][attribute]
-    if kernel.determinant is None:
-        value = kernel.cell(tuple_index)
+    attr = config.attribute(attribute)
+    if attr.dependency is None:
+        value = attr.cell(tuple_index)
     else:
-        value = kernel.cell(clean_cell_value(config, tuple_index, kernel.determinant, _memo))
+        value = attr.cell(clean_cell_value(config, tuple_index, attr.dependency.determinant, _memo))
     _memo[attribute] = value
     return value
 
 
 def generate_record(config: GeneratorConfig, tuple_index: int) -> dict:
     """One clean record, keys in schema order."""
-    return _compiled(config)[1](tuple_index)
+    return _record_function(config)(tuple_index)
 
 
 def generate_clean_dataset(config: GeneratorConfig) -> Iterator[dict]:
     """All tuple_count records in index order; memory does not grow with N."""
-    record = _compiled(config)[1]
+    record = _record_function(config)
     for i in range(config.tuple_count):
         yield record(i)
 

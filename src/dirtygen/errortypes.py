@@ -72,6 +72,8 @@ class ErrorType:
       `(clean_record, dirty_record, config, params, clean_dataset)`.
     - eligible, the planner's test of one candidate: `(config, spec, row,
       attribute, claims)`, returning extra PlanEntry fields, or None to skip.
+    - applicable `(attr, config)`, parse `(params, where, config)` and bound
+      `(attr, params)`: parse_config calls them with the run's own config.
     """
 
     name: str
@@ -80,10 +82,10 @@ class ErrorType:
     verify: Callable
     verify_marker: Callable | None = None
     per_tuple: bool = False  # the rate counts tuples, not target cells
-    applicable: Callable | None = None  # (attr, ctx) -> bool; None: takes no target attributes
+    applicable: Callable | None = None  # (attr, config) -> bool; None: takes no target attributes
     single_target: bool = False
     params: dict = field(default_factory=dict)  # accepted key -> default (None: no default)
-    parse: Callable | None = None  # (params, where, ctx): validates and completes params in place
+    parse: Callable | None = None  # (params, where, config): validates, completes params in place
     targets: Callable = lambda spec: spec.target_attributes
     needs_value: bool = True  # the planner skips cells whose clean value is null
     eligible: Callable | None = None
@@ -243,6 +245,17 @@ def _break_pattern(text: str, pattern, stream: Stream) -> str:
     )
 
 
+def _in_some_domain(text: str, config) -> bool:
+    """Does some attribute's effective pattern or listed domain take the text?"""
+    for attr in config.schema:
+        pattern = attr.effective_pattern()
+        if pattern is not None and pattern.fullmatch(text):
+            return True
+        if attr.finite_domain is not None and text in attr.finite_domain:
+            return True
+    return False
+
+
 def _meaningless(config, stream: Stream, avoid) -> str:
     for _ in range(_RETRY_LIMIT):
         length = 3 + stream.randrange(8)
@@ -250,16 +263,8 @@ def _meaningless(config, stream: Stream, avoid) -> str:
             _MEANINGLESS_ALPHABET[stream.randrange(len(_MEANINGLESS_ALPHABET))]
             for _ in range(length)
         )
-        if text == avoid:
-            continue
-        if any(
-            a.effective_pattern() is not None and a.effective_pattern().fullmatch(text)
-            for a in config.schema
-        ):
-            continue
-        if any(a.finite_domain is not None and text in a.finite_domain for a in config.schema):
-            continue
-        return text
+        if text != avoid and not _in_some_domain(text, config):
+            return text
     raise GenerationError("could not produce a meaningless value outside every domain")
 
 
@@ -298,21 +303,14 @@ def _is_number(value) -> bool:
 def _positive(key: str) -> Callable:
     """Param parser: params[key] must be a positive number."""
 
-    def parse(params: dict, where: str, ctx) -> None:
+    def parse(params: dict, where: str, config) -> None:
         if _expect_number(params[key], f"{where} {key}") <= 0:
             _fail(f"{where}: {key} must be positive")
 
     return parse
 
 
-def _per_config(config, key: str, compute: Callable):
-    """compute(), memoized in config.caches: planner checks run once per candidate."""
-    if key not in config.caches:
-        config.caches[key] = compute()
-    return config.caches[key]
-
-
-def _always(attr, ctx) -> bool:
+def _always(attr, config) -> bool:
     return True
 
 
@@ -420,13 +418,7 @@ def _is_meaningless(clean, dirty, attr, config, *_) -> bool:
         return False
     if any(ch not in _MEANINGLESS_ALPHABET for ch in dirty):
         return False
-    for other in config.schema:
-        pattern = other.effective_pattern()
-        if pattern is not None and pattern.fullmatch(dirty):
-            return False
-        if other.finite_domain is not None and dirty in other.finite_domain:
-            return False
-    return True
+    return not _in_some_domain(dirty, config)
 
 
 def _erroneous_entry(clean, attr, stream, config, *_):
@@ -441,7 +433,7 @@ def _plausible_but_wrong(clean, dirty, attr, config, *_) -> bool:
     return dirty != clean and value_in_domain(attr, dirty, config)
 
 
-def _has_alternative(attr, ctx) -> bool:
+def _has_alternative(attr, config) -> bool:
     size = attr.domain.size
     return size is None or size >= 2
 
@@ -497,7 +489,7 @@ def _is_synonym(clean, dirty, attr, *_) -> bool:
     return attr.synonyms is not None and clean in attr.synonyms and dirty in attr.synonyms[clean]
 
 
-def _distribution_sourced(attr, ctx) -> bool:
+def _distribution_sourced(attr, config) -> bool:
     return attr.domain.mean is not None
 
 
@@ -586,22 +578,22 @@ def _bias_shortfall(spec, index: int, placed: int, count: int) -> str:
     )
 
 
-def _parse_bias(params: dict, where: str, ctx) -> None:
+def _parse_bias(params: dict, where: str, config) -> None:
     for key in ("group_attribute", "group_value", "target_attribute"):
         if key not in params:
             _fail(f"{where}: params require {key}")
     group_attr = params["group_attribute"]
     target_attr = params["target_attribute"]
-    if not isinstance(group_attr, str) or group_attr not in ctx.by_name:
+    if not isinstance(group_attr, str) or group_attr not in config.attr_positions:
         _fail(f"{where}: unknown group attribute {group_attr!r}")
-    if not isinstance(target_attr, str) or target_attr not in ctx.by_name:
+    if not isinstance(target_attr, str) or target_attr not in config.attr_positions:
         _fail(f"{where}: unknown target attribute {target_attr!r}")
     if group_attr == target_attr:
         _fail(f"{where}: group and target attribute must differ")
     params["group_value"] = _coerce(
-        params["group_value"], ctx.by_name[group_attr].datatype, f"{where} group_value"
+        params["group_value"], config.attribute(group_attr).datatype, f"{where} group_value"
     )
-    target = ctx.by_name[target_attr]
+    target = config.attribute(target_attr)
     weights = params.get("skewed_weights")
     if weights is None:
         if target.domain.mean is None:
@@ -650,9 +642,7 @@ def _non_null_cells(config, row: int) -> int:
 
 
 def _can_empty(config, spec, row, attribute, claims) -> dict | None:
-    nullable = _per_config(
-        config, "nullable_anywhere", lambda: any(may_be_null(a, config) for a in config.schema)
-    )
+    nullable = any(may_be_null(a, config) for a in config.schema)
     if nullable and _non_null_cells(config, row) < 2:
         return None
     return {}
@@ -680,24 +670,22 @@ def _is_semi_empty(clean_record, dirty_record, config, params, clean_dataset) ->
     return len(nulled) == expected and len(kept) >= 1
 
 
-def _parse_semi_empty(params: dict, where: str, ctx) -> None:
+def _parse_semi_empty(params: dict, where: str, config) -> None:
     fraction = _expect_number(params["empty_fraction"], f"{where} empty_fraction")
     if not 0 < fraction < 1:
         _fail(f"{where}: empty_fraction must be in (0, 1)")
-    if len(ctx.attrs) < 2:
+    if len(config.schema) < 2:
         _fail(f"{where}: needs at least two attributes in the schema")
 
 
-def _violable(rule) -> bool:
-    return len(set(rule.mapping.values())) >= 2
+def _breakable_rules(config) -> list[int]:
+    """Indices of the rules whose dependent takes at least two values."""
+    sizes = [config.attribute(rule.dependent).domain.size for rule in config.dependencies]
+    return [i for i, size in enumerate(sizes) if size >= 2]
 
 
 def _choose_rule(config, spec, row, attribute, claims) -> dict | None:
-    violable = _per_config(
-        config,
-        "violable_rules",
-        lambda: [i for i, rule in enumerate(config.dependencies) if _violable(rule)],
-    )
+    violable = _breakable_rules(config)
     stream = derive_stream(config.seed, "plan:inconsistency_among_attribute_values", row)
     rule_index = violable[stream.randrange(len(violable))]
     rule = config.dependencies[rule_index]
@@ -712,7 +700,7 @@ def _choose_rule(config, spec, row, attribute, claims) -> dict | None:
 def _break_rule(record, config, stream, params, entry) -> list:
     rule = config.dependencies[entry.rule_index]
     current = record[rule.dependent]
-    alternatives = sorted({v for v in rule.mapping.values() if v != current}, key=repr)
+    alternatives = [v for v in config.attribute(rule.dependent).domain.values if v != current]
     return [(rule.dependent, current, alternatives[stream.randrange(len(alternatives))])]
 
 
@@ -733,26 +721,16 @@ def _breaks_a_rule(clean_record, dirty_record, config, params, clean_dataset) ->
 
 
 def _breaks_rule_cell(clean, dirty, attr, config, params, clean_record, dirty_record, _) -> bool:
-    for rule in config.dependencies:
-        if rule.dependent != attr.name:
-            continue
-        det = dirty_record.get(rule.determinant, ABSENT)
-        if det is ABSENT or det is None:
-            continue
-        expected = rule.mapping.get(det)
-        dirty_value = dirty_record.get(attr.name, ABSENT)
-        if (
-            expected is not None
-            and dirty_value != expected
-            and dirty_value in set(rule.mapping.values())
-            and clean_record.get(attr.name) == rule.mapping.get(clean_record.get(rule.determinant))
-        ):
-            return True
-    return False
+    """The dependent's dirty value is another of its rule's images, and the rule is broken."""
+    return (
+        attr.dependency is not None
+        and dirty_record.get(attr.name, ABSENT) in attr.domain.values
+        and _rule_violated(attr.dependency, clean_record, dirty_record)
+    )
 
 
-def _parse_inconsistency_among(params: dict, where: str, ctx) -> None:
-    if not any(_violable(rule) for rule in ctx.dependencies):
+def _parse_inconsistency_among(params: dict, where: str, config) -> None:
+    if not _breakable_rules(config):
         _fail(
             f"{where}: no dependency rule with at least two distinct dependent values "
             f"is declared"
@@ -797,18 +775,18 @@ def _all_out_of_domain(clean_record, dirty_record, config, params, clean_dataset
     )
 
 
-def _parse_offdomain(params: dict, where: str, ctx) -> None:
+def _parse_offdomain(params: dict, where: str, config) -> None:
     offdomain = params.get("offdomain")
     if offdomain is None:
         return
     offdomain = _expect_mapping(offdomain, f"{where} offdomain")
     parsed = {}
     for name, source_raw in offdomain.items():
-        if name not in ctx.by_name:
+        if name not in config.attr_positions:
             _fail(f"{where}: offdomain names unknown attribute {name!r}")
         # A stand-in attribute that draws from the bare source.
         carrier = AttributeSpec(name, "string", _parse_source(source_raw, f"{name} (offdomain)", None))
-        carrier.domain = resolve(carrier, ctx.tuple_count)
+        carrier.domain = resolve(carrier, config.tuple_count)
         parsed[name] = carrier
     params["offdomain"] = parsed
 
@@ -859,7 +837,7 @@ def _duplicates_a_tuple(clean_record, dirty_record, config, params, clean_datase
     return False
 
 
-def _parse_redundancy(params: dict, where: str, ctx) -> None:
+def _parse_redundancy(params: dict, where: str, config) -> None:
     near = params["near_duplicate"]
     if not isinstance(near, bool):
         _fail(f"{where}: near_duplicate must be a boolean")
@@ -867,7 +845,7 @@ def _parse_redundancy(params: dict, where: str, ctx) -> None:
     if perturbed < 0:
         _fail(f"{where}: perturbed_attributes must be >= 0")
     if near and perturbed > 0 and not any(
-        not a.unique and a.datatype == "string" for a in ctx.attrs
+        not a.unique and a.datatype == "string" for a in config.schema
     ):
         _fail(f"{where}: near-duplicate mode needs a non-unique string attribute to misspell")
 
@@ -903,8 +881,8 @@ def _conflicts_with_a_tuple(clean_record, dirty_record, config, params, clean_da
     return False
 
 
-def _parse_inconsistency_about(params: dict, where: str, ctx) -> None:
-    if not any(not a.unique and _has_alternative(a, ctx) for a in ctx.attrs):
+def _parse_inconsistency_about(params: dict, where: str, config) -> None:
+    if not any(not a.unique and _has_alternative(a, config) for a in config.schema):
         _fail(f"{where}: no non-unique attribute offers an alternative valid value")
 
 
@@ -919,30 +897,30 @@ _RECORDS = (
         "syntax_violation", STAGE_CELL,
         _syntax_violation,
         _violates_pattern,
-        applicable=lambda attr, ctx: attr.effective_pattern() is not None,
+        applicable=lambda attr, config: attr.effective_pattern() is not None,
     ),
     ErrorType(
         "interval_violation", STAGE_CELL, _interval_violation, _outside_interval,
-        applicable=lambda attr, ctx: attr.interval is not None,
+        applicable=lambda attr, config: attr.interval is not None,
     ),
     ErrorType(
         "set_violation", STAGE_CELL, _set_violation,
         _outside_set,
-        applicable=lambda attr, ctx: attr.admissible_set is not None,
+        applicable=lambda attr, config: attr.admissible_set is not None,
     ),
     ErrorType(
         "misspelling", STAGE_CELL,
         lambda clean, attr, stream, *_: misspell(clean, stream),
         _misspelled,
-        applicable=lambda attr, ctx: attr.datatype == "string",
+        applicable=lambda attr, config: attr.datatype == "string",
     ),
     ErrorType(
         "inadequate_value_to_attribute_context", STAGE_CELL, _inadequate_value, _from_other_domain,
-        applicable=lambda attr, ctx: bool(_other_attributes(attr, ctx.attrs, distinct_source=True)),
+        applicable=lambda attr, config: bool(_other_attributes(attr, config.schema, distinct_source=True)),
     ),
     ErrorType(
         "value_items_beyond_attribute_context", STAGE_CELL, _items_beyond, _has_extra_items,
-        applicable=lambda attr, ctx: attr.datatype == "string" and len(ctx.attrs) >= 2,
+        applicable=lambda attr, config: attr.datatype == "string" and len(config.schema) >= 2,
     ),
     ErrorType(
         "meaningless_value", STAGE_CELL,
@@ -958,13 +936,13 @@ _RECORDS = (
         "uniqueness_value_violation", STAGE_COLUMN,
         _copy_donor,
         _duplicated,
-        applicable=lambda attr, ctx: attr.unique and ctx.tuple_count >= 2,
+        applicable=lambda attr, config: attr.unique and config.tuple_count >= 2,
         eligible=_with_donor,
         claims_donor=True,
     ),
     ErrorType(
         "synonyms_existence", STAGE_COLUMN, _synonym, _is_synonym,
-        applicable=lambda attr, ctx: bool(attr.synonyms),
+        applicable=lambda attr, config: bool(attr.synonyms),
         eligible=_has_synonym,
     ),
     ErrorType(
