@@ -593,30 +593,38 @@ def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
 
 
 def _validate_sequence_interval(attr: AttributeSpec, tuple_count: int) -> None:
-    if not isinstance(attr.source, SequenceSource) or attr.interval is None or tuple_count == 0:
+    """A sequence's first tuple_count values, its clean values, must lie in
+    the interval and in the admissible set."""
+    if not isinstance(attr.source, SequenceSource) or tuple_count == 0:
         return
-    first = attr.source.start
-    last = attr.source.start + (tuple_count - 1) * attr.source.step
-    lo, hi = attr.interval
-    if not (lo <= first <= hi and lo <= last <= hi):
-        _fail(
-            f"attribute '{attr.name}': the sequence leaves the interval "
-            f"[{lo}, {hi}] within {tuple_count} tuples"
-        )
+    at = attr.domain.by_index
+    if attr.interval is not None:
+        lo, hi = attr.interval
+        if not (lo <= at(0) <= hi and lo <= at(tuple_count - 1) <= hi):
+            _fail(
+                f"attribute '{attr.name}': the sequence leaves the interval "
+                f"[{lo}, {hi}] within {tuple_count} tuples"
+            )
+    members = attr.admissible_set
+    if members is not None:
+        # Stops at the first miss: distinct values (step != 0) reach one
+        # within len(members) + 1 tuples.
+        miss = next((k for k in range(tuple_count) if at(k) not in members), None)
+        if miss is not None:
+            _fail(
+                f"attribute '{attr.name}': sequence value {at(miss)!r} of tuple "
+                f"{miss} is outside the admissible_set"
+            )
 
 
 # ---------------------------------------------------------------------------
 # Dependencies
 
 
-def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules) -> list[DependencyRule]:
+def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> list[DependencyRule]:
     by_name = {a.name: a for a in attrs}
     rules: list[DependencyRule] = []
     dependents_seen = set()
-    if raw_rules is None:
-        raw_rules = []
-    if not isinstance(raw_rules, list):
-        _fail("dependencies must be a list")
     for raw in raw_rules:
         raw = _expect_mapping(raw, "dependency rule")
         _expect_keys(raw, {"determinant", "dependent", "mapping"}, "dependency rule")
@@ -651,15 +659,18 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules) -> list[Depende
         by_name[dep].domain = finite(tuple(sorted(set(mapping.values()), key=repr)))
         rules.append(rule)
 
-    # Cycle check: walk determinant chains.
+    # Cycle check: walk determinant chains, each up to the first attribute
+    # an earlier walk has already followed to its end.
+    acyclic: set[str] = set()
     for attr in attrs:
         seen = set()
         cursor = attr
-        while cursor.dependency is not None:
+        while cursor.dependency is not None and cursor.name not in acyclic:
             if cursor.name in seen:
                 _fail(f"dependency rules form a cycle involving {cursor.name!r}")
             seen.add(cursor.name)
             cursor = by_name[cursor.dependency.determinant]
+        acyclic |= seen
 
     # Totality and image validity; every rule is attached, so a chained
     # determinant's domain is its own rule's images.
@@ -881,13 +892,19 @@ def parse_config(
         dupe = next(n for n in names if names.count(n) > 1)
         _fail(f"duplicate attribute name: {dupe!r}")
 
+    raw_rules = doc.get("dependencies")
+    if raw_rules is None:
+        raw_rules = []
+    if not isinstance(raw_rules, list):
+        _fail("dependencies must be a list")
+    # The names rules declare as dependents; the rules are checked below.
+    dependents = {
+        r.get("dependent") for r in raw_rules if isinstance(r, dict) and isinstance(r.get("dependent"), str)
+    }
+
     # Column replication: clone attributes (not dependency rules) with
     # suffixed names before any further validation.
     if replication > 0:
-        dependents = {
-            _expect_mapping(r, "dependency rule").get("dependent")
-            for r in doc.get("dependencies") or []
-        }
         clones = []
         for attr in attrs:
             if attr.name in dependents:
@@ -904,12 +921,12 @@ def parse_config(
         names = [a.name for a in attrs]
 
     for attr in attrs:
-        if attr.source is None and not _is_dependent(attr.name, doc.get("dependencies")):
+        if attr.source is None and attr.name not in dependents:
             _fail(f"attribute '{attr.name}' declares no value source and no dependency rule")
         if attr.source is not None:
             _resolve_domain(attr, tuple_count)
 
-    dependencies = _resolve_dependencies(attrs, doc.get("dependencies"))
+    dependencies = _resolve_dependencies(attrs, raw_rules)
 
     for attr in attrs:
         _validate_sequence_interval(attr, tuple_count)
@@ -957,29 +974,18 @@ def parse_config(
     return config
 
 
-def _is_dependent(name: str, raw_rules) -> bool:
-    for raw in raw_rules or []:
-        if isinstance(raw, dict) and raw.get("dependent") == name:
-            return True
-    return False
-
-
 def _evaluation_order(attrs: list[AttributeSpec]) -> tuple[str, ...]:
     """Schema order with every determinant placed before its dependents."""
     order: list[str] = []
     placed: set[str] = set()
     by_name = {a.name: a for a in attrs}
-
-    def place(attr: AttributeSpec):
-        if attr.name in placed:
-            return
-        if attr.dependency is not None:
-            place(by_name[attr.dependency.determinant])
-        placed.add(attr.name)
-        order.append(attr.name)
-
     for attr in attrs:
-        place(attr)
+        chain = []  # attr and its determinants not yet placed, nearest first
+        while attr is not None and attr.name not in placed:
+            placed.add(attr.name)  # rules form no cycle, so the walk ends
+            chain.append(attr.name)
+            attr = None if attr.dependency is None else by_name[attr.dependency.determinant]
+        order.extend(reversed(chain))
     return tuple(order)
 
 

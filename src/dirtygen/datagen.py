@@ -127,17 +127,21 @@ def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:
 
 
 def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, _memo=None):
-    """Regenerate the clean value of one cell in O(1)."""
+    """Regenerate the clean value of one cell in O(1) per determinant above it;
+    _memo holds the tuple's values already known, and gains those computed."""
     if _memo is None:
         _memo = {}
-    elif attribute in _memo:
-        return _memo[attribute]
-    attr = config.attribute(attribute)
-    if attr.dependency is None:
-        value = attr.cell(tuple_index)
-    else:
-        value = attr.cell(clean_cell_value(config, tuple_index, attr.dependency.determinant, _memo))
-    _memo[attribute] = value
+    dependents = []  # the walk up the determinant chain, nearest first
+    while attribute not in _memo:
+        attr = config.attribute(attribute)
+        if attr.dependency is None:
+            _memo[attribute] = attr.cell(tuple_index)
+            break
+        dependents.append(attr)
+        attribute = attr.dependency.determinant
+    value = _memo[attribute]
+    for attr in reversed(dependents):
+        value = _memo[attr.name] = attr.cell(value)
     return value
 
 

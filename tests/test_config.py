@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtygen import ConfigError, GeneratorConfig, LexiconError, load_lexicon, parse_config
+from dirtygen import (
+    ConfigError,
+    GeneratorConfig,
+    LexiconError,
+    generate_clean_dataset,
+    load_lexicon,
+    parse_config,
+)
 from dirtygen.config import compute_config_hash
 from dirtygen.errortypes import ALL_ERROR_TYPES, ERROR_TYPES
 
+from checker import check_dataset
 from conftest import make_config_text
 
 
@@ -336,6 +344,39 @@ def test_uniform_range_outside_the_interval_rejected(datatype):
         parse_config(json.dumps(doc))
 
 
+def _sequence_text(tuple_count: int, datatype: str = "integer", start=1, step=1, **constraint) -> str:
+    attr = {"name": "s", "datatype": datatype, "source": {"kind": "sequence", "start": start, "step": step}}
+    return json.dumps({"schema": [dict(attr, **constraint)], "generation": {"tuple_count": tuple_count}})
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        pytest.param(_sequence_text(10, interval=[1, 10]), None, id="interval-inside"),
+        pytest.param(_sequence_text(10, interval=[1, 9]), "leaves the interval", id="interval-above"),
+        pytest.param(_sequence_text(10, interval=[2, 10]), "leaves the interval", id="interval-below"),
+        pytest.param(_sequence_text(10, start=10, step=-1, interval=[1, 10]), None, id="interval-descending"),
+        pytest.param(_sequence_text(5, admissible_set=[1, 2, 3, 4, 5]), None, id="set-inside"),
+        pytest.param(_sequence_text(10, admissible_set=[5, 4, 3, 2, 1]),
+                     "value 6 of tuple 5 is outside the admissible_set", id="set-left"),
+        pytest.param(_sequence_text(3, admissible_set=[2, 3, 4]), "value 1 of tuple 0 is outside", id="set-start"),
+        pytest.param(_sequence_text(50, step=0, admissible_set=[1]), None, id="set-constant"),
+        pytest.param(_sequence_text(3, "float", 0.5, 0.25, admissible_set=[0.5, 0.75, 1.0]), None, id="set-float"),
+        pytest.param(_sequence_text(4, "float", 0.5, 0.25, admissible_set=[0.5, 0.75, 1.0]),
+                     "value 1.25 of tuple 3", id="set-float-left"),
+    ],
+)
+def test_sequence_clean_values_stay_in_interval_and_admissible_set(text, error):
+    # A sequence's clean values follow the sequence even under an admissible
+    # set, so a sequence that leaves the set or the interval is rejected.
+    if error is not None:
+        with pytest.raises(ConfigError, match=error):
+            parse_config(text)
+        return
+    config = parse_config(text)
+    assert check_dataset(list(generate_clean_dataset(config)), config) == []
+
+
 def test_unique_normal_without_probability_mass_rejected():
     doc = json.loads(make_config_text())
     doc["schema"][3]["interval"] = [200, 300]  # score: normal(50, 10)
@@ -375,6 +416,9 @@ def test_nested_offdomain_value_parses_or_raises_config_error():
         _error({"type": "bias", "rate": 0.1, "params": dict(_BIAS_ON_SCORE, group_attribute=["city"], group_value=1)}),
         _error({"type": "irrelevant_observation", "rate": 0.1, "params": {"offdomain": {"city": {"kind": "lexicon", "name": ["x"]}}}}),
         _error({"type": "bias", "rate": 0.1, "params": {"group_attribute": "city", "group_value": "\ud800", "target_attribute": "age"}}),
+        lambda doc: doc.__setitem__("dependencies", 5),
+        lambda doc: (doc["generation"].__setitem__("scaling", {"column_replication": 1}),
+                     doc["dependencies"][0].__setitem__("dependent", ["zip"])),
     ],
 )
 def test_malformed_values_raise_config_error(mutate):

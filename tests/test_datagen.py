@@ -5,6 +5,7 @@ import pytest
 
 from dirtygen import GenerationError, generate_clean_dataset, generate_record, parse_config
 from dirtygen.datagen import clean_cell_value, distribution_params, value_in_domain
+from dirtygen.cli import main as cli_main
 from dirtygen.rng import derive_stream
 
 from checker import check_dataset, check_record
@@ -261,3 +262,39 @@ def test_stream_independence_from_attribute_order():
     from dirtygen.datagen import generate_value
 
     assert generate_value(config.attribute("age"), stream, config=config, tuple_index=17) == direct
+
+
+def _chain_doc(length: int, dependents_first: bool) -> dict:
+    # a0 -> a1 -> ... -> a(length-1), each rule swapping x and y.
+    schema = [{"name": "a0", "datatype": "string", "source": {"kind": "set", "values": ["x", "y"]}}]
+    schema += [{"name": f"a{i}", "datatype": "string"} for i in range(1, length)]
+    if dependents_first:
+        schema.reverse()
+    rules = [
+        {"determinant": f"a{i - 1}", "dependent": f"a{i}", "mapping": {"x": "y", "y": "x"}}
+        for i in range(1, length)
+    ]
+    return {
+        "schema": schema,
+        "dependencies": rules,
+        "errors": [{"type": "inconsistency_among_attribute_values", "rate": 0.1}],
+        "generation": {"tuple_count": 20, "seed": 5},
+    }
+
+
+@pytest.mark.parametrize("dependents_first", [False, True], ids=["determinants-first", "dependents-first"])
+def test_dependency_chain_longer_than_the_recursion_limit(dependents_first, tmp_path):
+    # Chains are walked by loops: parsing, cell regeneration (the planner's
+    # path) and record generation all handle a chain deeper than the
+    # interpreter's recursion limit.
+    length = 1500
+    doc = _chain_doc(length, dependents_first)
+    config = parse_config(json.dumps(doc))
+    deepest = f"a{length - 1}"
+    for i in range(config.tuple_count):
+        record = generate_record(config, i)
+        assert clean_cell_value(config, i, deepest) == record[deepest]
+        assert record[deepest] == ("x" if record["a0"] == "y" else "y")  # an odd number of swaps
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -531,3 +531,45 @@ def test_ground_truth_consistency_base_rows(config_with_errors):
         if clean[i].get(a, ABSENT) != dirty[i].get(a, ABSENT)
     }
     assert diffs == logged
+
+
+def test_semi_empty_with_nulls_categorical_bias_and_float_interval_verify():
+    # Semi-empty tuples on a schema with clean nulls (the planner counts each
+    # row's non-null cells), bias by skewed_weights on a set attribute, and
+    # interval violations of a float attribute: every entry verifies against
+    # the datasets.
+    doc = {
+        "schema": [
+            {"name": "id", "datatype": "integer", "source": {"kind": "sequence", "start": 1, "step": 1}, "unique": True},
+            {"name": "city", "datatype": "string", "source": {"kind": "set", "values": ["Berlin", "Munich", "Hamburg"]},
+             "nullable_in_clean": True, "null_rate": 0.2},
+            {"name": "grade", "datatype": "string", "source": {"kind": "set", "values": ["A", "B", "C", "D"]}},
+            {"name": "temp", "datatype": "float",
+             "source": {"kind": "numeric", "distribution": "uniform", "min": -5.0, "max": 35.0}, "interval": [-5.0, 35.0]},
+            {"name": "name", "datatype": "string", "source": {"kind": "lexicon", "name": "first_names"},
+             "nullable_in_clean": True, "null_rate": 0.5},
+        ],
+        "errors": [
+            {"type": "semi_empty_tuple", "rate": 0.1},
+            {"type": "bias", "rate": 0.2, "params": {"group_attribute": "city", "group_value": "Berlin",
+                                                     "target_attribute": "grade", "skewed_weights": {"A": 8, "B": 1, "C": 1}}},
+            {"type": "interval_violation", "rate": 0.1, "attributes": ["temp"]},
+        ],
+        "generation": {"tuple_count": 200, "seed": 3},
+    }
+    config = parse_config(json.dumps(doc))
+    clean = list(generate_clean_dataset(config))
+    plan = plan_errors(config)
+    assert plan.warnings == ()
+    dirty, log = apply_plan(clean, plan, config)
+    assert realized_counts(log) == {"semi_empty_tuple": 20, "bias": 40, "interval_violation": 20}
+    assert any(None in record.values() for record in clean)
+    for entry in log:
+        if entry.error_type == "bias":
+            assert entry.dirty_value in ("A", "B", "C") and entry.dirty_value != entry.clean_value
+        if entry.error_type == "interval_violation":
+            assert isinstance(entry.dirty_value, float) and not -5.0 <= entry.dirty_value <= 35.0
+        clean_record = None if entry.clean_tuple_index is None else clean[entry.clean_tuple_index]
+        assert verify_error(
+            entry, clean_record, dirty[entry.dirty_tuple_index], config, dirty_dataset=dirty, clean_dataset=clean
+        ), entry
