@@ -629,9 +629,9 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> list[D
         raw = _expect_mapping(raw, "dependency rule")
         _expect_keys(raw, {"determinant", "dependent", "mapping"}, "dependency rule")
         det, dep = raw.get("determinant"), raw.get("dependent")
-        if det not in by_name:
+        if not isinstance(det, str) or det not in by_name:
             _fail(f"dependency rule: unknown determinant attribute {det!r}")
-        if dep not in by_name:
+        if not isinstance(dep, str) or dep not in by_name:
             _fail(f"dependency rule: unknown dependent attribute {dep!r}")
         if det == dep:
             _fail(f"dependency rule: determinant and dependent are both {det!r}")
@@ -899,7 +899,9 @@ def parse_config(
         _fail("dependencies must be a list")
     # The names rules declare as dependents; the rules are checked below.
     dependents = {
-        r.get("dependent") for r in raw_rules if isinstance(r, dict) and isinstance(r.get("dependent"), str)
+        r.get("dependent")
+        for r in raw_rules
+        if isinstance(r, dict) and isinstance(r.get("dependent"), str)
     }
 
     # Column replication: clone attributes (not dependency rules) with

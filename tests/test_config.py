@@ -419,6 +419,9 @@ def test_nested_offdomain_value_parses_or_raises_config_error():
         lambda doc: doc.__setitem__("dependencies", 5),
         lambda doc: (doc["generation"].__setitem__("scaling", {"column_replication": 1}),
                      doc["dependencies"][0].__setitem__("dependent", ["zip"])),
+        lambda doc: doc["dependencies"][0].__setitem__("determinant", ["city"]),
+        lambda doc: (doc["schema"][5].__setitem__("source", {"kind": "set", "values": ["10115"]}),
+                     doc["dependencies"][0].__setitem__("dependent", ["zip"])),
     ],
 )
 def test_malformed_values_raise_config_error(mutate):
