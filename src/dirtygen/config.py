@@ -1,17 +1,27 @@
 """Run-configuration parsing and validation.
 
 A run is described by one JSON document with sections `schema`,
-`dependencies`, `errors`, `generation`, and `output`. parse_config turns the
-document into a fully validated GeneratorConfig: every lexicon is loaded,
-every constraint cross-checked, every error spec resolved to concrete target
-attributes with type-specific parameters, and rate feasibility proven with
-exact integer target counts. A config that parses is guaranteed to run
-without applicability errors. The config is the one model of a run and
-nothing changes it afterwards: each attribute's domain (domains.resolve) and
-clean-cell rule (datagen.cell_rule) are resolved here, once, and the config
-is built before the errors section, whose hooks read that same object.
+`dependencies`, `errors`, `generation`, and `output`. Its grammar is declared
+once, below: every key of every section, of each value-source kind and of
+each error type's params is one Field entry with its JSON type, its default
+and its bound, and ErrorType.params (errortypes.py) holds such entries. One
+walker enforces the grammar and raises every shape, type and bound
+ConfigError; the hand-written checks that follow only relate several keys
+(constraint interactions, domains, dependencies, uniqueness, sequences,
+feasibility, and the attribute names an error spec refers to).
 
-The full grammar is documented in docs/config-reference.md.
+parse_config turns the document into a fully validated GeneratorConfig:
+every lexicon is loaded, every constraint cross-checked, every error spec
+resolved to concrete target attributes with type-specific parameters, and
+rate feasibility proven with exact integer target counts. A config that
+parses is guaranteed to run without applicability errors. The config is the
+one model of a run and nothing changes it afterwards: each attribute's domain
+(domains.resolve) and clean-cell rule (datagen.cell_rule) are resolved here,
+once, and the config is built before the errors section, whose hooks read
+that same object.
+
+docs/config-reference.md explains the grammar; its tables are checked
+against this one.
 """
 
 from __future__ import annotations
@@ -21,10 +31,11 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .datagen import cell_rule
 from .domains import MAX_MEMBERS, Domain, finite, resolve
@@ -36,9 +47,6 @@ from .templates import template_regex
 
 BUNDLED_LEXICONS = ("first_names", "last_names", "cities", "streets", "words")
 LEXICON_DIR_ENV = "DIRTYGEN_LEXICON_DIR"
-
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 
 # ---------------------------------------------------------------------------
 # Value sources
@@ -169,6 +177,35 @@ class AttributeSpec:
                 return False
         return True
 
+    def typed(self, value, what: str):
+        """A JSON scalar as a value of the attribute's datatype; a mismatch is a ConfigError."""
+        if value is None:
+            _fail(f"{what} must not be null")
+        if self.datatype == "string":
+            if not isinstance(value, str):
+                _fail(f"{what} must be a string")
+            return value
+        if self.datatype == "integer":
+            if isinstance(value, bool) or not isinstance(value, int):
+                if isinstance(value, str):
+                    try:
+                        return int(value)
+                    except ValueError:
+                        _fail(f"{what} is not an integer: {value!r}")
+                if isinstance(value, float) and value.is_integer():
+                    return int(value)
+                _fail(f"{what} must be an integer")
+            return value
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            _fail(f"{what} must be a number")
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            _fail(f"{what} is not a number: {value!r}")
+        if not math.isfinite(number):
+            _fail(f"{what} must be a finite number, got {value!r}")
+        return number
+
     def source_signature(self) -> dict:
         if self.dependency is not None:
             return {"kind": "derived", "determinant": self.dependency.determinant}
@@ -263,8 +300,8 @@ def load_lexicon(name_or_path: str, *, base_dir: Path | None = None) -> list[str
             path = base_dir / path
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise LexiconError(f"missing lexicon file: {name_or_path}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: a null character in the path
+            raise LexiconError(f"missing lexicon file: {name_or_path!r}") from exc
     seen = set()
     values = []
     for line in text.splitlines():
@@ -278,237 +315,274 @@ def load_lexicon(name_or_path: str, *, base_dir: Path | None = None) -> list[str
 
 
 # ---------------------------------------------------------------------------
-# Parsing helpers
+# The grammar: every key of a config document, declared once
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+class Field(NamedTuple):
+    """One key of the grammar.
+
+    type: a JSON type ("string", "integer", "number", "boolean", "list",
+    "object" or "any"), a section (key -> Field) or a Tagged union of
+    sections. default: REQUIRED; None for an optional key, where absent and
+    null both leave the key out; or the value an absent key takes, where null
+    is a type fault. bound: a predicate on the typed value; fails: what the
+    message says, after the key's name, when the bound does not hold. items:
+    the Field of a list's items or of an object's values.
+    """
+
+    type: object
+    default: object = None
+    bound: Callable | None = None
+    fails: str = ""
+    items: Field | None = None
+
+
+class Tagged(NamedTuple):
+    """A section whose keys depend on the value of its tag key."""
+
+    tag: str
+    noun: str  # what messages call the tag
+    choices: dict  # tag value -> section, or a Tagged union nested in it
+
+
+def _one_of(*values: str) -> tuple:
+    return values.__contains__, f"must be one of {', '.join(values)}"
+
+
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NON_EMPTY = (bool, "must not be empty")
+
+SOURCE = Tagged("kind", "source kind", {
+    "lexicon": {"name": Field("string"), "path": Field("string")},
+    "numeric": Tagged("distribution", "distribution", {
+        "uniform": {"min": Field("number", REQUIRED), "max": Field("number", REQUIRED)},
+        "normal": {"mean": Field("number", REQUIRED), "stddev": Field("number", REQUIRED, *_POSITIVE)},
+    }),
+    "template": {"template": Field("string", REQUIRED, *_NON_EMPTY)},
+    "sequence": {"start": Field("number", 0), "step": Field("number", 1)},
+    "set": {
+        "values": Field("list", REQUIRED, *_NON_EMPTY),
+        "weights": Field("list", None, lambda ws: sum(ws) > 0, "must have a positive sum",
+                         Field("number", REQUIRED, *_NON_NEGATIVE)),
+    },
+})
+
+ATTRIBUTE = {
+    "name": Field("string", REQUIRED, re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch,
+                  "must be an identifier ([A-Za-z_][A-Za-z0-9_]*)"),
+    "datatype": Field("string", REQUIRED, *_one_of("string", "integer", "float")),
+    "source": Field(SOURCE),
+    "pattern": Field("string"),
+    "interval": Field("list", None, lambda v: len(v) == 2 and v[0] <= v[1],
+                      "must be a [min, max] pair with min <= max", Field("number")),
+    "admissible_set": Field("list", None, *_NON_EMPTY),
+    "unique": Field("boolean", False),
+    "synonyms": Field("object", None, items=Field(
+        "list", REQUIRED, lambda v: v and len(set(v)) == len(v),
+        "must be a non-empty list without duplicates", Field("string"))),
+    "nullable_in_clean": Field("boolean", False),
+    "null_rate": Field("number", 0.0, lambda r: 0 <= r < 1, "must be in [0, 1)"),
+}
+
+RULE = {
+    "determinant": Field("string", REQUIRED),
+    "dependent": Field("string", REQUIRED),
+    "mapping": Field("object", REQUIRED, *_NON_EMPTY),
+}
+
+ERROR_SPEC = {
+    "type": Field("string", REQUIRED),
+    "rate": Field("number", REQUIRED, lambda r: 0 <= r <= 1, "must be in [0, 1]"),
+    "attributes": Field("list", None, *_NON_EMPTY, Field("string")),
+    "params": Field("object", {}),  # walked by the error type's own params section
+}
+
+# The params of the error types that take any (ErrorType.params).
+OUTLIER_PARAMS = {"k": Field("number", 5.0, *_POSITIVE)}
+NOISE_PARAMS = {"alpha": Field("number", 0.05, *_POSITIVE)}
+SEMI_EMPTY_PARAMS = {"empty_fraction": Field("number", 0.7, lambda f: 0 < f < 1, "must be in (0, 1)")}
+REDUNDANCY_PARAMS = {
+    "near_duplicate": Field("boolean", True),
+    "perturbed_attributes": Field("integer", 1, *_NON_NEGATIVE),
+}
+OFFDOMAIN_PARAMS = {"offdomain": Field("object", None, items=Field(SOURCE))}
+BIAS_PARAMS = {
+    "group_attribute": Field("string", REQUIRED),
+    "group_value": Field("any", REQUIRED),  # typed as the group attribute's datatype
+    "target_attribute": Field("string", REQUIRED),
+    "shift": Field("number", None, bool, "must not be zero"),  # default: the target's stddev
+    "skewed_weights": Field("object", None, items=Field("number", REQUIRED, *_NON_NEGATIVE)),
+}
+
+SCALING = {
+    "column_replication": Field("integer", 0, *_NON_NEGATIVE),
+    "shard_count": Field("integer", 1, lambda n: n >= 1, "must be >= 1"),
+}
+GENERATION = {
+    "tuple_count": Field("integer", REQUIRED, *_NON_NEGATIVE),
+    "seed": Field("integer", 0, lambda s: 0 <= s < 1 << 64, "must be an unsigned 64-bit integer"),
+    "scaling": Field(SCALING, {}),
+}
+OUTPUT = {
+    "directory": Field("string", "out"),
+    "mode": Field("string", "ndjson", *_one_of("ndjson", "json_array")),
+}
+DOCUMENT = {
+    "schema": Field("list", REQUIRED, bool, "must be a non-empty list of attributes", Field(ATTRIBUTE)),
+    "dependencies": Field("list", None, items=Field(RULE)),
+    "errors": Field("list", None, items=Field(ERROR_SPEC)),
+    "generation": Field(GENERATION, REQUIRED),
+    "output": Field(OUTPUT, {}),
+}
+
+
+# ---------------------------------------------------------------------------
+# The walker
+
+
+_JSON_TYPES = {
+    "string": (str, "a string"),
+    "integer": (int, "an integer"),
+    "number": ((int, float), "a number"),
+    "boolean": (bool, "a boolean"),
+    "list": (list, "a list"),
+    "object": (dict, "a JSON object"),
+}
 
 
 def _fail(message: str) -> None:
     raise ConfigError(message)
 
 
-def _expect_mapping(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(f"{what} must be a JSON object")
-    return value
-
-
-def _expect_keys(mapping: dict, allowed: set[str], what: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        _fail(f"{what}: unknown key(s) {sorted(unknown)}")
-
-
-def _expect_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{what} must be a number")
+def _is_finite(value) -> bool:
     try:
-        finite = math.isfinite(value)
+        return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        _fail(f"{what} must be a finite number")
+        return False
+
+
+def _walk(value, field: Field, what: str):
+    """The value checked against its field: type, finiteness, items, bound.
+    Sections come back as new dicts with their defaults filled in."""
+    kind = field.type
+    if isinstance(kind, (dict, Tagged)):
+        if not isinstance(value, dict):
+            _fail(f"{what} must be a JSON object")
+        value = _walk_section(value, kind, what)
+    elif kind != "any":
+        types, noun = _JSON_TYPES[kind]
+        if not isinstance(value, types) or (isinstance(value, bool) and kind != "boolean"):
+            _fail(f"{what} must be {noun}")
+        if kind == "number" and not _is_finite(value):
+            _fail(f"{what} must be a finite number")
+        if field.items is not None and kind == "list":
+            value = [_walk(item, field.items, f"{what}[{i}]") for i, item in enumerate(value)]
+        elif field.items is not None:
+            value = {key: _walk(item, field.items, f"{what} {key!r}") for key, item in value.items()}
+    if field.bound is not None and not field.bound(value):
+        _fail(f"{what} {field.fails}")
     return value
 
 
-def _expect_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{what} must be an integer")
-    return value
+def _walk_section(raw: dict, section: dict | Tagged, what: str) -> dict:
+    """Each key of the section walked, in declaration order; any other key is
+    a fault. A Tagged section first picks its keys by the tag's value."""
+    parsed = {}
+    while isinstance(section, Tagged):
+        tag = raw.get(section.tag)
+        if not isinstance(tag, str) or tag not in section.choices:
+            _fail(f"{what}: unknown {section.noun} {tag!r} (expected one of {', '.join(section.choices)})")
+        parsed[section.tag] = tag
+        section = section.choices[tag]
+    unknown = set(raw) - set(section) - set(parsed)
+    if unknown:
+        _fail(f"{what or 'config'}: unknown key(s) {sorted(unknown)}")
+    for key, field in section.items():
+        value = raw.get(key, field.default)
+        if value is None and field.default is None:
+            continue
+        parsed[key] = _walk(None if value is REQUIRED else value, field, f"{what} {key}".lstrip())
+    return parsed
 
 
-def _coerce(value, datatype: str, what: str):
-    """Coerce a JSON scalar to the attribute datatype; reject mismatches."""
-    if value is None:
-        _fail(f"{what} must not be null")
-    if datatype == "string":
-        if not isinstance(value, str):
-            _fail(f"{what} must be a string")
-        return value
-    if datatype == "integer":
-        if isinstance(value, bool) or not isinstance(value, int):
-            if isinstance(value, str):
-                try:
-                    return int(value)
-                except ValueError:
-                    _fail(f"{what} is not an integer: {value!r}")
-            if isinstance(value, float) and value.is_integer():
-                return int(value)
-            _fail(f"{what} must be an integer")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        _fail(f"{what} must be a number")
-    try:
-        number = float(value)
-    except (ValueError, OverflowError):
-        _fail(f"{what} is not a number: {value!r}")
-    if not math.isfinite(number):
-        _fail(f"{what} must be a finite number, got {value!r}")
-    return number
+# ---------------------------------------------------------------------------
+# Walked entries -> sources and attributes
 
 
-def _parse_source(raw, attr_name: str, base_dir: Path | None) -> ValueSource:
-    raw = _expect_mapping(raw, f"attribute '{attr_name}' source")
-    kind = raw.get("kind")
-    where = f"attribute '{attr_name}' source"
+def build_source(raw: dict, where: str, base_dir: Path | None = None) -> ValueSource:
+    """The value source of a walked SOURCE entry, with the checks between its keys."""
+    kind = raw["kind"]
     if kind == "lexicon":
-        _expect_keys(raw, {"kind", "name", "path"}, where)
         ref = raw.get("name") or raw.get("path")
-        if not ref or not isinstance(ref, str):
+        if not ref:
             _fail(f"{where}: lexicon requires 'name' or 'path'")
         return LexiconSource(name=ref, values=tuple(load_lexicon(ref, base_dir=base_dir)))
-    if kind == "numeric":
-        dist = raw.get("distribution")
-        if dist == "uniform":
-            _expect_keys(raw, {"kind", "distribution", "min", "max"}, where)
-            low = _expect_number(raw.get("min"), f"{where} min")
-            high = _expect_number(raw.get("max"), f"{where} max")
-            if not low < high:
-                _fail(f"{where}: uniform requires min < max")
-            if not math.isfinite(float(high) - float(low)):
-                _fail(f"{where}: max - min exceeds the float range")
-            return NumericSource("uniform", low=low, high=high)
-        if dist == "normal":
-            _expect_keys(raw, {"kind", "distribution", "mean", "stddev"}, where)
-            mean = _expect_number(raw.get("mean"), f"{where} mean")
-            stddev = _expect_number(raw.get("stddev"), f"{where} stddev")
-            if not stddev > 0:
-                _fail(f"{where}: normal requires stddev > 0")
-            if not math.isfinite(abs(float(mean)) + NORMAL_Z_BOUND * float(stddev)):
-                _fail(f"{where}: mean + {NORMAL_Z_BOUND} stddev exceeds the float range")
-            return NumericSource("normal", mean=mean, stddev=stddev)
-        _fail(f"{where}: unknown distribution {dist!r} (expected 'uniform' or 'normal')")
     if kind == "template":
-        _expect_keys(raw, {"kind", "template"}, where)
-        template = raw.get("template")
-        if not isinstance(template, str) or not template:
-            _fail(f"{where}: template must be a non-empty string")
-        return TemplateSource(template=template)
+        return TemplateSource(template=raw["template"])
     if kind == "sequence":
-        _expect_keys(raw, {"kind", "start", "step"}, where)
-        start = _expect_number(raw.get("start", 0), f"{where} start")
-        step = _expect_number(raw.get("step", 1), f"{where} step")
-        return SequenceSource(start=start, step=step)
+        return SequenceSource(start=raw["start"], step=raw["step"])
     if kind == "set":
-        _expect_keys(raw, {"kind", "values", "weights"}, where)
-        values = raw.get("values")
-        if not isinstance(values, list) or not values:
-            _fail(f"{where}: set requires a non-empty 'values' list")
         weights = raw.get("weights")
-        if weights is not None:
-            if not isinstance(weights, list) or len(weights) != len(values):
-                _fail(f"{where}: weights must match values in length")
-            weights = tuple(_expect_number(w, f"{where} weight") for w in weights)
-            if any(w < 0 for w in weights) or sum(weights) <= 0:
-                _fail(f"{where}: weights must be non-negative with a positive sum")
-        return ConstantSetSource(values=tuple(values), weights=weights)
-    _fail(f"{where}: unknown source kind {kind!r}")
+        if weights is not None and len(weights) != len(raw["values"]):
+            _fail(f"{where}: weights must match values in length")
+        return ConstantSetSource(tuple(raw["values"]), None if weights is None else tuple(weights))
+    if raw["distribution"] == "uniform":
+        low, high = raw["min"], raw["max"]
+        if not low < high:
+            _fail(f"{where}: uniform requires min < max")
+        if not math.isfinite(float(high) - float(low)):
+            _fail(f"{where}: max - min exceeds the float range")
+        return NumericSource("uniform", low=low, high=high)
+    mean, stddev = raw["mean"], raw["stddev"]
+    if not math.isfinite(abs(float(mean)) + NORMAL_Z_BOUND * float(stddev)):
+        _fail(f"{where}: mean + {NORMAL_Z_BOUND} stddev exceeds the float range")
+    return NumericSource("normal", mean=mean, stddev=stddev)
 
 
-def _parse_attribute(raw, base_dir: Path | None) -> AttributeSpec:
-    raw = _expect_mapping(raw, "schema entry")
-    name = raw.get("name")
-    if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
-        _fail(f"attribute name must be an identifier, got {name!r}")
-    where = f"attribute '{name}'"
-    _expect_keys(
-        raw,
-        {
-            "name",
-            "datatype",
-            "source",
-            "pattern",
-            "interval",
-            "admissible_set",
-            "unique",
-            "synonyms",
-            "nullable_in_clean",
-            "null_rate",
-        },
-        where,
-    )
-    datatype = raw.get("datatype")
-    if datatype not in ("string", "integer", "float"):
-        _fail(f"{where}: datatype must be one of string, integer, float")
-
-    source = None
-    if "source" in raw:
-        source = _parse_source(raw["source"], name, base_dir)
-
-    pattern = raw.get("pattern")
-    compiled = None
-    if pattern is not None:
-        if not isinstance(pattern, str):
-            _fail(f"{where}: pattern must be a string")
+def _compile_pattern(pattern: str, where: str) -> re.Pattern:
+    # Python warns about a pattern whose meaning may change in a later
+    # version; such a pattern could break byte-identity across interpreters.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            compiled = re.compile(pattern)
+            return re.compile(pattern)
         except re.error as exc:
             _fail(f"{where}: invalid pattern: {exc}")
+        except Warning as exc:
+            _fail(f"{where}: pattern may change meaning in another Python version: {exc}")
 
-    interval = raw.get("interval")
-    if interval is not None:
-        if not isinstance(interval, list) or len(interval) != 2:
-            _fail(f"{where}: interval must be a [min, max] pair")
-        lo = _expect_number(interval[0], f"{where} interval min")
-        hi = _expect_number(interval[1], f"{where} interval max")
-        if datatype == "string":
-            _fail(f"{where}: interval requires a numeric datatype")
-        if lo > hi:
-            _fail(f"{where}: interval min must be <= max")
-        interval = (lo, hi)
 
-    admissible = raw.get("admissible_set")
-    if admissible is not None:
-        if not isinstance(admissible, list) or not admissible:
-            _fail(f"{where}: admissible_set must be a non-empty list")
-        admissible = tuple(
-            _coerce(v, datatype, f"{where} admissible_set member") for v in admissible
-        )
-        if len(set(admissible)) != len(admissible):
+def _attribute(raw: dict, base_dir: Path | None) -> AttributeSpec:
+    """The attribute of a walked ATTRIBUTE entry, with the checks between its keys."""
+    where = f"attribute '{raw['name']}'"
+    if "source" in raw:
+        raw["source"] = build_source(raw["source"], f"{where} source", base_dir)
+    if "interval" in raw:
+        raw["interval"] = tuple(raw["interval"])
+    if "synonyms" in raw:
+        raw["synonyms"] = {key: tuple(alts) for key, alts in raw["synonyms"].items()}
+    attr = AttributeSpec(**raw)
+    if attr.pattern is not None:
+        attr.compiled_pattern = _compile_pattern(attr.pattern, where)
+    if attr.interval is not None and attr.datatype == "string":
+        _fail(f"{where}: interval requires a numeric datatype")
+    if attr.admissible_set is not None:
+        members = tuple(attr.typed(v, f"{where} admissible_set member") for v in attr.admissible_set)
+        if len(set(members)) != len(members):
             _fail(f"{where}: admissible_set contains duplicates")
-
-    synonyms = raw.get("synonyms")
-    if synonyms is not None:
-        if datatype != "string":
+        attr.admissible_set = members
+    if attr.synonyms is not None:
+        if attr.datatype != "string":
             _fail(f"{where}: synonyms require datatype string")
-        synonyms = _expect_mapping(synonyms, f"{where} synonyms")
-        parsed = {}
-        for key, alts in synonyms.items():
-            if not isinstance(alts, list) or not alts:
-                _fail(f"{where}: synonyms for {key!r} must be a non-empty list")
-            if any(not isinstance(a, str) for a in alts):
-                _fail(f"{where}: synonyms must be strings")
-            if len(set(alts)) != len(alts):
-                _fail(f"{where}: synonym list for {key!r} contains duplicates")
-            if key in alts:
-                _fail(f"{where}: {key!r} lists itself as a synonym")
-            parsed[key] = tuple(alts)
-        synonyms = parsed
-
-    unique = raw.get("unique", False)
-    if not isinstance(unique, bool):
-        _fail(f"{where}: unique must be a boolean")
-    nullable = raw.get("nullable_in_clean", False)
-    if not isinstance(nullable, bool):
-        _fail(f"{where}: nullable_in_clean must be a boolean")
-    null_rate = raw.get("null_rate", 0.0)
-    null_rate = _expect_number(null_rate, f"{where} null_rate")
-    if not 0 <= null_rate < 1:
-        _fail(f"{where}: null_rate must be in [0, 1)")
-    if null_rate > 0 and not nullable:
+        looping = [key for key, alts in attr.synonyms.items() if key in alts]
+        if looping:
+            _fail(f"{where}: {looping[0]!r} lists itself as a synonym")
+    if attr.null_rate > 0 and not attr.nullable_in_clean:
         _fail(f"{where}: null_rate > 0 requires nullable_in_clean")
-
-    return AttributeSpec(
-        name=name,
-        datatype=datatype,
-        source=source,
-        pattern=pattern,
-        interval=interval,
-        admissible_set=admissible,
-        unique=unique,
-        synonyms=synonyms,
-        nullable_in_clean=nullable,
-        null_rate=null_rate,
-        compiled_pattern=compiled,
-    )
+    return attr
 
 
 # ---------------------------------------------------------------------------
@@ -518,26 +592,27 @@ def _parse_attribute(raw, base_dir: Path | None) -> AttributeSpec:
 def _resolve_domain(attr: AttributeSpec, tuple_count: int) -> None:
     """Validate constraint interactions, fix the finite generation domain and
     resolve the attribute's Domain."""
-    if attr.admissible_set is not None:
-        for member in attr.admissible_set:
+    members = attr.admissible_set
+    if members is not None:
+        for member in members:
             if not attr.satisfies(member):
                 _fail(
                     f"attribute '{attr.name}': admissible_set member {member!r} "
                     f"violates the declared pattern or interval"
                 )
-        attr.finite_domain = attr.admissible_set
-    elif isinstance(attr.source, ConstantSetSource):
-        typed = tuple(
-            _coerce(v, attr.datatype, f"attribute '{attr.name}' set value")
-            for v in attr.source.values
-        )
+    if isinstance(attr.source, ConstantSetSource):
+        typed = tuple(attr.typed(v, f"attribute '{attr.name}' set value") for v in attr.source.values)
         for member in typed:
             if not attr.satisfies(member):
                 _fail(
                     f"attribute '{attr.name}': set source value {member!r} "
                     f"violates the declared pattern or interval"
                 )
-        attr.finite_domain = typed
+            if members is not None and member not in members:
+                _fail(f"attribute '{attr.name}': set source value {member!r} is outside the admissible_set")
+        attr.finite_domain = members or typed
+    elif members is not None:
+        attr.finite_domain = members
     elif isinstance(attr.source, LexiconSource):
         if attr.datatype != "string":
             _fail(f"attribute '{attr.name}': lexicon sources require datatype string")
@@ -592,12 +667,14 @@ def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
         )
 
 
-def _validate_sequence_interval(attr: AttributeSpec, tuple_count: int) -> None:
-    """A sequence's first tuple_count values, its clean values, must lie in
-    the interval and in the admissible set."""
+def _validate_sequence(attr: AttributeSpec, tuple_count: int) -> None:
+    """A sequence's first tuple_count values, its clean values, must stay in
+    the float range, the interval and the admissible set."""
     if not isinstance(attr.source, SequenceSource) or tuple_count == 0:
         return
     at = attr.domain.by_index
+    if not _is_finite(at(tuple_count - 1)):  # the values are linear in the tuple index
+        _fail(f"attribute '{attr.name}': the sequence leaves the float range within {tuple_count} tuples")
     if attr.interval is not None:
         lo, hi = attr.interval
         if not (lo <= at(0) <= hi and lo <= at(tuple_count - 1) <= hi):
@@ -626,26 +703,21 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> list[D
     rules: list[DependencyRule] = []
     dependents_seen = set()
     for raw in raw_rules:
-        raw = _expect_mapping(raw, "dependency rule")
-        _expect_keys(raw, {"determinant", "dependent", "mapping"}, "dependency rule")
-        det, dep = raw.get("determinant"), raw.get("dependent")
-        if not isinstance(det, str) or det not in by_name:
+        det, dep = raw["determinant"], raw["dependent"]
+        if det not in by_name:
             _fail(f"dependency rule: unknown determinant attribute {det!r}")
-        if not isinstance(dep, str) or dep not in by_name:
+        if dep not in by_name:
             _fail(f"dependency rule: unknown dependent attribute {dep!r}")
         if det == dep:
             _fail(f"dependency rule: determinant and dependent are both {det!r}")
         if dep in dependents_seen:
             _fail(f"attribute {dep!r} is the dependent of more than one rule")
         dependents_seen.add(dep)
-        mapping_raw = _expect_mapping(raw.get("mapping"), "dependency mapping")
-        if not mapping_raw:
-            _fail(f"dependency rule {det!r} -> {dep!r}: mapping is empty")
         det_attr, dep_attr = by_name[det], by_name[dep]
         mapping = {}
-        for key, value in mapping_raw.items():
-            typed_key = _coerce(key, det_attr.datatype, f"mapping key {key!r}")
-            typed_value = _coerce(value, dep_attr.datatype, f"mapping value for {key!r}")
+        for key, value in raw["mapping"].items():
+            typed_key = det_attr.typed(key, f"mapping key {key!r}")
+            typed_value = dep_attr.typed(value, f"mapping value for {key!r}")
             if typed_key in mapping:
                 _fail(f"dependency rule {det!r} -> {dep!r}: duplicate key {key!r}")
             mapping[typed_key] = typed_value
@@ -711,16 +783,10 @@ def _parse_errors(errors_raw, config: GeneratorConfig) -> tuple[tuple[ErrorSpec,
     the specs and their (type, attribute) index."""
     from .errortypes import ERROR_TYPES  # the registry imports this module
 
-    if errors_raw is None:
-        errors_raw = []
-    if not isinstance(errors_raw, list):
-        _fail("errors must be a list")
     typed = []
     for index, raw in enumerate(errors_raw):
-        raw = _expect_mapping(raw, f"errors[{index}]")
-        _expect_keys(raw, {"type", "rate", "attributes", "params"}, f"errors[{index}]")
-        error_type = raw.get("type")
-        etype = ERROR_TYPES.get(error_type) if isinstance(error_type, str) else None
+        error_type = raw["type"]
+        etype = ERROR_TYPES.get(error_type)
         if etype is None:
             _fail(f"errors[{index}]: unknown error type {error_type!r}")
         typed.append((etype, _parse_error_spec(raw, f"errors[{index}] ({error_type})", etype, config)))
@@ -741,20 +807,12 @@ def _parse_errors(errors_raw, config: GeneratorConfig) -> tuple[tuple[ErrorSpec,
 
 
 def _parse_error_spec(raw: dict, where: str, etype, config: GeneratorConfig) -> ErrorSpec:
-    rate = _expect_number(raw.get("rate"), f"{where} rate")
-    if not 0 <= rate <= 1:
-        _fail(f"{where}: rate must be in [0, 1]")
-    params = raw.get("params", {})
-    params = _expect_mapping(params, f"{where} params")
-    _expect_keys(params, set(etype.params), f"{where} params")
-
+    params = _walk_section(raw["params"], etype.params, f"{where} params")
     targets_raw = raw.get("attributes")
     if etype.applicable is not None:
         if targets_raw is not None:
-            if not isinstance(targets_raw, list) or not targets_raw:
-                _fail(f"{where}: attributes must be a non-empty list")
             for name in targets_raw:
-                if not isinstance(name, str) or name not in config.attr_positions:
+                if name not in config.attr_positions:
                     _fail(f"{where}: unknown attribute {name!r}")
                 if not etype.applicable(config.attribute(name), config):
                     _fail(f"{where}: type not applicable to attribute {name!r}")
@@ -773,15 +831,12 @@ def _parse_error_spec(raw: dict, where: str, etype, config: GeneratorConfig) -> 
             _fail(f"{where}: this error type does not take target attributes")
         targets = ()
 
-    resolved = dict(params)
-    for key, default in etype.defaults.items():
-        resolved.setdefault(key, default)
     if etype.parse is not None:
-        etype.parse(resolved, where, config)
-    spec = ErrorSpec(error_type=etype.name, rate=rate, target_attributes=targets, params=resolved)
+        etype.parse(params, where, config)
+    spec = ErrorSpec(error_type=etype.name, rate=raw["rate"], target_attributes=targets, params=params)
     if etype.bound is not None:
         for name in etype.targets(spec):
-            if not math.isfinite(etype.bound(config.attribute(name), resolved)):
+            if not math.isfinite(etype.bound(config.attribute(name), params)):
                 _fail(f"{where}: values injected into {name!r} would exceed the float range")
     return spec
 
@@ -839,7 +894,8 @@ def parse_config(
     seed_override: int | None = None,
     output_dir_override: str | Path | None = None,
 ) -> GeneratorConfig:
-    """Parse and fully validate a configuration document."""
+    """Parse and fully validate a configuration document: the walker checks
+    it against the grammar, then the checks between keys run."""
     too_deep = "config nests arrays or objects too deeply"
     try:
         doc = json.loads(text)
@@ -855,54 +911,23 @@ def parse_config(
         _fail("config contains a lone surrogate escape, which is not valid Unicode")
     except RecursionError:  # json.loads reads deeper documents than json.dumps writes
         raise ConfigError(too_deep) from None
-    doc = _expect_mapping(doc, "config document")
-    _expect_keys(doc, {"schema", "dependencies", "errors", "generation", "output"}, "config")
+    if not isinstance(doc, dict):
+        _fail("config document must be a JSON object")
+    doc = _walk_section(doc, DOCUMENT, "")
 
-    generation = _expect_mapping(doc.get("generation"), "generation section")
-    _expect_keys(generation, {"tuple_count", "seed", "scaling"}, "generation")
-    tuple_count = _expect_int(generation.get("tuple_count"), "tuple_count")
-    if tuple_count < 0:
-        _fail("tuple_count must be >= 0")
-    seed = generation.get("seed", 0)
-    seed = _expect_int(seed, "seed")
-    if not 0 <= seed < 1 << 64:
-        _fail("seed must be an unsigned 64-bit integer")
-    if seed_override is not None:
-        if not 0 <= seed_override < 1 << 64:
-            _fail("seed must be an unsigned 64-bit integer")
-        seed = seed_override
+    generation, output_raw = doc["generation"], doc["output"]
+    tuple_count, scaling = generation["tuple_count"], generation["scaling"]
+    seed = generation["seed"] if seed_override is None else _walk(seed_override, GENERATION["seed"], "seed")
+    replication = scaling["column_replication"]
 
-    scaling_raw = generation.get("scaling", {})
-    scaling_raw = _expect_mapping(scaling_raw, "scaling")
-    _expect_keys(scaling_raw, {"column_replication", "shard_count"}, "scaling")
-    replication = _expect_int(scaling_raw.get("column_replication", 0), "column_replication")
-    if replication < 0:
-        _fail("column_replication must be >= 0")
-    shard_count = _expect_int(scaling_raw.get("shard_count", 1), "shard_count")
-    if shard_count < 1:
-        _fail("shard_count must be >= 1")
-    scaling = ScalingSpec(column_replication=replication)
-
-    schema_raw = doc.get("schema")
-    if not isinstance(schema_raw, list) or not schema_raw:
-        _fail("schema must be a non-empty list of attributes")
-    attrs = [_parse_attribute(raw, base_dir) for raw in schema_raw]
+    attrs = [_attribute(raw, base_dir) for raw in doc["schema"]]
     names = [a.name for a in attrs]
     if len(set(names)) != len(names):
         dupe = next(n for n in names if names.count(n) > 1)
         _fail(f"duplicate attribute name: {dupe!r}")
 
-    raw_rules = doc.get("dependencies")
-    if raw_rules is None:
-        raw_rules = []
-    if not isinstance(raw_rules, list):
-        _fail("dependencies must be a list")
-    # The names rules declare as dependents; the rules are checked below.
-    dependents = {
-        r.get("dependent")
-        for r in raw_rules
-        if isinstance(r, dict) and isinstance(r.get("dependent"), str)
-    }
+    raw_rules = doc.get("dependencies", [])
+    dependents = {rule["dependent"] for rule in raw_rules}  # the rules are checked below
 
     # Column replication: clone attributes (not dependency rules) with
     # suffixed names before any further validation.
@@ -931,7 +956,7 @@ def parse_config(
     dependencies = _resolve_dependencies(attrs, raw_rules)
 
     for attr in attrs:
-        _validate_sequence_interval(attr, tuple_count)
+        _validate_sequence(attr, tuple_count)
         _validate_unique(attr, tuple_count)
         # Only finite domains (dependents' included) list their members.
         if attr.synonyms is not None and attr.domain.values is not None:
@@ -943,19 +968,8 @@ def parse_config(
                 )
         attr.cell = cell_rule(attr, seed)
 
-    output_raw = doc.get("output", {})
-    output_raw = _expect_mapping(output_raw, "output section")
-    _expect_keys(output_raw, {"directory", "mode"}, "output")
-    directory = output_raw.get("directory", "out")
-    if not isinstance(directory, str):
-        _fail("output directory must be a string")
-    if output_dir_override is not None:
-        directory = output_dir_override
-    mode = output_raw.get("mode", "ndjson")
-    try:
-        output = OutputSpec(directory=Path(directory), mode=mode, shard_count=shard_count)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    directory = output_raw["directory"] if output_dir_override is None else output_dir_override
+    output = OutputSpec(Path(directory), output_raw["mode"], scaling["shard_count"])
 
     config = GeneratorConfig(
         schema=tuple(attrs),
@@ -963,7 +977,7 @@ def parse_config(
         errors=(),
         tuple_count=tuple_count,
         seed=seed,
-        scaling=scaling,
+        scaling=ScalingSpec(column_replication=replication),
         output=output,
         attr_positions={a.name: i for i, a in enumerate(attrs)},
         eval_order=_evaluation_order(attrs),

@@ -115,24 +115,37 @@ def _resampling(attr, draw: Callable, can_reject: bool) -> Callable:
     return resample
 
 
-def _sequence_at(attr) -> Callable:
+def _sequence_terms(attr) -> tuple:
+    """start and step; an integer sequence's as ints, so its values are exact."""
     start, step = attr.source.start, attr.source.step
     if attr.datatype == "integer":
-        return lambda k: int(start + k * step)
+        return int(start), int(step)
+    return start, step
+
+
+def _sequence_at(attr) -> Callable:
+    start, step = _sequence_terms(attr)
     return lambda k: start + k * step
 
 
 def _sequence_domain(attr, tuple_count: int) -> Domain:
-    at, start, step = _sequence_at(attr), attr.source.start, attr.source.step
+    at, (start, step) = _sequence_at(attr), _sequence_terms(attr)
     span = max(tuple_count, 2)
+    exact = isinstance(start, int) and isinstance(step, int)
 
     def contains(value) -> bool:  # any member, also beyond tuple_count
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return False
         if step == 0:
             return value == start
-        k = (value - start) / step
-        return k >= 0 and abs(k - round(k)) < 1e-9
+        if exact and (isinstance(value, int) or value.is_integer()):
+            k, rest = divmod(int(value) - start, step)
+            return k >= 0 and rest == 0
+        try:
+            k = (value - start) / step
+            return k >= 0 and abs(k - round(k)) < 1e-9
+        except OverflowError:  # an integer beyond the float range, or an infinite value
+            return False
 
     draw = lambda stream: at(stream.randrange(span))  # noqa: E731
     return Domain(None if step != 0 else 1, draw, contains, at, tuple_count, by_index=at)

@@ -2,7 +2,8 @@
 
 One ErrorType record per type holds everything the pipeline needs to know
 about it: its planning stage and rate population, which attributes it can
-target, its params with their defaults and validation, how the planner picks
+target, its params (their grammar entries in config.py) and the checks that
+relate them to the schema, how the planner picks
 its targets, how the injector dirties them, and how verify_error proves that
 the dirty side violates the type's defining property while the clean side
 satisfies it. config, errorplan, inject and cli look types up in ERROR_TYPES
@@ -22,17 +23,19 @@ from functools import cached_property
 from typing import Callable
 
 from .config import (
+    BIAS_PARAMS,
+    NOISE_PARAMS,
+    OFFDOMAIN_PARAMS,
+    OUTLIER_PARAMS,
+    REDUNDANCY_PARAMS,
+    REQUIRED,
+    SEMI_EMPTY_PARAMS,
     AttributeSpec,
-    _coerce,
-    _expect_int,
-    _expect_mapping,
-    _expect_number,
-    _fail,
-    _parse_source,
+    build_source,
 )
 from .datagen import clean_cell_value, distribution_params, may_be_null, value_in_domain
 from .domains import resolve, weighted_index
-from .exceptions import GenerationError
+from .exceptions import ConfigError, GenerationError
 from .rng import NORMAL_Z_BOUND, Stream, derive_stream
 from .taxonomy import ABSENT, STAGE_CELL, STAGE_COLUMN, STAGE_INSERTION, STAGE_ROW, round_half_away
 
@@ -84,8 +87,8 @@ class ErrorType:
     per_tuple: bool = False  # the rate counts tuples, not target cells
     applicable: Callable | None = None  # (attr, config) -> bool; None: takes no target attributes
     single_target: bool = False
-    params: dict = field(default_factory=dict)  # accepted key -> default (None: no default)
-    parse: Callable | None = None  # (params, where, config): validates, completes params in place
+    params: dict = field(default_factory=dict)  # key -> its Field of the config grammar
+    parse: Callable | None = None  # (params, where, config): checks against the config, completes params
     targets: Callable = lambda spec: spec.target_attributes
     needs_value: bool = True  # the planner skips cells whose clean value is null
     eligible: Callable | None = None
@@ -109,7 +112,8 @@ class ErrorType:
 
     @cached_property
     def defaults(self) -> dict:
-        return {key: value for key, value in self.params.items() if value is not None}
+        """The params of a spec that gives none."""
+        return {key: f.default for key, f in self.params.items() if f.default not in (None, REQUIRED)}
 
     def population(self, n_targets: int, tuple_count: int) -> int:
         """Size of the population the rate applies to."""
@@ -300,16 +304,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _positive(key: str) -> Callable:
-    """Param parser: params[key] must be a positive number."""
-
-    def parse(params: dict, where: str, config) -> None:
-        if _expect_number(params[key], f"{where} {key}") <= 0:
-            _fail(f"{where}: {key} must be positive")
-
-    return parse
-
-
 def _always(attr, config) -> bool:
     return True
 
@@ -345,6 +339,11 @@ def _interval_violation(clean, attr: AttributeSpec, stream: Stream, *_):
         return value if value > hi else math.nextafter(hi, math.inf)
     value = lo - delta
     return value if value < lo else math.nextafter(lo, -math.inf)
+
+
+def _interval_bound(attr, params) -> float:
+    lo, hi = attr.interval
+    return max(abs(float(lo)), abs(float(hi))) + max(float(hi) - float(lo), 1.0) + 1.0
 
 
 def _outside_interval(clean, dirty, attr, *_) -> bool:
@@ -579,49 +578,35 @@ def _bias_shortfall(spec, index: int, placed: int, count: int) -> str:
 
 
 def _parse_bias(params: dict, where: str, config) -> None:
-    for key in ("group_attribute", "group_value", "target_attribute"):
-        if key not in params:
-            _fail(f"{where}: params require {key}")
-    group_attr = params["group_attribute"]
-    target_attr = params["target_attribute"]
-    if not isinstance(group_attr, str) or group_attr not in config.attr_positions:
-        _fail(f"{where}: unknown group attribute {group_attr!r}")
-    if not isinstance(target_attr, str) or target_attr not in config.attr_positions:
-        _fail(f"{where}: unknown target attribute {target_attr!r}")
+    group_attr, target_attr = params["group_attribute"], params["target_attribute"]
+    for role, name in (("group", group_attr), ("target", target_attr)):
+        if name not in config.attr_positions:
+            raise ConfigError(f"{where}: unknown {role} attribute {name!r}")
     if group_attr == target_attr:
-        _fail(f"{where}: group and target attribute must differ")
-    params["group_value"] = _coerce(
-        params["group_value"], config.attribute(group_attr).datatype, f"{where} group_value"
-    )
+        raise ConfigError(f"{where}: group and target attribute must differ")
+    params["group_value"] = config.attribute(group_attr).typed(params["group_value"], f"{where} group_value")
     target = config.attribute(target_attr)
     weights = params.get("skewed_weights")
     if weights is None:
         if target.domain.mean is None:
-            _fail(
+            raise ConfigError(
                 f"{where}: numeric bias needs a distribution-sourced target; "
                 f"categorical targets need skewed_weights"
             )
-        shift = params.get("shift")
-        if shift is None:
-            shift = target.domain.stddev
-        params["shift"] = _expect_number(shift, f"{where} shift")
-        if params["shift"] == 0:
-            _fail(f"{where}: shift must be non-zero")
+        params.setdefault("shift", target.domain.stddev)
         return
-    weights = _expect_mapping(weights, f"{where} skewed_weights")
+    if "shift" in params:
+        raise ConfigError(f"{where}: shift and skewed_weights exclude each other")
     if target.finite_domain is None:
-        _fail(f"{where}: skewed_weights requires a finite-domain target")
+        raise ConfigError(f"{where}: skewed_weights requires a finite-domain target")
     typed = {}
     for key, weight in weights.items():
-        value = _coerce(key, target.datatype, f"{where} skewed_weights key")
+        value = target.typed(key, f"{where} skewed_weights key")
         if value not in target.finite_domain:
-            _fail(f"{where}: skewed_weights key {key!r} is outside the target domain")
-        w = _expect_number(weight, f"{where} skewed_weights weight")
-        if w < 0:
-            _fail(f"{where}: weights must be non-negative")
-        typed[value] = w
+            raise ConfigError(f"{where}: skewed_weights key {key!r} is outside the target domain")
+        typed[value] = weight
     if len([w for w in typed.values() if w > 0]) < 2:
-        _fail(f"{where}: skewed_weights needs at least two positive-weight values")
+        raise ConfigError(f"{where}: skewed_weights needs at least two positive-weight values")
     params["skewed_weights"] = typed
 
 
@@ -671,11 +656,8 @@ def _is_semi_empty(clean_record, dirty_record, config, params, clean_dataset) ->
 
 
 def _parse_semi_empty(params: dict, where: str, config) -> None:
-    fraction = _expect_number(params["empty_fraction"], f"{where} empty_fraction")
-    if not 0 < fraction < 1:
-        _fail(f"{where}: empty_fraction must be in (0, 1)")
     if len(config.schema) < 2:
-        _fail(f"{where}: needs at least two attributes in the schema")
+        raise ConfigError(f"{where}: needs at least two attributes in the schema")
 
 
 def _breakable_rules(config) -> list[int]:
@@ -731,7 +713,7 @@ def _breaks_rule_cell(clean, dirty, attr, config, params, clean_record, dirty_re
 
 def _parse_inconsistency_among(params: dict, where: str, config) -> None:
     if not _breakable_rules(config):
-        _fail(
+        raise ConfigError(
             f"{where}: no dependency rule with at least two distinct dependent values "
             f"is declared"
         )
@@ -779,13 +761,12 @@ def _parse_offdomain(params: dict, where: str, config) -> None:
     offdomain = params.get("offdomain")
     if offdomain is None:
         return
-    offdomain = _expect_mapping(offdomain, f"{where} offdomain")
     parsed = {}
     for name, source_raw in offdomain.items():
         if name not in config.attr_positions:
-            _fail(f"{where}: offdomain names unknown attribute {name!r}")
+            raise ConfigError(f"{where}: offdomain names unknown attribute {name!r}")
         # A stand-in attribute that draws from the bare source.
-        carrier = AttributeSpec(name, "string", _parse_source(source_raw, f"{name} (offdomain)", None))
+        carrier = AttributeSpec(name, "string", build_source(source_raw, f"{where} offdomain {name!r}"))
         carrier.domain = resolve(carrier, config.tuple_count)
         parsed[name] = carrier
     params["offdomain"] = parsed
@@ -838,16 +819,10 @@ def _duplicates_a_tuple(clean_record, dirty_record, config, params, clean_datase
 
 
 def _parse_redundancy(params: dict, where: str, config) -> None:
-    near = params["near_duplicate"]
-    if not isinstance(near, bool):
-        _fail(f"{where}: near_duplicate must be a boolean")
-    perturbed = _expect_int(params["perturbed_attributes"], f"{where} perturbed_attributes")
-    if perturbed < 0:
-        _fail(f"{where}: perturbed_attributes must be >= 0")
-    if near and perturbed > 0 and not any(
+    if params["near_duplicate"] and params["perturbed_attributes"] > 0 and not any(
         not a.unique and a.datatype == "string" for a in config.schema
     ):
-        _fail(f"{where}: near-duplicate mode needs a non-unique string attribute to misspell")
+        raise ConfigError(f"{where}: near-duplicate mode needs a non-unique string attribute to misspell")
 
 
 def _conflicting_copy(source, config, stream, params, entry, dirty_index) -> dict:
@@ -883,7 +858,7 @@ def _conflicts_with_a_tuple(clean_record, dirty_record, config, params, clean_da
 
 def _parse_inconsistency_about(params: dict, where: str, config) -> None:
     if not any(not a.unique and _has_alternative(a, config) for a in config.schema):
-        _fail(f"{where}: no non-unique attribute offers an alternative valid value")
+        raise ConfigError(f"{where}: no non-unique attribute offers an alternative valid value")
 
 
 # ---------------------------------------------------------------------------
@@ -902,6 +877,7 @@ _RECORDS = (
     ErrorType(
         "interval_violation", STAGE_CELL, _interval_violation, _outside_interval,
         applicable=lambda attr, config: attr.interval is not None,
+        bound=_interval_bound,
     ),
     ErrorType(
         "set_violation", STAGE_CELL, _set_violation,
@@ -948,8 +924,7 @@ _RECORDS = (
     ErrorType(
         "outlier", STAGE_COLUMN, _outlier, _is_outlier,
         applicable=_distribution_sourced,
-        params={"k": 5.0},
-        parse=_positive("k"),
+        params=OUTLIER_PARAMS,
         bound=_outlier_bound,
     ),
     ErrorType(
@@ -962,13 +937,7 @@ _RECORDS = (
     ErrorType(
         "bias", STAGE_COLUMN, _bias, _is_biased,
         per_tuple=True,
-        params={
-            "group_attribute": None,
-            "group_value": None,
-            "target_attribute": None,
-            "shift": None,
-            "skewed_weights": None,
-        },
+        params=BIAS_PARAMS,
         parse=_parse_bias,
         targets=lambda spec: (spec.params["target_attribute"],),
         eligible=_in_group,
@@ -978,14 +947,13 @@ _RECORDS = (
     ErrorType(
         "noise", STAGE_COLUMN, _noise, _is_noise,
         applicable=_distribution_sourced,
-        params={"alpha": 0.05},
-        parse=_positive("alpha"),
+        params=NOISE_PARAMS,
         bound=_noise_bound,
     ),
     ErrorType(
         "semi_empty_tuple", STAGE_ROW, _semi_empty, _nulled, _is_semi_empty,
         per_tuple=True,
-        params={"empty_fraction": 0.7},
+        params=SEMI_EMPTY_PARAMS,
         parse=_parse_semi_empty,
         eligible=_can_empty,
     ),
@@ -1000,7 +968,7 @@ _RECORDS = (
         "irrelevant_observation", STAGE_INSERTION,
         _irrelevant_row, _out_of_domain, _all_out_of_domain,
         per_tuple=True,
-        params={"offdomain": None},
+        params=OFFDOMAIN_PARAMS,
         parse=_parse_offdomain,
         draws_source=False,
     ),
@@ -1008,7 +976,7 @@ _RECORDS = (
         "redundancy_about_entity", STAGE_INSERTION,
         _near_duplicate, _misspelled_copy, _duplicates_a_tuple,
         per_tuple=True,
-        params={"near_duplicate": True, "perturbed_attributes": 1},
+        params=REDUNDANCY_PARAMS,
         parse=_parse_redundancy,
     ),
     ErrorType(

@@ -1,4 +1,9 @@
+import copy
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +17,8 @@ from dirtygen import (
     load_lexicon,
     parse_config,
 )
-from dirtygen.config import compute_config_hash
+from dirtygen.cli import main as cli_main
+from dirtygen.config import DOCUMENT, Field, Tagged, compute_config_hash
 from dirtygen.errortypes import ALL_ERROR_TYPES, ERROR_TYPES
 
 from checker import check_dataset
@@ -317,6 +323,9 @@ _SCORE_NEAR_MAX = {"kind": "numeric", "distribution": "normal", "mean": 1.7e308,
         lambda doc: (doc["schema"][3].update(source=_SCORE_NEAR_MAX),
                      _error({"type": "bias", "rate": 0.1, "params": {"group_attribute": "age", "group_value": 30,
                                                                       "target_attribute": "score", "shift": 1e308}})(doc)),
+        # interval_violation moves a value up to the interval's width past its bound.
+        lambda doc: (doc["schema"][3].update(interval=[-1.7e308, 1.7e308]),
+                     _error({"type": "interval_violation", "rate": 0.1, "attributes": ["score"]})(doc)),
         # offdomain sources are parsed as sources too.
         _error({"type": "irrelevant_observation", "rate": 0.1, "params": {"offdomain": {
             "city": {"kind": "numeric", "distribution": "normal", "mean": 0, "stddev": 1e308}}}}),
@@ -364,6 +373,10 @@ def _sequence_text(tuple_count: int, datatype: str = "integer", start=1, step=1,
         pytest.param(_sequence_text(3, "float", 0.5, 0.25, admissible_set=[0.5, 0.75, 1.0]), None, id="set-float"),
         pytest.param(_sequence_text(4, "float", 0.5, 0.25, admissible_set=[0.5, 0.75, 1.0]),
                      "value 1.25 of tuple 3", id="set-float-left"),
+        # Integer sequences are computed in integers, also beyond 2^53.
+        pytest.param(_sequence_text(3, start=2**53, step=1.0, unique=True), None, id="unique-beyond-2^53"),
+        pytest.param(_sequence_text(2, "float", 1e308, 1e308), "float range", id="float-overflow"),
+        pytest.param(_sequence_text(2, "integer", 1e308, 1e308), "float range", id="integer-overflow"),
     ],
 )
 def test_sequence_clean_values_stay_in_interval_and_admissible_set(text, error):
@@ -375,6 +388,33 @@ def test_sequence_clean_values_stay_in_interval_and_admissible_set(text, error):
         return
     config = parse_config(text)
     assert check_dataset(list(generate_clean_dataset(config)), config) == []
+
+
+@pytest.mark.parametrize(
+    "datatype, start, step, members, strangers",
+    [
+        ("integer", 2**53, 1.0, [2**53 + 1, float(2**53 + 2), 10**400], [2**53 - 1, 0.5]),
+        ("integer", 0, 3, [3 * 10**400, 6.0], [3 * 10**400 + 1, math.inf, math.nan]),
+        ("float", 0.5, 0.25, [0.75, 1.0], [10**400, math.inf, 0.6]),
+    ],
+)
+def test_sequence_membership_is_exact_for_integers(datatype, start, step, members, strangers):
+    # Membership covers the whole sequence, not only its first tuple_count
+    # values; no value, however large, makes it raise.
+    domain = parse_config(_sequence_text(3, datatype, start, step)).attribute("s").domain
+    assert all(domain.contains(v) for v in members)
+    assert not any(domain.contains(v) for v in strangers)
+
+
+def test_pattern_python_warns_about_is_a_config_error():
+    # A pattern whose meaning may change between Python versions would break
+    # byte-identity across interpreters; no warning escapes parse_config.
+    doc = json.loads(make_config_text())
+    doc["schema"][1]["pattern"] = "[[a-c]]?.*"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="attribute 'first_name': pattern may change meaning"):
+            parse_config(json.dumps(doc))
 
 
 def test_unique_normal_without_probability_mass_rejected():
@@ -422,6 +462,17 @@ def test_nested_offdomain_value_parses_or_raises_config_error():
         lambda doc: doc["dependencies"][0].__setitem__("determinant", ["city"]),
         lambda doc: (doc["schema"][5].__setitem__("source", {"kind": "set", "values": ["10115"]}),
                      doc["dependencies"][0].__setitem__("dependent", ["zip"])),
+        lambda doc: _source("first_name")(doc).update(name="first\u0000names"),
+        lambda doc: _source("first_name")(doc).update(name=None, path="words\u0000.txt"),
+        # Set values lie in the admissible set, typed and constrained as in the set's absence.
+        lambda doc: doc["schema"].append({"name": "grade", "datatype": "string", "pattern": "[a-c]",
+                                          "source": {"kind": "set", "values": ["zzz", 5, [1]]},
+                                          "admissible_set": ["a", "b"]}),
+        lambda doc: doc["schema"].append({"name": "grade", "datatype": "string",
+                                          "source": {"kind": "set", "values": ["a", "c"]},
+                                          "admissible_set": ["a", "b"]}),
+        _error({"type": "bias", "rate": 0.1, "params": {"group_attribute": "age", "group_value": 30, "target_attribute": "city",
+                                                         "skewed_weights": {"Berlin": 2, "Munich": 1}, "shift": 1}}),
     ],
 )
 def test_malformed_values_raise_config_error(mutate):
@@ -461,3 +512,160 @@ def test_errors_and_output_sections_raise_only_config_error(errors, output):
     except ConfigError:
         return
     assert isinstance(config, GeneratorConfig)
+
+
+# ---------------------------------------------------------------------------
+# Properties drawn from the grammar: every section of a valid document is
+# mutated key by key with valid, boundary and wrongly typed values, unknown
+# keys and removed keys.
+
+_BASE = json.loads(make_config_text(
+    errors=[
+        {"type": "missing_value", "rate": 0.05, "attributes": ["city"]},
+        {"type": "interval_violation", "rate": 0.05, "attributes": ["age", "score"]},
+        {"type": "outlier", "rate": 0.05, "attributes": ["score"], "params": {"k": 3}},
+        {"type": "noise", "rate": 0.05, "attributes": ["score"], "params": {"alpha": 0.1}},
+        {"type": "semi_empty_tuple", "rate": 0.05, "params": {"empty_fraction": 0.5}},
+        {"type": "redundancy_about_entity", "rate": 0.05, "params": {"near_duplicate": True, "perturbed_attributes": 1}},
+        {"type": "irrelevant_observation", "rate": 0.05,
+         "params": {"offdomain": {"city": {"kind": "set", "values": ["Atlantis"], "weights": [1]}}}},
+        {"type": "bias", "rate": 0.05, "params": {"group_attribute": "city", "group_value": "Berlin",
+                                                  "target_attribute": "score", "shift": 2.5}},
+        {"type": "bias", "rate": 0.05, "params": {"group_attribute": "age", "group_value": 30,
+                                                  "target_attribute": "city", "skewed_weights": {"Berlin": 2, "Munich": 1}}},
+    ],
+    tuple_count=30,
+    output={"directory": "out", "mode": "json_array"},
+))
+_BASE["generation"]["scaling"] = {"column_replication": 0, "shard_count": 1}
+_BASE["schema"][3]["interval"] = [0, 100]
+_BASE["schema"] += [
+    {"name": "code", "datatype": "string", "source": {"kind": "template", "template": "A#"}, "pattern": "[A-Z][0-9]"},
+    {"name": "grade", "datatype": "string", "source": {"kind": "set", "values": ["A", "B"]},
+     "admissible_set": ["A", "B"], "nullable_in_clean": True, "null_rate": 0.1},
+    {"name": "step", "datatype": "float", "source": {"kind": "sequence", "start": 0.5, "step": 0.25}},
+]
+
+
+def _strings(value) -> set:
+    if isinstance(value, str):
+        return {value}
+    if isinstance(value, list):
+        return set().union(*map(_strings, value))
+    if isinstance(value, dict):
+        return set(value).union(*map(_strings, value.values()))
+    return set()
+
+
+_STRINGS = st.sampled_from(sorted(_strings(_BASE) | {"", "a\u0000b", "[[a-c]]?.*", "a(?i)b", "(", "é"})) | st.text(max_size=4)
+_NUMBERS = st.sampled_from([0, 0.0, 1, -1, 0.5, 1.0, 3, 1e-300, 1e300, 1e308, -1e308, 2**53, 2**1024,
+                            math.inf, -math.inf, math.nan]) | st.floats(-1e3, 1e3) | st.integers(-5, 200)
+_DELETE = object()
+
+
+def _integers(field: Field):
+    # The edges of a declared upper bound; the other integers stay small, so
+    # no drawn document asks for millions of columns, shards or tuples.
+    edges = [2**64 - 1, 2**64] if field.bound is not None and not field.bound(2**64) else []
+    return st.integers(-3, 60) | st.sampled_from(edges) if edges else st.integers(-3, 60)
+
+
+def _section_value(section, junk):
+    if isinstance(section, Tagged):
+        return st.one_of([_section_value(choice, junk).map(lambda d, tag=tag: {section.tag: tag, **d})
+                          for tag, choice in section.choices.items()])
+    return st.fixed_dictionaries({}, optional={key: _value(field, junk) for key, field in section.items()})
+
+
+def _value(field: Field, junk):
+    """Valid and boundary values of the field's type, or junk."""
+    kind = field.type
+    if isinstance(kind, (dict, Tagged)):
+        return _section_value(kind, junk) | junk
+    if kind == "integer":
+        return _integers(field) | junk
+    if kind in ("list", "object"):
+        items = _JSON if field.items is None else _value(field.items, junk)
+        valid = st.lists(items, max_size=4) if kind == "list" else st.dictionaries(_STRINGS, items, max_size=3)
+        return valid | junk
+    return {"string": _STRINGS, "number": _NUMBERS, "boolean": st.booleans(), "any": _JSON}[kind] | junk
+
+
+def _sections(value: dict, section, path=()):
+    """(path, section, tag choices) of every section of a valid document;
+    an error spec's params are walked by its type's section."""
+    tags = {}
+    while isinstance(section, Tagged):
+        tags[section.tag] = section.choices
+        section = section.choices[value[section.tag]]
+    yield path, section, tags
+    for key, field in section.items():
+        if key == "params":
+            field = Field(ERROR_TYPES[value["type"]].params)
+        child, kind = value.get(key), field.type
+        if isinstance(kind, (dict, Tagged)) and isinstance(child, dict):
+            yield from _sections(child, kind, path + (key,))
+        elif child is not None and field.items is not None and isinstance(field.items.type, (dict, Tagged)):
+            for index, item in (enumerate(child) if kind == "list" else child.items()):
+                yield from _sections(item, field.items.type, path + (key, index))
+
+
+def _mutations(junk):
+    """Lists of (path, (key, value)): values of the key's type or junk, and
+    with junk also unknown keys; _DELETE removes the key."""
+
+    def mutation(target):
+        path, section, tags = target
+        changes = [st.tuples(st.just(key), _value(field, junk)) for key, field in section.items()]
+        changes += [st.tuples(st.just(tag), st.sampled_from(sorted(choices)) | junk) for tag, choices in tags.items()]
+        changes.append(st.tuples(st.sampled_from(["extra", "Name", ""]), junk))
+        changes.append(st.tuples(st.sampled_from(sorted(section)), st.just(_DELETE)))
+        return st.tuples(st.just(path), st.one_of(changes))
+
+    return st.lists(st.sampled_from(list(_sections(_BASE, DOCUMENT))).flatmap(mutation), min_size=1, max_size=3)
+
+
+def _mutated(mutations) -> str:
+    """The base document with the mutations applied; one whose path an
+    earlier mutation removed is dropped."""
+    doc = copy.deepcopy(_BASE)
+    for path, (key, value) in mutations:
+        node = doc
+        for step in path:
+            try:
+                node = node[step]
+            except (KeyError, IndexError, TypeError):
+                node = None
+        if isinstance(node, dict) and value is _DELETE:
+            node.pop(key, None)
+        elif isinstance(node, dict):
+            node[key] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=_mutations(_JSON))
+def test_every_section_raises_only_config_error(mutations):
+    try:
+        config = parse_config(_mutated(mutations))
+    except ConfigError:
+        return
+    assert isinstance(config, GeneratorConfig)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutations=_mutations(st.nothing()))
+def test_a_config_that_parses_also_generates(mutations):
+    # parse_config's guarantee: a config that parses runs, to a clean exit or
+    # a reported generation error, never to a traceback.
+    text = _mutated(mutations)
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    if config.tuple_count > 50:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli_main(["generate", "--config", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2)

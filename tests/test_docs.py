@@ -9,6 +9,8 @@ import pytest
 import dirtygen
 from dirtygen import parse_config
 from dirtygen.cli import main as cli_main
+from dirtygen.config import ATTRIBUTE, GENERATION, OUTPUT, SCALING, SOURCE, Tagged
+from dirtygen.errortypes import ERROR_TYPES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +83,32 @@ def test_config_reference_examples_parse(heading):
         assert config.attribute("zip").dependency.mapping == example["mapping"]
     else:
         assert config.errors[0].target_attributes == tuple(example["attributes"])
+
+
+def _section(heading: str) -> str:
+    text = (ROOT / "docs" / "config-reference.md").read_text(encoding="utf-8")
+    return re.search(rf"^#+ {re.escape(heading)}\n(.*?)(?=^#+ |\Z)", text, flags=re.M | re.S).group(1)
+
+
+def _field_column(heading: str) -> dict[str, set[str]]:
+    """Each table row under the heading: its first cell, unquoted -> the
+    quoted names in its second cell."""
+    rows = [line.strip().strip("|").split("|") for line in _section(heading).splitlines() if line.startswith("|")]
+    return {row[0].strip().strip("`"): set(re.findall(r"`([^`]+)`", row[1])) for row in rows[2:]}
+
+
+def _keys(section) -> set[str]:
+    """A section's keys; a tagged one's also name its tag and the tag's values."""
+    if isinstance(section, Tagged):
+        return {section.tag, *section.choices}.union(*map(_keys, section.choices.values()))
+    return set(section)
+
+
+def test_config_reference_lists_the_grammar_keys():
+    assert set(_field_column("Attributes")) == set(ATTRIBUTE)
+    assert _field_column("Value sources") == {kind: _keys(choice) for kind, choice in SOURCE.choices.items()}
+    assert _field_column("Type-specific params") == {
+        name: set(etype.params) for name, etype in ERROR_TYPES.items() if etype.params
+    }
+    bullets = re.findall(r"^\* `(\w+)", _section("Generation and output"), flags=re.M)
+    assert sorted(bullets) == sorted(({*GENERATION} - {"scaling"}) | {*SCALING, *OUTPUT})
