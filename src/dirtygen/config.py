@@ -629,7 +629,7 @@ def _resolve_domain(attr: AttributeSpec, tuple_count: int) -> None:
         _fail(f"attribute '{attr.name}': numeric sources require a numeric datatype")
     elif isinstance(attr.source, SequenceSource) and attr.datatype == "string":
         _fail(f"attribute '{attr.name}': sequence sources require a numeric datatype")
-    elif isinstance(attr.source, SequenceSource) and attr.datatype == "integer":
+    if isinstance(attr.source, SequenceSource) and attr.datatype == "integer":
         if attr.source.start != int(attr.source.start) or attr.source.step != int(attr.source.step):
             _fail(f"attribute '{attr.name}': integer sequences need integer start and step")
     # Fails where a uniform range and the interval leave nothing to draw, and

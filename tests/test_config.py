@@ -377,6 +377,8 @@ def _sequence_text(tuple_count: int, datatype: str = "integer", start=1, step=1,
         pytest.param(_sequence_text(3, start=2**53, step=1.0, unique=True), None, id="unique-beyond-2^53"),
         pytest.param(_sequence_text(2, "float", 1e308, 1e308), "float range", id="float-overflow"),
         pytest.param(_sequence_text(2, "integer", 1e308, 1e308), "float range", id="integer-overflow"),
+        pytest.param(_sequence_text(3, start=0.5, step=0.5, admissible_set=[0, 1, 2]),
+                     "integer start and step", id="integer-fractional-under-set"),
     ],
 )
 def test_sequence_clean_values_stay_in_interval_and_admissible_set(text, error):
