@@ -262,6 +262,8 @@ class GeneratorConfig:
     # (error type, target attribute or None) -> its spec; parse_config proves the keys unique.
     spec_by_target: dict = field(default_factory=dict, repr=False, compare=False)
     attribute_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # Where relative lexicon paths resolve first, schema and error params alike.
+    base_dir: Path | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.attribute_names = tuple(a.name for a in self.schema)
@@ -417,9 +419,11 @@ BIAS_PARAMS = {
     "skewed_weights": Field("object", None, items=Field("number", REQUIRED, *_NON_NEGATIVE)),
 }
 
+MAX_SHARDS = 10_000
+MAX_WIDTH = 10_000  # attributes after column replication
 SCALING = {
-    "column_replication": Field("integer", 0, *_NON_NEGATIVE),
-    "shard_count": Field("integer", 1, lambda n: n >= 1, "must be >= 1"),
+    "column_replication": Field("integer", 0, *_NON_NEGATIVE),  # bounded by MAX_WIDTH
+    "shard_count": Field("integer", 1, lambda n: 1 <= n <= MAX_SHARDS, f"must be in [1, {MAX_SHARDS}]"),
 }
 GENERATION = {
     "tuple_count": Field("integer", REQUIRED, *_NON_NEGATIVE),
@@ -919,6 +923,12 @@ def parse_config(
     tuple_count, scaling = generation["tuple_count"], generation["scaling"]
     seed = generation["seed"] if seed_override is None else _walk(seed_override, GENERATION["seed"], "seed")
     replication = scaling["column_replication"]
+    width = (1 + replication) * len(doc["schema"])
+    if width > MAX_WIDTH:
+        _fail(
+            f"generation scaling column_replication {replication} would make {width} "
+            f"attributes of {len(doc['schema'])}, more than {MAX_WIDTH}"
+        )
 
     attrs = [_attribute(raw, base_dir) for raw in doc["schema"]]
     names = [a.name for a in attrs]
@@ -981,6 +991,7 @@ def parse_config(
         output=output,
         attr_positions={a.name: i for i, a in enumerate(attrs)},
         eval_order=_evaluation_order(attrs),
+        base_dir=base_dir,
     )
     config.errors, config.spec_by_target = _parse_errors(doc.get("errors", []), config)
     try:

@@ -20,7 +20,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from itertools import compress, repeat
+from operator import eq
+from typing import Callable, Iterator
 
 from .config import (
     BIAS_PARAMS,
@@ -470,8 +472,7 @@ def _duplicated(clean, dirty, attr, config, params, clean_record, dirty_record, 
         return False
     if dirty_dataset is None:
         return True
-    name = attr.name
-    return sum(1 for record in dirty_dataset if record.get(name, ABSENT) == dirty) >= 2
+    return sum(_matches(dirty_dataset, attr.name, dirty)) >= 2
 
 
 def _synonym(clean, attr, stream, *_):
@@ -766,7 +767,8 @@ def _parse_offdomain(params: dict, where: str, config) -> None:
         if name not in config.attr_positions:
             raise ConfigError(f"{where}: offdomain names unknown attribute {name!r}")
         # A stand-in attribute that draws from the bare source.
-        carrier = AttributeSpec(name, "string", build_source(source_raw, f"{where} offdomain {name!r}"))
+        source = build_source(source_raw, f"{where} offdomain {name!r}", config.base_dir)
+        carrier = AttributeSpec(name, "string", source)
         carrier.domain = resolve(carrier, config.tuple_count)
         parsed[name] = carrier
     params["offdomain"] = parsed
@@ -794,21 +796,42 @@ def _misspelled_copy(clean, dirty, *_) -> bool:
     return isinstance(clean, str) and edit_distance_one(str(clean), str(dirty))
 
 
-def _differing(dirty_record: dict, config, clean_dataset):
-    """Each clean tuple with the attributes where dirty_record differs from it."""
+def _matches(dataset: list[dict], name: str, value) -> Iterator[bool]:
+    """Whether each record's `name` value equals `value`, ABSENT for a missing
+    key; the whole column is compared in C."""
+    return map(eq, map(dict.get, dataset, repeat(name), repeat(ABSENT)), repeat(value))
+
+
+def _differing(dirty_record: dict, config, clean_dataset: list[dict], limit: int):
+    """Each clean tuple that differs from dirty_record in at most `limit`
+    attributes, in dataset order, with the attributes where it differs.
+
+    Such a tuple agrees with dirty_record on at least one of any limit + 1
+    attributes, so only the tuples that match it on one of the first limit + 1
+    get the full comparison.
+    """
     names = config.attribute_names
-    for source in clean_dataset:
-        yield source, [
+    candidates = range(len(clean_dataset))
+    if limit < len(names):
+        candidates = sorted(set().union(*(
+            compress(candidates, _matches(clean_dataset, name, dirty_record.get(name, ABSENT)))
+            for name in names[: limit + 1]
+        )))
+    for row in candidates:
+        source = clean_dataset[row]
+        diffs = [
             name for name in names if source.get(name, ABSENT) != dirty_record.get(name, ABSENT)
         ]
+        if len(diffs) <= limit:
+            yield source, diffs
 
 
 def _duplicates_a_tuple(clean_record, dirty_record, config, params, clean_dataset) -> bool:
     if clean_dataset is None:
         return True
     allowed = params["perturbed_attributes"] if params["near_duplicate"] else 0
-    for source, diffs in _differing(dirty_record, config, clean_dataset):
-        if len(diffs) <= allowed and all(
+    for source, diffs in _differing(dirty_record, config, clean_dataset, allowed):
+        if all(
             isinstance(source.get(name), str)
             and isinstance(dirty_record.get(name), str)
             and edit_distance_one(source[name], dirty_record[name])
@@ -845,7 +868,7 @@ def _conflicts_with_a_tuple(clean_record, dirty_record, config, params, clean_da
     """One non-key attribute differs from some clean tuple, with a valid value."""
     if clean_dataset is None:
         return True
-    for _, diffs in _differing(dirty_record, config, clean_dataset):
+    for _, diffs in _differing(dirty_record, config, clean_dataset, 1):
         if len(diffs) != 1:
             continue
         attr = config.attribute(diffs[0])

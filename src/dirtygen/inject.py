@@ -179,8 +179,10 @@ def verify_error(
     Column- and entity-scoped checks need dataset context; pass dirty_dataset
     (all dirty records) and clean_dataset (all clean records) for a full
     check. Without them those aspects degrade to local consistency checks.
-    A type whose spec is missing from the config is checked with its
-    default params.
+    Both must be lists. Each such check is one pass over a dataset in C; an
+    entity check diffs whole records only for the clean tuples that match the
+    dirty record on one of its first few attributes. A type whose spec is
+    missing from the config is checked with its default params.
     """
     etype = ERROR_TYPES.get(entry.error_type)
     if etype is None:

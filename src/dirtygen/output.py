@@ -156,9 +156,20 @@ def _infer_mode(path: Path, mode: str | None) -> str:
     return "json_array" if path.suffix == ".json" else "ndjson"
 
 
+def _reject_constant(name: str):
+    # NaN, Infinity and -Infinity are not standard JSON.
+    raise ValueError(name)
+
+
+# One strict decoder for every reader, built once rather than per line.
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def _strict_loads(text: str):
-    # Reject NaN/Infinity; they are not standard JSON.
-    return json.loads(text, parse_constant=lambda c: (_ for _ in ()).throw(ValueError(c)))
+    if text.startswith("\ufeff"):
+        # What json.loads says; the bare decoder would say "Expecting value".
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _decode(text)
 
 
 def read_dataset(

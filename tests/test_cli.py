@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -291,3 +292,44 @@ def test_sharded_generation(tmp_path):
     assert len(clean_shards) == 3 and len(dirty_shards) == 3
     total = sum(len(p.read_text().splitlines()) for p in clean_shards)
     assert total == 100
+
+
+def _offdomain_config(directory: Path) -> Path:
+    """A config whose schema and offdomain source both name words.txt, a path
+    relative to the config file's directory."""
+    directory.mkdir()
+    (directory / "words.txt").write_text("alpha\nbeta\ngamma\n", encoding="utf-8")
+    words = {"kind": "lexicon", "path": "words.txt"}
+    doc = {
+        "schema": [
+            {"name": "w", "datatype": "string", "source": words},
+            {"name": "city", "datatype": "string", "source": {"kind": "set", "values": ["Berlin", "Munich"]}},
+        ],
+        "errors": [{"type": "irrelevant_observation", "rate": 0.2, "params": {"offdomain": {"city": words}}}],
+        "generation": {"tuple_count": 20, "seed": 4},
+    }
+    path = directory / "c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_offdomain_lexicon_path_resolves_against_the_config_directory(tmp_path, monkeypatch, capsys):
+    config = _offdomain_config(tmp_path / "offd")
+    monkeypatch.chdir(config.parent)
+    assert main(["validate", "--config", "c.json"]) == 0
+    from_inside = capsys.readouterr().out
+    # From the parent directory, where no words.txt exists, and from one
+    # whose words.txt differs: the config's directory wins either way.
+    for cwd_words in (None, "delta\nepsilon\n"):
+        monkeypatch.chdir(tmp_path)
+        if cwd_words is not None:
+            (tmp_path / "words.txt").write_text(cwd_words, encoding="utf-8")
+        assert main(["validate", "--config", "offd/c.json"]) == 0
+        assert capsys.readouterr().out == from_inside  # same config hash
+    out = tmp_path / "o"
+    assert main(["generate", "--config", "offd/c.json", "--out", str(out)]) == 0
+    log = (out / "errors.log").read_text(encoding="utf-8").splitlines()
+    config_hash = re.search(r"config hash: (sha256:\w+)", from_inside).group(1)
+    assert log[0].split("\t")[2] == f"config={config_hash}"
+    drawn = {line.split("\t")[5] for line in log[1:] if line.split("\t")[2] == "city"}
+    assert drawn and drawn <= {'"alpha"', '"beta"', '"gamma"'}

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from dirtygen import (
     parse_config,
 )
 from dirtygen.cli import main as cli_main
-from dirtygen.config import DOCUMENT, Field, Tagged, compute_config_hash
+from dirtygen.config import DOCUMENT, MAX_SHARDS, MAX_WIDTH, Field, Tagged, compute_config_hash
 from dirtygen.errortypes import ALL_ERROR_TYPES, ERROR_TYPES
 
 from checker import check_dataset
@@ -208,6 +209,34 @@ def test_column_replication_clones_constraints():
         assert config.attribute(name).interval == (0, 120)
     # default targeting picks up the replicas
     assert config.errors[0].target_attributes == names
+
+
+@pytest.mark.parametrize("key", ["column_replication", "shard_count"])
+def test_huge_scaling_values_fail_fast(key):
+    doc = json.loads(make_config_text())
+    doc["generation"]["scaling"] = {key: 2**32}
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=f"generation scaling {key} "):
+        parse_config(json.dumps(doc))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_scaling_bounds_are_inclusive():
+    doc = json.loads(minimal_text())  # one attribute
+    doc["generation"]["scaling"] = {"column_replication": MAX_WIDTH - 1, "shard_count": MAX_SHARDS}
+    config = parse_config(json.dumps(doc))
+    assert len(config.schema) == MAX_WIDTH and config.output.shard_count == MAX_SHARDS
+    for scaling in ({"column_replication": MAX_WIDTH}, {"shard_count": MAX_SHARDS + 1}):
+        doc["generation"]["scaling"] = scaling
+        with pytest.raises(ConfigError):
+            parse_config(json.dumps(doc))
+    # Six attributes: the width counts every declared attribute, dependents too.
+    doc = json.loads(make_config_text())
+    doc["generation"]["scaling"] = {"column_replication": MAX_WIDTH // 6}
+    with pytest.raises(ConfigError, match="would make 10002 attributes of 6, more than 10000"):
+        parse_config(json.dumps(doc))
+    doc["generation"]["scaling"] = {"column_replication": 2, "shard_count": 3}
+    assert len(parse_config(json.dumps(doc)).schema) == 16
 
 
 def test_bundled_lexicon_is_realistic():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,50 @@ def test_reader_rejects_nan(tmp_path):
     path.write_text('{"a":NaN}\n', encoding="utf-8")
     with pytest.raises(DatasetFormatError):
         list(read_dataset(path))
+
+
+_BOM_MESSAGE = r"Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1 \(char 0\)"
+_NOT_JSON = [
+    ("NaN", "NaN"),
+    ("Infinity", "Infinity"),
+    ("-Infinity", "-Infinity"),
+    ("\ufeff1", _BOM_MESSAGE),
+]
+
+
+@pytest.mark.parametrize("literal, message", _NOT_JSON)
+def test_ndjson_reader_rejects_non_standard_json(tmp_path, literal, message):
+    path = tmp_path / "data.ndjson"
+    if literal.startswith("\ufeff"):
+        path.write_text('\ufeff{"a":1}\n', encoding="utf-8")
+        line = 1
+    else:
+        path.write_text(f'{{"a":1}}\n{{"a":{literal}}}\n', encoding="utf-8")
+        line = 2
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: line {line}: not valid JSON: {message}$"):
+        list(read_dataset(path))
+
+
+@pytest.mark.parametrize("literal, message", _NOT_JSON)
+def test_array_reader_rejects_non_standard_json(tmp_path, literal, message):
+    path = tmp_path / "data.json"
+    if literal.startswith("\ufeff"):
+        path.write_text('\ufeff[\n{"a":1}\n]\n', encoding="utf-8")
+    else:
+        path.write_text(f'[\n{{"a":1}},\n{{"a":{literal}}}\n]\n', encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: not a valid JSON document: {message}$"):
+        list(read_dataset(path))
+
+
+@pytest.mark.parametrize("literal, message", _NOT_JSON)
+@pytest.mark.parametrize("column", [4, 5])
+def test_log_reader_rejects_non_standard_json_values(tmp_path, literal, message, column):
+    fields = ["5", "5", "city", "missing_value", '"Berlin"', "null"]
+    fields[column] = literal
+    path = tmp_path / "errors.log"
+    path.write_text("# header\n" + "\t".join(fields) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: line 2: {message}$"):
+        read_error_log(path)
 
 
 def test_deleted_rows_require_opt_in(tmp_path):
