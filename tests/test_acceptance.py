@@ -436,6 +436,19 @@ def _golden_sources_doc() -> dict:
     }
 
 
+def _golden_sources_1k_doc() -> dict:
+    # The sources config over four 256-tuple blocks: weighted sets,
+    # resampling, clean nulls, unique draws and the dependency chain all cross
+    # block boundaries. The words lexicon has fewer than 1,000 members, so
+    # uword draws without uniqueness here.
+    doc = _golden_sources_doc()
+    for attr in doc["schema"]:
+        if attr["name"] == "uword":
+            del attr["unique"]
+    doc["generation"] = {"tuple_count": 1000, "seed": 2718}
+    return doc
+
+
 # sha256 of every output file except run-manifest.json (its duration varies).
 _GOLDEN_DIGESTS = {
     "demo": {
@@ -460,6 +473,11 @@ _GOLDEN_DIGESTS = {
         "dirty.ndjson": "b10b8f684d73b4d326bd4d2467290d2e44ca3667877c3d1eb05046a69a17846f",
         "errors.log": "2305fc4cbe0788ffdfbe9e2face50604c8104273b00bff3bc54091345a37165d",
     },
+    "sources_1k": {
+        "clean.ndjson": "02328309b7f59b264d09ee5847d70fe9de0b834b5956e702fbe1b85cbb87ced9",
+        "dirty.ndjson": "e347ec7bd0dbbb6539c14be984abe5c59632211a29c593a66b4f123059e362ad",
+        "errors.log": "90cb8647c59d51d1f2bd3ff42987f122acb6f7e52e9845776b4829e078aa07b0",
+    },
 }
 
 
@@ -469,7 +487,12 @@ def test_c3_golden_digests(name, tmp_path):
     if name == "demo":
         config_path = Path(__file__).resolve().parent.parent / "sample_configs" / "demo.json"
     else:
-        doc = {"dense": _golden_dense_doc, "params": _golden_params_doc, "sources": _golden_sources_doc}[name]()
+        doc = {
+            "dense": _golden_dense_doc,
+            "params": _golden_params_doc,
+            "sources": _golden_sources_doc,
+            "sources_1k": _golden_sources_1k_doc,
+        }[name]()
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
