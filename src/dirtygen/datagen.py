@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .exceptions import GenerationError
-from .rng import IndexPermutation, Stream, address_key, stage_key, tuple_key
+from .rng import TWO53_INV, IndexPermutation, Stream, TupleBlock, address_key, stage_key, stream_after, tuple_key
 
 if TYPE_CHECKING:  # config calls cell_rule while it parses
     from .config import AttributeSpec, GeneratorConfig
@@ -34,6 +34,14 @@ def distribution_params(attr: AttributeSpec) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Clean-cell rules
+#
+# A cell's stream is Stream(tuple_key(base, i)) with base the attribute's
+# clean stage key. A null-rate attribute decides null on the stream's first
+# word; the value then reads the domain's draw words after it, unless a
+# sequence or a unique attribute takes it from the tuple index. cell_rule
+# applies these rules to one tuple and _column_rule to a block of tuples.
+
+BLOCK_TUPLES = 256  # tuples per column block of generate_clean_dataset
 
 
 def _index_rule(attr: AttributeSpec, seed: int) -> Callable | None:
@@ -69,33 +77,34 @@ def cell_rule(attr: AttributeSpec, seed: int) -> Callable:
         # parse_config proves the mapping total over the determinant's clean
         # values; a null determinant gives a null dependent.
         return {None: None, **attr.dependency.mapping}.__getitem__
+    value = _value_rule(attr, _index_rule(attr, seed))
+    base = stage_key(seed, STAGE_CLEAN, attr.name)
+    return lambda i: value(Stream(tuple_key(base, i)), i)
+
+
+def _column_rule(attr: AttributeSpec, seed: int) -> Callable:
+    """TupleBlock -> the clean values of its tuples, the cells cell_rule gives one at a time."""
+    domain, null_rate = attr.domain, attr.null_rate
     index_rule = _index_rule(attr, seed)
     base = stage_key(seed, STAGE_CLEAN, attr.name)
-    if attr.null_rate > 0:
-        value = _value_rule(attr, index_rule)
-        return lambda i: value(Stream(tuple_key(base, i)), i)
-    if index_rule is not None:
-        return index_rule  # the cell's stream would go unread
-    draw = attr.domain.draw
-    return lambda i: draw(Stream(tuple_key(base, i)))
+    nulls = 1 if null_rate > 0 else 0
+    read = nulls + (domain.words if index_rule is None else 0)  # words of each stream
 
+    def column(block: TupleBlock) -> list:
+        words = block.words(base, read)
+        if index_rule is not None:
+            values = list(map(index_rule, range(block.lo, block.hi)))
+        else:
+            values = domain.attempts(block.hi - block.lo, words[nulls:])
+        if nulls:
+            values = [None if (w >> 11) * TWO53_INV < null_rate else v for w, v in zip(words[0], values)]
+        if index_rule is None and domain.accept is not None:
+            for j, value in enumerate(values):
+                if value is not None and not domain.accept(value):
+                    values[j] = domain.draw(stream_after(base, block.lo + j, read), rejected=1)
+        return values
 
-def _record_function(config: GeneratorConfig) -> Callable:
-    """tuple index -> the clean record: walks eval_order, keys in schema order."""
-    steps = tuple(
-        (attr.name, attr.cell, None if attr.dependency is None else attr.dependency.determinant)
-        for attr in map(config.attribute, config.eval_order)
-    )
-    names = config.attribute_names
-    in_schema_order = config.eval_order == names
-
-    def record(tuple_index: int) -> dict:
-        values = {}
-        for name, cell, determinant in steps:
-            values[name] = cell(tuple_index if determinant is None else values[determinant])
-        return values if in_schema_order else {name: values[name] for name in names}
-
-    return record
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +123,7 @@ def generate_value(
     Unique and sequence sources are index-keyed, so the tuple index matters
     for them; everything else depends only on the stream.
     """
-    # A unique attribute draws no nulls, so its cell rule is its index rule.
-    index_rule = attr.cell if attr.unique else attr.domain.by_index
-    return _value_rule(attr, index_rule)(stream, tuple_index)
+    return _value_rule(attr, _index_rule(attr, config.seed))(stream, tuple_index)
 
 
 def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:
@@ -147,14 +154,27 @@ def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, 
 
 def generate_record(config: GeneratorConfig, tuple_index: int) -> dict:
     """One clean record, keys in schema order."""
-    return _record_function(config)(tuple_index)
+    memo: dict = {}
+    return {name: clean_cell_value(config, tuple_index, name, memo) for name in config.attribute_names}
 
 
 def generate_clean_dataset(config: GeneratorConfig) -> Iterator[dict]:
-    """All tuple_count records in index order; memory does not grow with N."""
-    record = _record_function(config)
-    for i in range(config.tuple_count):
-        yield record(i)
+    """All tuple_count records in index order, built from the columns of one
+    block of tuples at a time; memory does not grow with N."""
+    steps = [
+        (attr.name, attr.cell, attr.dependency.determinant)
+        if attr.dependency is not None
+        else (attr.name, _column_rule(attr, config.seed), None)
+        for attr in map(config.attribute, config.eval_order)
+    ]
+    names = config.attribute_names
+    for lo in range(0, config.tuple_count, BLOCK_TUPLES):
+        block = TupleBlock(lo, min(lo + BLOCK_TUPLES, config.tuple_count))
+        columns = {}
+        for name, rule, determinant in steps:
+            # A dependent maps its determinant's column through its mapping.
+            columns[name] = rule(block) if determinant is None else list(map(rule, columns[determinant]))
+        yield from [dict(zip(names, row)) for row in zip(*[columns[name] for name in names])]
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ the one place that tells source kinds apart to answer such a question.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 from .exceptions import ConfigError, GenerationError
-from .rng import NORMAL_Z_BOUND
+from .rng import NORMAL_Z_BOUND, TWO53_INV, gaussian
 from .taxonomy import round_half_away
-from .templates import template_decode, template_drawer, template_regex, template_size
+from .templates import template_attempts, template_decode, template_regex, template_size
 
 MAX_MEMBERS = 10_000  # members() lists domains up to this size
 
@@ -29,12 +31,22 @@ class Domain(NamedTuple):
     """Every answer about one attribute's clean values."""
 
     size: int | None  # distinct members; None: unbounded
-    draw: Callable  # stream -> one member, never null
+    # A draw attempt reads `words` u64 words from a stream, and
+    # attempts(n, words) turns n attempts' words into their values: words
+    # holds one list per word, the j-th list word j of every attempt. It is
+    # the source kind's one rule: draw() applies it to one stream, and the
+    # clean generator to the streams of a block of tuples.
+    words: int
+    attempts: Callable
     contains: Callable  # non-null value -> could the clean generator emit it?
     at: Callable | None = None  # k -> the k-th member; None where nothing indexes it
     span: int | None = None  # members members() lists: size, or a sequence's first tuple_count
     values: tuple | None = None  # a finite domain's members, in order
     by_index: Callable | None = None  # sequence sources: tuple index -> the clean value
+    # value -> does it satisfy pattern and interval? None where no attempt
+    # can fail them; a failed attempt is drawn again.
+    accept: Callable | None = None
+    name: str = ""  # the attribute, for the error when no attempt is accepted
     # Distribution sources only: the distribution's mean and standard
     # deviation, and the largest magnitude a draw can take.
     mean: float | None = None
@@ -47,26 +59,44 @@ class Domain(NamedTuple):
             return None
         return [self.at(k) for k in range(self.span)]
 
+    def draw(self, stream, rejected: int = 0):
+        """One member, never null: the first attempt from stream that accept
+        takes; rejected counts attempts already made on the stream's words."""
+        for _ in range(_RESAMPLE_LIMIT - rejected):
+            (value,) = self.attempts(1, [[stream.u64()] for _ in range(self.words)])
+            if self.accept is None or self.accept(value):
+                return value
+        raise GenerationError(
+            f"attribute '{self.name}': no constraint-satisfying value found in "
+            f"{_RESAMPLE_LIMIT} draws; the distribution and the constraints are "
+            f"nearly disjoint"
+        )
+
+
+def weighted_choice(weights: tuple[float, ...]) -> Callable[[float], int]:
+    """u in [0, 1) -> index i; a uniform u gives i with probability weights[i] / sum(weights)."""
+    # The pick is u * sum(weights), never u times the last running sum: from
+    # Python 3.12 on, sum() of floats is compensated, so the two can differ,
+    # and with them the index a pick lands on.
+    total, last = sum(weights), len(weights) - 1
+    sums = list(accumulate(weights, initial=0.0))[1:]
+    return lambda u: min(bisect_right(sums, u * total), last)
+
 
 def weighted_index(stream, weights: tuple[float, ...]) -> int:
     """Index i drawn with probability weights[i] / sum(weights)."""
-    pick = stream.random() * sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if pick < acc:
-            return i
-    return len(weights) - 1
+    return weighted_choice(weights)(stream.random())
 
 
 def finite(values: tuple, weights: tuple[float, ...] | None = None) -> Domain:
     """The domain listed by values; draws pick by weight when weights are given."""
     n = len(values)
     if weights is None:
-        draw = lambda stream: values[stream.randrange(n)]  # noqa: E731
+        attempts = lambda _, words: [values[(w * n) >> 64] for w in words[0]]  # noqa: E731
     else:
-        draw = lambda stream: values[weighted_index(stream, weights)]  # noqa: E731
-    return Domain(n, draw, values.__contains__, values.__getitem__, n, values)
+        choose = weighted_choice(weights)
+        attempts = lambda _, words: [values[choose((w >> 11) * TWO53_INV)] for w in words[0]]  # noqa: E731
+    return Domain(n, 1, attempts, values.__contains__, values.__getitem__, n, values)
 
 
 def resolve(attr, tuple_count: int) -> Domain:
@@ -93,26 +123,6 @@ def resolve(attr, tuple_count: int) -> Domain:
     if src.distribution == "normal":
         return _normal_domain(attr)
     return _uniform_domain(attr)
-
-
-def _resampling(attr, draw: Callable, can_reject: bool) -> Callable:
-    """draw, redrawn until the value satisfies pattern and interval where they can reject it."""
-    if not can_reject:
-        return draw
-    satisfies = attr.satisfies
-
-    def resample(stream):
-        for _ in range(_RESAMPLE_LIMIT):
-            value = draw(stream)
-            if satisfies(value):
-                return value
-        raise GenerationError(
-            f"attribute '{attr.name}': no constraint-satisfying value found in "
-            f"{_RESAMPLE_LIMIT} draws; the distribution and the constraints are "
-            f"nearly disjoint"
-        )
-
-    return resample
 
 
 def _sequence_terms(attr) -> tuple:
@@ -147,8 +157,8 @@ def _sequence_domain(attr, tuple_count: int) -> Domain:
         except OverflowError:  # an integer beyond the float range, or an infinite value
             return False
 
-    draw = lambda stream: at(stream.randrange(span))  # noqa: E731
-    return Domain(None if step != 0 else 1, draw, contains, at, tuple_count, by_index=at)
+    attempts = lambda _, words: [at((w * span) >> 64) for w in words[0]]  # noqa: E731
+    return Domain(None if step != 0 else 1, 1, attempts, contains, at, tuple_count, by_index=at)
 
 
 def _template_domain(attr) -> Domain:
@@ -158,8 +168,16 @@ def _template_domain(attr) -> Domain:
     def contains(value) -> bool:
         return isinstance(value, str) and regex.fullmatch(value) is not None and satisfies(value)
 
-    draw = _resampling(attr, template_drawer(template), attr.compiled_pattern is not None)
-    return Domain(size, draw, contains, lambda k: template_decode(template, k), size)
+    return Domain(
+        size,
+        *template_attempts(template),
+        contains,
+        lambda k: template_decode(template, k),
+        size,
+        accept=attr.satisfies if attr.compiled_pattern is not None else None,
+        name=attr.name,
+    )
+
 
 
 def _numeric_contains(attr, low=None, high=None) -> Callable:
@@ -191,7 +209,7 @@ def _uniform_domain(attr) -> Domain:
                 f"range and the interval constraint"
             )
         size = hi - lo + 1
-        draw = lambda stream: lo + stream.randrange(size)  # noqa: E731
+        attempts = lambda _, words: [lo + ((w * size) >> 64) for w in words[0]]  # noqa: E731
         at = lambda k: lo + k  # noqa: E731
     else:
         lo, hi = src.low, src.high
@@ -204,15 +222,19 @@ def _uniform_domain(attr) -> Domain:
                 f"constraint do not overlap"
             )
         size = 1 << _FLOAT_GRID_BITS
-        draw = lambda stream: lo + stream.random() * (hi - lo)  # noqa: E731
+        width = hi - lo
+        attempts = lambda _, words: [lo + (w >> 11) * TWO53_INV * width for w in words[0]]  # noqa: E731
         # The k-th member is point (k + 0.5) / size of a grid over [lo, hi).
         at = lambda k: lo + (k + 0.5) / size * (hi - lo)  # noqa: E731
     return Domain(
         size,
-        _resampling(attr, draw, attr.compiled_pattern is not None),
+        1,
+        attempts,
         _numeric_contains(attr, src.low, src.high),
         at,
         size,
+        accept=attr.satisfies if attr.compiled_pattern is not None else None,
+        name=attr.name,
         mean=(src.low + src.high) / 2.0,
         stddev=(src.high - src.low) / math.sqrt(12.0),
         bound=max(abs(float(src.low)), abs(float(src.high))),
@@ -222,8 +244,13 @@ def _uniform_domain(attr) -> Domain:
 def _normal_domain(attr) -> Domain:
     mean, stddev = attr.source.mean, attr.source.stddev
     typed = round_half_away if attr.datatype == "integer" else float
-    draw = lambda stream: typed(stream.normal(mean, stddev))  # noqa: E731
-    can_reject = attr.compiled_pattern is not None or attr.interval is not None
+
+    def attempts(_, words) -> list:  # u1 in (0, 1] and u2 in [0, 1), as Stream.normal draws them
+        return [
+            typed(mean + stddev * gaussian(((w1 >> 11) + 1) * TWO53_INV, (w2 >> 11) * TWO53_INV))
+            for w1, w2 in zip(*words)
+        ]
+
     size = at = None
     if attr.datatype != "integer":
         size = 1 << _FLOAT_GRID_BITS
@@ -231,10 +258,13 @@ def _normal_domain(attr) -> Domain:
             at = _normal_grid(attr, size)
     return Domain(
         size,
-        _resampling(attr, draw, can_reject),
+        2,
+        attempts,
         _numeric_contains(attr),
         at,
         size,
+        accept=attr.satisfies if attr.compiled_pattern is not None or attr.interval is not None else None,
+        name=attr.name,
         mean=mean,
         stddev=stddev,
         bound=abs(float(mean)) + NORMAL_Z_BOUND * float(stddev),

@@ -16,18 +16,25 @@ where mix64 is the SplitMix64 finalizer, GOLDEN = 0x9E3779B97F4A7C15, and
 blake2b_64 is the first 8 bytes (big-endian) of BLAKE2b over the UTF-8 label.
 A stream then emits SplitMix64 outputs seeded at key(i). All arithmetic is
 unsigned 64-bit, so results are identical on every platform.
+
+Keys and words may be computed for many tuples at once (TupleBlock): the same
+arithmetic runs on every tuple of a block together and gives identical
+numbers, so a cell's value does not depend on whether it was generated alone
+or in a block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from array import array
 from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-_TWO53_INV = 1.0 / (1 << 53)
+TWO53_INV = 1.0 / (1 << 53)
 
 # Stream.normal's |z| is at most sqrt(-2 ln 2^-53) = sqrt(106 ln 2) ~ 8.5717,
 # since random_open() is at least 2^-53: every draw lies within
@@ -82,11 +89,11 @@ class Stream:
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.u64() >> 11) * _TWO53_INV
+        return (self.u64() >> 11) * TWO53_INV
 
     def random_open(self) -> float:
         """Uniform float in (0, 1], safe as a log() argument."""
-        return ((self.u64() >> 11) + 1) * _TWO53_INV
+        return ((self.u64() >> 11) + 1) * TWO53_INV
 
     def randrange(self, n: int) -> int:
         """Uniform int in [0, n). Multiply-shift; bias is < n / 2^64."""
@@ -96,10 +103,7 @@ class Stream:
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """One Box-Muller draw; consumes exactly two uniforms."""
-        u1 = self.random_open()
-        u2 = self.random()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mu + sigma * z
+        return mu + sigma * gaussian(self.random_open(), self.random())
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), drawn via partial Fisher-Yates."""
@@ -110,6 +114,68 @@ class Stream:
             j = i + self.randrange(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+def gaussian(u1: float, u2: float) -> float:
+    """Box-Muller: a standard normal value from u1 in (0, 1] and u2 in [0, 1)."""
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def stream_after(base: int, tuple_index: int, words: int) -> Stream:
+    """Stream(tuple_key(base, tuple_index)) once it has emitted its first `words` words."""
+    return Stream(tuple_key(base, tuple_index) + words * GOLDEN)
+
+
+# A lane is a 64-bit value held in 128 bits of a packed int: a product of two
+# 64-bit values fits its lane, so no carry reaches the next one before the
+# mask cuts each lane back to 64 bits.
+_LANE_BITS = 128
+# The words of the lanes, lane 0 first, in an array('Q') of the packed int's
+# bytes in native order: the low half of each 16-byte lane.
+_LANE_WORDS = slice(0, None, 2) if sys.byteorder == "little" else slice(-1, None, -2)
+
+
+def _mix_lanes(x: int, mask: int) -> int:
+    """mix64 of every lane; mask keeps the low 64 bits of each lane."""
+    x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (x ^ (x >> 31)) & mask
+
+
+class TupleBlock:
+    """Tuples lo..hi-1, whose streams under one base are drawn all at once.
+
+    Each tuple is one lane of a packed int, so a few big-int operations run
+    the SplitMix64 arithmetic of every tuple together. The (i * GOLDEN) lanes
+    are packed once per block and shared by every base.
+    """
+
+    __slots__ = ("lo", "hi", "_ones", "_mask", "_golden", "_bytes")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.lo, self.hi = lo, hi
+        self._bytes = (hi - lo) * _LANE_BITS // 8
+        self._ones = self._pack([1] * (hi - lo))
+        self._mask = self._ones * _MASK64
+        self._golden = self._pack([(i * GOLDEN) & _MASK64 for i in range(lo, hi)])
+
+    def _pack(self, values: list[int]) -> int:
+        lanes = array("Q", bytes(self._bytes))
+        lanes[_LANE_WORDS] = array("Q", values)
+        return int.from_bytes(lanes, sys.byteorder)
+
+    def words(self, base: int, k: int) -> list[list[int]]:
+        """The first k words of Stream(tuple_key(base, i)) for every tuple i of
+        the block: k lists, the j-th holding word j of each tuple in order."""
+        mask, ones = self._mask, self._ones
+        state = _mix_lanes(((base & _MASK64) * ones) ^ self._golden, mask)  # tuple_key of every lane
+        step = GOLDEN * ones
+        out = []
+        for _ in range(k):
+            state = (state + step) & mask
+            lanes = memoryview(_mix_lanes(state, mask).to_bytes(self._bytes, sys.byteorder)).cast("Q")
+            out.append(lanes[_LANE_WORDS].tolist())
+        return out
 
 
 def derive_stream(seed: int, stage: str, tuple_index: int = 0, attribute: str = "") -> Stream:

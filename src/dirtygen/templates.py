@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import repeat
+from typing import Callable
 
 CLASSES = {
     "#": "0123456789",
@@ -41,11 +43,18 @@ def template_decode(template: str, index: int) -> str:
     return "".join(out)
 
 
-def template_drawer(template: str):
-    """draw(stream): a uniform expansion, one draw per placeholder, left to right."""
-    slots = tuple((ch, CLASSES.get(ch), len(CLASSES.get(ch, ""))) for ch in template)
+def template_attempts(template: str) -> tuple[int, Callable]:
+    """(words, attempts): a uniform expansion reads one word per placeholder,
+    left to right, and attempts(n, words) builds n expansions from one list
+    of words per placeholder, a column of characters at a time."""
+    slots = tuple((ch, CLASSES.get(ch)) for ch in template)
 
-    def draw(stream) -> str:
-        return "".join([alphabet[stream.randrange(n)] if alphabet else ch for ch, alphabet, n in slots])
+    def attempts(n: int, words: list) -> list[str]:
+        columns = iter(words)
+        pieces = [
+            [alphabet[(w * len(alphabet)) >> 64] for w in next(columns)] if alphabet else repeat(ch, n)
+            for ch, alphabet in slots
+        ]
+        return list(map("".join, zip(*pieces)))
 
-    return draw
+    return sum(alphabet is not None for _, alphabet in slots), attempts
