@@ -9,7 +9,8 @@ attribute's domain (domains.py) and clean-cell rule (cell_rule) once and
 stores both on the AttributeSpec; nothing here keeps state. Any single cell
 can still be regenerated without touching its neighbours, which the error
 planner and the injectors rely on, and stream keys are derived as rng
-documents.
+documents. generate_clean_dataset applies the same rules to blocks of
+tuples, a column per attribute, and gives the same values.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def _index_rule(attr: AttributeSpec, seed: int) -> Callable | None:
     return lambda i: at(perm(i))
 
 
+def _parsed_index_rule(attr: AttributeSpec) -> Callable | None:
+    """The index rule of a parsed attribute: a unique attribute draws no
+    nulls, so its cell rule is its index rule."""
+    return attr.cell if attr.unique else attr.domain.by_index
+
+
 def _value_rule(attr: AttributeSpec, index_rule: Callable | None) -> Callable:
     """(stream, tuple index) -> the clean value drawn from that stream."""
     draw, null_rate = attr.domain.draw, attr.null_rate
@@ -77,15 +84,21 @@ def cell_rule(attr: AttributeSpec, seed: int) -> Callable:
         # parse_config proves the mapping total over the determinant's clean
         # values; a null determinant gives a null dependent.
         return {None: None, **attr.dependency.mapping}.__getitem__
-    value = _value_rule(attr, _index_rule(attr, seed))
+    index_rule = _index_rule(attr, seed)
     base = stage_key(seed, STAGE_CLEAN, attr.name)
-    return lambda i: value(Stream(tuple_key(base, i)), i)
+    if attr.null_rate > 0:
+        value = _value_rule(attr, index_rule)
+        return lambda i: value(Stream(tuple_key(base, i)), i)
+    if index_rule is not None:
+        return index_rule  # the cell's stream would go unread
+    draw = attr.domain.draw
+    return lambda i: draw(Stream(tuple_key(base, i)))
 
 
 def _column_rule(attr: AttributeSpec, seed: int) -> Callable:
     """TupleBlock -> the clean values of its tuples, the cells cell_rule gives one at a time."""
     domain, null_rate = attr.domain, attr.null_rate
-    index_rule = _index_rule(attr, seed)
+    index_rule = _parsed_index_rule(attr)
     base = stage_key(seed, STAGE_CLEAN, attr.name)
     nulls = 1 if null_rate > 0 else 0
     read = nulls + (domain.words if index_rule is None else 0)  # words of each stream
@@ -123,7 +136,7 @@ def generate_value(
     Unique and sequence sources are index-keyed, so the tuple index matters
     for them; everything else depends only on the stream.
     """
-    return _value_rule(attr, _index_rule(attr, config.seed))(stream, tuple_index)
+    return _value_rule(attr, _parsed_index_rule(attr))(stream, tuple_index)
 
 
 def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:

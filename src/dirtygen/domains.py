@@ -62,9 +62,10 @@ class Domain(NamedTuple):
     def draw(self, stream, rejected: int = 0):
         """One member, never null: the first attempt from stream that accept
         takes; rejected counts attempts already made on the stream's words."""
+        words, attempts, accept = self.words, self.attempts, self.accept
         for _ in range(_RESAMPLE_LIMIT - rejected):
-            (value,) = self.attempts(1, [[stream.u64()] for _ in range(self.words)])
-            if self.accept is None or self.accept(value):
+            (value,) = attempts(1, [[stream.u64()] for _ in range(words)])
+            if accept is None or accept(value):
                 return value
         raise GenerationError(
             f"attribute '{self.name}': no constraint-satisfying value found in "
@@ -77,7 +78,8 @@ def weighted_choice(weights: tuple[float, ...]) -> Callable[[float], int]:
     """u in [0, 1) -> index i; a uniform u gives i with probability weights[i] / sum(weights)."""
     # The pick is u * sum(weights), never u times the last running sum: from
     # Python 3.12 on, sum() of floats is compensated, so the two can differ,
-    # and with them the index a pick lands on.
+    # and with them the index a pick lands on. The running sums add the
+    # weights left to right from 0.0, so they are floats even for int weights.
     total, last = sum(weights), len(weights) - 1
     sums = list(accumulate(weights, initial=0.0))[1:]
     return lambda u: min(bisect_right(sums, u * total), last)

@@ -61,7 +61,9 @@ class OutputSpec:
 
 
 # What json.dumps(value, ensure_ascii=False, separators=(",", ":"),
-# allow_nan=False) runs, built once rather than per call.
+# allow_nan=False) runs, without rebuilding the JSONEncoder and checking the
+# keyword arguments on every call. encode still builds a fresh C encoder per
+# call, through iterencode(_one_shot=True).
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
 
 

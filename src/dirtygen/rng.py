@@ -167,6 +167,8 @@ class TupleBlock:
     def words(self, base: int, k: int) -> list[list[int]]:
         """The first k words of Stream(tuple_key(base, i)) for every tuple i of
         the block: k lists, the j-th holding word j of each tuple in order."""
+        if k == 0:
+            return []
         mask, ones = self._mask, self._ones
         state = _mix_lanes(((base & _MASK64) * ones) ^ self._golden, mask)  # tuple_key of every lane
         step = GOLDEN * ones

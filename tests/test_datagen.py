@@ -4,12 +4,13 @@ import math
 import pytest
 
 from dirtygen import GenerationError, generate_clean_dataset, generate_record, parse_config
-from dirtygen.datagen import clean_cell_value, distribution_params, value_in_domain
+from dirtygen.datagen import STAGE_CLEAN, clean_cell_value, distribution_params, value_in_domain
 from dirtygen.cli import main as cli_main
-from dirtygen.rng import derive_stream
+from dirtygen.rng import Stream, derive_stream, stage_key, tuple_key
 
 from checker import check_dataset, check_record
 from conftest import make_config_text
+from test_acceptance import _C1_DEPENDENCIES, _C1_SCHEMA, _golden_sources_1k_doc
 
 
 def test_uniform_integer_respects_interval(base_config):
@@ -298,3 +299,42 @@ def test_dependency_chain_longer_than_the_recursion_limit(dependents_first, tmp_
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli_main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def _block_docs():
+    sources = _golden_sources_1k_doc()
+    sources["errors"] = []
+    replicated = json.loads(json.dumps(sources))
+    replicated["generation"]["scaling"] = {"column_replication": 1}
+    c1 = {"schema": _C1_SCHEMA, "dependencies": _C1_DEPENDENCIES, "generation": {"seed": 23}}
+    return {"sources": sources, "replicated": replicated, "c1": c1}
+
+
+def _first_attempt_rejected(config, attribute: str, tuple_index: int) -> bool:
+    attr = config.attribute(attribute)
+    stream = Stream(tuple_key(stage_key(config.seed, STAGE_CLEAN, attribute), tuple_index))
+    if attr.null_rate > 0 and stream.random() < attr.null_rate:
+        return False
+    (value,) = attr.domain.attempts(1, [[stream.u64()] for _ in range(attr.domain.words)])
+    return not attr.domain.accept(value)
+
+
+@pytest.mark.parametrize("name", ["sources", "replicated", "c1"])
+@pytest.mark.parametrize("tuple_count", [0, 1, 255, 256, 257, 1000])
+def test_block_columns_equal_single_cells(name, tuple_count):
+    # Blocks of 256 tuples against one cell at a time, type-exact: repr tells
+    # 1, 1.0 and True apart, and null from a missing key.
+    doc = _block_docs()[name]
+    doc["generation"]["tuple_count"] = tuple_count
+    config = parse_config(json.dumps(doc))
+    records = list(generate_clean_dataset(config))
+    assert len(records) == tuple_count
+    for i, record in enumerate(records):
+        assert list(record) == list(config.attribute_names)
+        for attribute, value in record.items():
+            assert repr(value) == repr(clean_cell_value(config, i, attribute)), (i, attribute)
+        assert repr(record) == repr(generate_record(config, i))
+    if name != "c1" and tuple_count >= 256:
+        # The pattern on pint rejects the first attempt of most cells, which
+        # then continue drawing on their stream.
+        assert any(_first_attempt_rejected(config, "pint", i) for i in range(tuple_count))

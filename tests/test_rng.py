@@ -1,9 +1,20 @@
 import math
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtygen.rng import IndexPermutation, Stream, address_key, derive_stream, mix64
+from dirtygen.rng import (
+    IndexPermutation,
+    Stream,
+    TupleBlock,
+    address_key,
+    derive_stream,
+    mix64,
+    stream_after,
+    tuple_key,
+)
 
 
 def test_same_address_same_draws():
@@ -52,6 +63,22 @@ def test_stream_matches_published_splitmix64_sequence():
 def test_address_key_is_pure():
     assert address_key(7, "clean", 5, "x") == address_key(7, "clean", 5, "x")
     assert address_key(7, "clean", 5, "x") != address_key(7, "clean", 5, "y")
+
+
+@pytest.mark.parametrize("length", [1, 2, 255, 256, 257])
+def test_block_words_equal_successive_stream_words(length):
+    rng = random.Random(length)
+    for lo in (0, rng.randrange(1 << 32), (1 << 32) + rng.randrange(1 << 40), (1 << 64) - length):
+        base = rng.getrandbits(64)
+        block = TupleBlock(lo, lo + length)
+        streams = [Stream(tuple_key(base, i)) for i in range(lo, lo + length)]
+        expected = [[stream.u64() for stream in streams] for _ in range(7)]
+        for k in range(8):
+            assert block.words(base, k) == expected[:k], (lo, k)
+        # A stream placed after k words continues with word k + 1.
+        i = rng.randrange(lo, lo + length)
+        for k in (0, 3, 6):
+            assert stream_after(base, i, k).u64() == expected[k][i - lo], (lo, k)
 
 
 def test_random_in_unit_interval():
