@@ -181,7 +181,6 @@ def _template_domain(attr) -> Domain:
     )
 
 
-
 def _numeric_contains(attr, low=None, high=None) -> Callable:
     integer, satisfies = attr.datatype == "integer", attr.satisfies
 

@@ -47,14 +47,14 @@ def template_attempts(template: str) -> tuple[int, Callable]:
     """(words, attempts): a uniform expansion reads one word per placeholder,
     left to right, and attempts(n, words) builds n expansions from one list
     of words per placeholder, a column of characters at a time."""
-    slots = tuple((ch, CLASSES.get(ch)) for ch in template)
+    slots = tuple((ch, CLASSES.get(ch), len(CLASSES.get(ch, ""))) for ch in template)
 
     def attempts(n: int, words: list) -> list[str]:
         columns = iter(words)
         pieces = [
-            [alphabet[(w * len(alphabet)) >> 64] for w in next(columns)] if alphabet else repeat(ch, n)
-            for ch, alphabet in slots
+            [alphabet[(w * size) >> 64] for w in next(columns)] if alphabet else repeat(ch, n)
+            for ch, alphabet, size in slots
         ]
         return list(map("".join, zip(*pieces)))
 
-    return sum(alphabet is not None for _, alphabet in slots), attempts
+    return sum(alphabet is not None for _, alphabet, _ in slots), attempts
