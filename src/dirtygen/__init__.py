@@ -19,7 +19,7 @@ from .config import (
     load_lexicon,
     parse_config,
 )
-from .datagen import generate_clean_dataset, generate_record, generate_value
+from .datagen import generate_clean_dataset, generate_record
 from .errorplan import ErrorPlan, PlanEntry, applicable_population, plan_errors
 from .errortypes import ALL_ERROR_TYPES
 from .evalkit import RepairMetrics, score
@@ -62,7 +62,6 @@ __all__ = [
     "derive_stream",
     "generate_clean_dataset",
     "generate_record",
-    "generate_value",
     "inject_stream",
     "load_config",
     "load_lexicon",

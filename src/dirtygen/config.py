@@ -16,9 +16,9 @@ resolved to concrete target attributes with type-specific parameters, and
 rate feasibility proven with exact integer target counts. A config that
 parses is guaranteed to run without applicability errors. The config is the
 one model of a run and nothing changes it afterwards: each attribute's domain
-(domains.resolve) and clean-cell rule (datagen.cell_rule) are resolved here,
-once, and the config is built before the errors section, whose hooks read
-that same object.
+(domains.resolve) and column rule (datagen.column_rule, whose block of one
+tuple is a single cell) are resolved here, once, and the config is built
+before the errors section, whose hooks read that same object.
 
 docs/config-reference.md explains the grammar; its tables are checked
 against this one.
@@ -37,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .datagen import cell_rule
+from .datagen import column_rule
 from .domains import MAX_MEMBERS, Domain, finite, resolve
 from .exceptions import ConfigError, LexiconError
 from .output import OutputSpec
@@ -154,8 +154,8 @@ class AttributeSpec:
     dependency: DependencyRule | None = field(default=None, repr=False, compare=False)
     finite_domain: tuple | None = field(default=None, repr=False, compare=False)
     domain: Domain | None = field(default=None, repr=False, compare=False)
-    # tuple index -> clean value; for a dependent, determinant value -> clean value
-    cell: Callable | None = field(default=None, repr=False, compare=False)
+    # TupleBlock -> clean values; for a dependent, determinant column -> its column
+    column: Callable | None = field(default=None, repr=False, compare=False)
     compiled_pattern: re.Pattern | None = field(default=None, repr=False, compare=False)
 
     def effective_pattern(self) -> re.Pattern | None:
@@ -976,7 +976,7 @@ def parse_config(
                     f"attribute '{attr.name}': synonym key {orphan[0]!r} can "
                     f"never be generated"
                 )
-        attr.cell = cell_rule(attr, seed)
+        attr.column = column_rule(attr, seed)
 
     directory = output_raw["directory"] if output_dir_override is None else output_dir_override
     output = OutputSpec(Path(directory), output_raw["mode"], scaling["shard_count"])

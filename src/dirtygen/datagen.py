@@ -5,12 +5,12 @@ attributes draw from their domain, sequences are index-keyed, and unique
 attributes read position i of a seeded permutation of their value domain.
 Dependent attributes are never sampled; they are looked up through their
 rule from the determinant's generated value. parse_config resolves each
-attribute's domain (domains.py) and clean-cell rule (cell_rule) once and
-stores both on the AttributeSpec; nothing here keeps state. Any single cell
-can still be regenerated without touching its neighbours, which the error
-planner and the injectors rely on, and stream keys are derived as rng
-documents. generate_clean_dataset applies the same rules to blocks of
-tuples, a column per attribute, and gives the same values.
+attribute's domain (domains.py) and its one clean-value rule (column_rule)
+once and stores both on the AttributeSpec; nothing here keeps state. The
+rule turns a block of tuples into a column of clean values. A single cell or
+record is the block of one tuple, which reads its own Stream, so any cell can
+still be regenerated without touching its neighbours, which the error
+planner and the injectors rely on; stream keys are derived as rng documents.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .exceptions import GenerationError
-from .rng import TWO53_INV, IndexPermutation, Stream, TupleBlock, address_key, stage_key, stream_after, tuple_key
+from .rng import TWO53_INV, IndexPermutation, TupleBlock, address_key, stage_key, stream_after
 
-if TYPE_CHECKING:  # config calls cell_rule while it parses
+if TYPE_CHECKING:  # config calls column_rule while it parses
     from .config import AttributeSpec, GeneratorConfig
 
 STAGE_CLEAN = "clean"
@@ -34,13 +34,12 @@ def distribution_params(attr: AttributeSpec) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Clean-cell rules
+# The clean-value rule
 #
 # A cell's stream is Stream(tuple_key(base, i)) with base the attribute's
 # clean stage key. A null-rate attribute decides null on the stream's first
 # word; the value then reads the domain's draw words after it, unless a
-# sequence or a unique attribute takes it from the tuple index. cell_rule
-# applies these rules to one tuple and _column_rule to a block of tuples.
+# sequence or a unique attribute takes it from the tuple index.
 
 # Tuples per column block of generate_clean_dataset. On the ten C6
 # attributes, 256 runs as fast as 1,024 and holds a quarter of the memory
@@ -61,47 +60,17 @@ def _index_rule(attr: AttributeSpec, seed: int) -> Callable | None:
     return lambda i: at(perm(i))
 
 
-def _parsed_index_rule(attr: AttributeSpec) -> Callable | None:
-    """The index rule of a parsed attribute: a unique attribute draws no
-    nulls, so its cell rule is its index rule."""
-    return attr.cell if attr.unique else attr.domain.by_index
-
-
-def _value_rule(attr: AttributeSpec, index_rule: Callable | None) -> Callable:
-    """(stream, tuple index) -> the clean value drawn from that stream."""
-    draw, null_rate = attr.domain.draw, attr.null_rate
-
-    def value(stream: Stream, tuple_index: int):
-        if null_rate > 0 and stream.random() < null_rate:
-            return None
-        return draw(stream) if index_rule is None else index_rule(tuple_index)
-
-    return value
-
-
-def cell_rule(attr: AttributeSpec, seed: int) -> Callable:
-    """tuple index -> clean value, or for a dependent, determinant value ->
-    clean value; parse_config stores it as attr.cell once the attribute's
-    domain and rule are resolved and validated."""
+def column_rule(attr: AttributeSpec, seed: int) -> Callable:
+    """TupleBlock -> the clean values of its tuples, or for a dependent, the
+    determinant's column -> its own; parse_config stores it as attr.column
+    once the attribute's domain and rule are resolved and validated."""
     if attr.dependency is not None:
         # parse_config proves the mapping total over the determinant's clean
         # values; a null determinant gives a null dependent.
-        return {None: None, **attr.dependency.mapping}.__getitem__
-    index_rule = _index_rule(attr, seed)
-    base = stage_key(seed, STAGE_CLEAN, attr.name)
-    if attr.null_rate > 0:
-        value = _value_rule(attr, index_rule)
-        return lambda i: value(Stream(tuple_key(base, i)), i)
-    if index_rule is not None:
-        return index_rule  # the cell's stream would go unread
-    draw = attr.domain.draw
-    return lambda i: draw(Stream(tuple_key(base, i)))
-
-
-def _column_rule(attr: AttributeSpec, seed: int) -> Callable:
-    """TupleBlock -> the clean values of its tuples, the cells cell_rule gives one at a time."""
+        value = {None: None, **attr.dependency.mapping}.__getitem__
+        return lambda determinants: list(map(value, determinants))
     domain, null_rate = attr.domain, attr.null_rate
-    index_rule = _parsed_index_rule(attr)
+    index_rule = _index_rule(attr, seed)
     base = stage_key(seed, STAGE_CLEAN, attr.name)
     nulls = 1 if null_rate > 0 else 0
     read = nulls + (domain.words if index_rule is None else 0)  # words of each stream
@@ -127,26 +96,18 @@ def _column_rule(attr: AttributeSpec, seed: int) -> Callable:
 # Public entry points
 
 
-def generate_value(
-    attr: AttributeSpec,
-    stream: Stream,
-    *,
-    config: GeneratorConfig,
-    tuple_index: int = 0,
-):
-    """Draw one clean value for the attribute from the given stream.
-
-    Unique and sequence sources are index-keyed, so the tuple index matters
-    for them; everything else depends only on the stream.
-    """
-    return _value_rule(attr, _parsed_index_rule(attr))(stream, tuple_index)
-
-
 def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:
     """Can the clean value of this attribute be null (directly or through its determinants)?"""
     while attr.dependency is not None:
         attr = config.attribute(attr.dependency.determinant)
     return attr.null_rate > 0
+
+
+def _one_tuple(config: GeneratorConfig, tuple_index: int) -> TupleBlock:
+    """The block of one tuple of the dataset."""
+    if not 0 <= tuple_index < config.tuple_count:
+        raise GenerationError(f"tuple index {tuple_index} is outside the dataset's {config.tuple_count} tuples")
+    return TupleBlock(tuple_index, tuple_index + 1)
 
 
 def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, _memo=None):
@@ -158,39 +119,39 @@ def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, 
     while attribute not in _memo:
         attr = config.attribute(attribute)
         if attr.dependency is None:
-            _memo[attribute] = attr.cell(tuple_index)
+            (_memo[attribute],) = attr.column(_one_tuple(config, tuple_index))
             break
         dependents.append(attr)
         attribute = attr.dependency.determinant
     value = _memo[attribute]
     for attr in reversed(dependents):
-        value = _memo[attr.name] = attr.cell(value)
+        (value,) = attr.column([value])
+        _memo[attr.name] = value
     return value
+
+
+def _records(config: GeneratorConfig, block: TupleBlock) -> list[dict]:
+    """The clean records of a block, keys in schema order, zipped from one
+    column per attribute; a dependent maps its determinant's column."""
+    columns = {}
+    for attr in map(config.attribute, config.eval_order):
+        rule = attr.dependency
+        columns[attr.name] = attr.column(block if rule is None else columns[rule.determinant])
+    names = config.attribute_names
+    return [dict(zip(names, row)) for row in zip(*[columns[name] for name in names])]
 
 
 def generate_record(config: GeneratorConfig, tuple_index: int) -> dict:
     """One clean record, keys in schema order."""
-    memo: dict = {}
-    return {name: clean_cell_value(config, tuple_index, name, memo) for name in config.attribute_names}
+    (record,) = _records(config, _one_tuple(config, tuple_index))
+    return record
 
 
 def generate_clean_dataset(config: GeneratorConfig) -> Iterator[dict]:
     """All tuple_count records in index order, built from the columns of one
     block of tuples at a time; memory does not grow with N."""
-    steps = [
-        (attr.name, attr.cell, attr.dependency.determinant)
-        if attr.dependency is not None
-        else (attr.name, _column_rule(attr, config.seed), None)
-        for attr in map(config.attribute, config.eval_order)
-    ]
-    names = config.attribute_names
     for lo in range(0, config.tuple_count, BLOCK_TUPLES):
-        block = TupleBlock(lo, min(lo + BLOCK_TUPLES, config.tuple_count))
-        columns = {}
-        for name, rule, determinant in steps:
-            # A dependent maps its determinant's column through its mapping.
-            columns[name] = rule(block) if determinant is None else list(map(rule, columns[determinant]))
-        yield from [dict(zip(names, row)) for row in zip(*[columns[name] for name in names])]
+        yield from _records(config, TupleBlock(lo, min(lo + BLOCK_TUPLES, config.tuple_count)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .config import (
     AttributeSpec,
     build_source,
 )
-from .datagen import clean_cell_value, distribution_params, may_be_null, value_in_domain
+from .datagen import clean_cell_value, distribution_params, generate_record, may_be_null, value_in_domain
 from .domains import resolve, weighted_index
 from .exceptions import ConfigError, GenerationError
 from .rng import NORMAL_Z_BOUND, Stream, derive_stream
@@ -621,10 +621,7 @@ def _semi_empty_count(fraction: float, width: int, non_null: int) -> int:
 
 
 def _non_null_cells(config, row: int) -> int:
-    memo: dict = {}
-    return sum(
-        1 for name in config.attribute_names if clean_cell_value(config, row, name, memo) is not None
-    )
+    return sum(1 for value in generate_record(config, row).values() if value is not None)
 
 
 def _can_empty(config, spec, row, attribute, claims) -> dict | None:

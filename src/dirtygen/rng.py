@@ -19,8 +19,8 @@ unsigned 64-bit, so results are identical on every platform.
 
 Keys and words may be computed for many tuples at once (TupleBlock): the same
 arithmetic runs on every tuple of a block together and gives identical
-numbers, so a cell's value does not depend on whether it was generated alone
-or in a block.
+numbers, so a cell's value does not depend on the size of the block it was
+generated in. A block of one tuple reads that tuple's Stream.
 """
 
 from __future__ import annotations
@@ -147,13 +147,16 @@ class TupleBlock:
 
     Each tuple is one lane of a packed int, so a few big-int operations run
     the SplitMix64 arithmetic of every tuple together. The (i * GOLDEN) lanes
-    are packed once per block and shared by every base.
+    are packed once per block and shared by every base. A block of one tuple
+    reads its Stream instead: packing a single lane costs more than it saves.
     """
 
     __slots__ = ("lo", "hi", "_ones", "_mask", "_golden", "_bytes")
 
     def __init__(self, lo: int, hi: int) -> None:
         self.lo, self.hi = lo, hi
+        if hi - lo == 1:
+            return
         self._bytes = (hi - lo) * _LANE_BITS // 8
         self._ones = self._pack([1] * (hi - lo))
         self._mask = self._ones * _MASK64
@@ -169,6 +172,9 @@ class TupleBlock:
         the block: k lists, the j-th holding word j of each tuple in order."""
         if k == 0:
             return []
+        if self.hi - self.lo == 1:
+            stream = Stream(tuple_key(base, self.lo))
+            return [[stream.u64()] for _ in range(k)]
         mask, ones = self._mask, self._ones
         state = _mix_lanes(((base & _MASK64) * ones) ^ self._golden, mask)  # tuple_key of every lane
         step = GOLDEN * ones

@@ -6,17 +6,18 @@ import pytest
 from dirtygen import GenerationError, generate_clean_dataset, generate_record, parse_config
 from dirtygen.datagen import STAGE_CLEAN, clean_cell_value, distribution_params, value_in_domain
 from dirtygen.cli import main as cli_main
-from dirtygen.rng import Stream, derive_stream, stage_key, tuple_key
+from dirtygen.rng import IndexPermutation, Stream, address_key, derive_stream, stage_key, tuple_key
 
 from checker import check_dataset, check_record
 from conftest import make_config_text
 from test_acceptance import _C1_DEPENDENCIES, _C1_SCHEMA, _golden_sources_1k_doc
 
 
-def test_uniform_integer_respects_interval(base_config):
-    attr = base_config.attribute("age")
+def test_uniform_integer_respects_interval():
+    config = parse_config(make_config_text(tuple_count=200))
+    attr = config.attribute("age")
     for i in range(200):
-        value = clean_cell_value(base_config, i, "age")
+        value = clean_cell_value(config, i, "age")
         assert isinstance(value, int)
         assert 0 <= value <= 120, value
     assert attr.interval == (0, 120)
@@ -206,6 +207,24 @@ def test_sequence_values(base_config):
         assert clean_cell_value(base_config, i, "id") == i + 1
 
 
+@pytest.mark.parametrize("tuple_index", [10, 11, 300, -1, -3])
+def test_tuple_index_outside_the_dataset_is_rejected(tuple_index):
+    # Past tuple_count a sequence leaves its interval, and past its domain a
+    # unique attribute's permutation has no position i: neither is a clean cell.
+    doc = json.loads(make_config_text(tuple_count=10))
+    doc["schema"][0]["interval"] = [1, 10]
+    doc["schema"].append(
+        {"name": "uword", "datatype": "string", "source": {"kind": "lexicon", "name": "words"}, "unique": True}
+    )
+    config = parse_config(json.dumps(doc))
+    for attribute in ("id", "uword", "age", "zip"):
+        with pytest.raises(GenerationError, match="outside the dataset"):
+            clean_cell_value(config, tuple_index, attribute)
+    with pytest.raises(GenerationError, match="outside the dataset"):
+        generate_record(config, tuple_index)
+    assert [clean_cell_value(config, i, "id") for i in range(10)] == list(range(1, 11))
+
+
 def test_distribution_params():
     doc = json.loads(make_config_text())
     config = parse_config(json.dumps(doc))
@@ -259,10 +278,7 @@ def test_stream_independence_from_attribute_order():
     direct = clean_cell_value(config, 17, "age")
     record = generate_record(config, 17)
     assert record["age"] == direct
-    stream = derive_stream(config.seed, "clean", 17, "age")
-    from dirtygen.datagen import generate_value
-
-    assert generate_value(config.attribute("age"), stream, config=config, tuple_index=17) == direct
+    assert config.attribute("age").domain.draw(derive_stream(config.seed, "clean", 17, "age")) == direct
 
 
 def _chain_doc(length: int, dependents_first: bool) -> dict:
@@ -319,10 +335,34 @@ def _first_attempt_rejected(config, attribute: str, tuple_index: int) -> bool:
     return not attr.domain.accept(value)
 
 
+def _reference_record(config, tuple_index: int) -> dict:
+    """Tuple i's clean record, one cell at a time from the documented rules."""
+    values = {}
+    for name in config.eval_order:
+        attr = config.attribute(name)
+        domain = attr.domain
+        if attr.dependency is not None:
+            determinant = values[attr.dependency.determinant]
+            values[name] = None if determinant is None else attr.dependency.mapping[determinant]
+            continue
+        stream = Stream(tuple_key(stage_key(config.seed, STAGE_CLEAN, name), tuple_index))
+        if attr.null_rate > 0 and stream.random() < attr.null_rate:
+            values[name] = None
+        elif domain.by_index is not None:
+            values[name] = domain.by_index(tuple_index)
+        elif attr.unique:
+            permutation = IndexPermutation(address_key(config.seed, "unique", 0, name), domain.size)
+            values[name] = domain.at(permutation(tuple_index))
+        else:
+            values[name] = domain.draw(stream)
+    return {name: values[name] for name in config.attribute_names}
+
+
 @pytest.mark.parametrize("name", ["sources", "replicated", "c1"])
 @pytest.mark.parametrize("tuple_count", [0, 1, 255, 256, 257, 1000])
 def test_block_columns_equal_single_cells(name, tuple_count):
-    # Blocks of 256 tuples against one cell at a time, type-exact: repr tells
+    # Blocks of 256 tuples against one cell at a time, and against a
+    # reference written from the documented rules, type-exact: repr tells
     # 1, 1.0 and True apart, and null from a missing key.
     doc = _block_docs()[name]
     doc["generation"]["tuple_count"] = tuple_count
@@ -334,6 +374,7 @@ def test_block_columns_equal_single_cells(name, tuple_count):
         for attribute, value in record.items():
             assert repr(value) == repr(clean_cell_value(config, i, attribute)), (i, attribute)
         assert repr(record) == repr(generate_record(config, i))
+        assert repr(record) == repr(_reference_record(config, i))
     if name != "c1" and tuple_count >= 256:
         # The pattern on pint rejects the first attempt of most cells, which
         # then continue drawing on their stream.

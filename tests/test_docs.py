@@ -112,3 +112,12 @@ def test_config_reference_lists_the_grammar_keys():
     }
     bullets = re.findall(r"^\* `(\w+)", _section("Generation and output"), flags=re.M)
     assert sorted(bullets) == sorted(({*GENERATION} - {"scaling"}) | {*SCALING, *OUTPUT})
+
+
+def test_public_api_names_resolve():
+    # README's library use imports from the package: every name it exports
+    # must exist, and a star import must not fail on a removed one.
+    namespace: dict = {}
+    exec("from dirtygen import *", namespace)
+    for name in dirtygen.__all__:
+        assert namespace[name] is getattr(dirtygen, name)
