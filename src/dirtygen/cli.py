@@ -25,6 +25,7 @@ from .output import (
     DatasetWriter,
     ErrorLogWriter,
     read_dataset,
+    read_dirty_and_repaired,
     read_error_log,
     write_manifest,
 )
@@ -167,22 +168,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # score reads the three datasets as it goes, so format and I/O errors in
+    # them surface from inside it.
     try:
-        clean = [r for r in read_dataset(args.clean)]
-        dirty = [r for r in read_dataset(args.dirty)]
-        repaired = [r for r in read_dataset(args.repaired, allow_deleted=True)]
         log = read_error_log(args.log)
+        dirty, repaired = read_dirty_and_repaired(args.dirty, args.repaired)
+        metrics = score(read_dataset(args.clean), dirty, repaired, log)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except DirtygenError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-
-    try:
-        metrics = score(clean, dirty, repaired, log)
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
+        return EXIT_GENERATION
+    except DirtygenError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_GENERATION
 
     if args.report:

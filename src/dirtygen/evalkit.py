@@ -13,11 +13,15 @@ fields are meaningful only as "did this type's detections exist at all".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import zip_longest
+from typing import Iterable
 
 from .errortypes import INSERTION_TYPES
 from .exceptions import EvaluationError
 from .taxonomy import ABSENT
+
+_ENDED = object()  # fills the rows of a dataset that ended before the others
+_NO_CELLS: dict[str, str] = {}
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -80,9 +84,9 @@ class RepairMetrics:
 
 
 def score(
-    clean: Sequence[dict],
-    dirty: Sequence[dict],
-    repaired: Sequence[dict | None],
+    clean: Iterable[dict],
+    dirty: Iterable[dict],
+    repaired: Iterable[dict | None],
     log: Iterable,
 ) -> RepairMetrics:
     """Cell-level detection and repair metrics for a repaired dataset.
@@ -90,26 +94,16 @@ def score(
     `repaired` is aligned with `dirty` row by row; a None row means the tool
     deleted it. The first len(clean) dirty rows are the base tuples; any
     further rows are insertions and are correctly handled only by deletion.
+
+    The three datasets are read once, in lockstep, so they may be lists or
+    one-shot iterators; only the log is held, indexed by dirty row. The
+    attributes scored are those of the first clean record, and every clean
+    record must have the same ones. Shape faults are raised after the pass,
+    in this order: dirty and repaired differ in length, dirty is shorter
+    than clean, dirty has a deleted row, the log names an inserted row
+    outside the dirty dataset.
     """
-    n = len(clean)
-    if len(dirty) != len(repaired):
-        raise EvaluationError(
-            f"shape mismatch: dirty has {len(dirty)} records, repaired has {len(repaired)}"
-        )
-    if len(dirty) < n:
-        raise EvaluationError(
-            f"shape mismatch: dirty has {len(dirty)} records but clean has {n}"
-        )
-    if any(row is None for row in dirty):
-        raise EvaluationError("the dirty dataset cannot contain deleted rows")
-
-    seen: dict[str, None] = {}
-    for record in clean:
-        for key in record:
-            seen.setdefault(key)
-    attributes = list(seen)
-
-    logged_cells: dict[tuple[int, str], str] = {}
+    logged_cells: dict[int, dict[str, str]] = {}
     inserted_rows: dict[int, str] = {}
     for entry in log:
         if entry.error_type in INSERTION_TYPES:
@@ -118,13 +112,7 @@ def score(
             continue
         if entry.attribute is None:
             continue  # row markers carry no cell of their own
-        logged_cells[(entry.dirty_tuple_index, entry.attribute)] = entry.error_type
-
-    for index in inserted_rows:
-        if not n <= index < len(dirty):
-            raise EvaluationError(
-                f"log names inserted row {index}, outside the dirty dataset"
-            )
+        logged_cells.setdefault(entry.dirty_tuple_index, {})[entry.attribute] = entry.error_type
 
     stats: dict[str | None, dict[str, int]] = {}
 
@@ -133,20 +121,66 @@ def score(
             slot = stats.setdefault(bucket, {"tp": 0, "fp": 0, "fn": 0, "ok": 0})
             slot[key] += amount
 
+    attributes: list[str] = []
+    keys = None
+    n = dirty_count = repaired_count = 0
+    dirty_has_deleted = False
     flagged_total = 0
-    for row_index in range(n):
-        dirty_row = dirty[row_index]
-        repaired_row = repaired[row_index]
+    rows = zip_longest(clean, dirty, repaired, fillvalue=_ENDED)
+    for row_index, (clean_row, dirty_row, repaired_row) in enumerate(rows):
+        if clean_row is not _ENDED:
+            if keys is None:
+                attributes, keys = list(clean_row), clean_row.keys()
+            elif clean_row.keys() != keys:
+                missing = [a for a in attributes if a not in clean_row]
+                extra = [a for a in clean_row if a not in keys]
+                raise EvaluationError(
+                    f"clean record {row_index} does not have the attributes of clean "
+                    f"record 0: missing {missing}, extra {extra}"
+                )
+            n += 1
+        if repaired_row is not _ENDED:
+            repaired_count += 1
+        if dirty_row is _ENDED:
+            continue
+        dirty_count += 1
+        if dirty_row is None:
+            dirty_has_deleted = True
+        if dirty_row is None or repaired_row is _ENDED:
+            continue  # a shape fault, raised after the pass
+
         deleted = repaired_row is None
+        if clean_row is _ENDED:  # an inserted row
+            error_type = inserted_rows.get(row_index)
+            edited = deleted or repaired_row != dirty_row
+            if error_type is None:
+                if edited:
+                    flagged_total += 1
+                    bump(None, "fp")
+            elif edited:
+                flagged_total += 1
+                bump(error_type, "tp")
+                if deleted:
+                    bump(error_type, "ok")
+            else:
+                bump(error_type, "fn")
+            continue
+
+        cells = logged_cells.get(row_index, _NO_CELLS)
+        if repaired_row is dirty_row or repaired_row == dirty_row:
+            # Nothing flagged: every logged cell of the row is missed.
+            for attribute, logged_type in cells.items():
+                if attribute in keys:
+                    bump(logged_type, "fn")
+            continue
         for attribute in attributes:
             dirty_value = dirty_row.get(attribute, ABSENT)
             repaired_value = ABSENT if deleted else repaired_row.get(attribute, ABSENT)
             flagged = deleted or repaired_value != dirty_value
-            logged_type = logged_cells.get((row_index, attribute))
+            logged_type = cells.get(attribute)
             if flagged:
                 flagged_total += 1
-                clean_value = clean[row_index].get(attribute, ABSENT)
-                correct = (not deleted) and repaired_value == clean_value
+                correct = (not deleted) and repaired_value == clean_row.get(attribute, ABSENT)
                 if logged_type is not None:
                     bump(logged_type, "tp")
                     if correct:
@@ -156,26 +190,24 @@ def score(
             elif logged_type is not None:
                 bump(logged_type, "fn")
 
-    for row_index in range(n, len(dirty)):
-        error_type = inserted_rows.get(row_index)
-        repaired_row = repaired[row_index]
-        deleted = repaired_row is None
-        edited = deleted or repaired_row != dirty[row_index]
-        if error_type is None:
-            if edited:
-                flagged_total += 1
-                bump(None, "fp")
-            continue
-        if edited:
-            flagged_total += 1
-            bump(error_type, "tp")
-            if deleted:
-                bump(error_type, "ok")
-        else:
-            bump(error_type, "fn")
+    if dirty_count != repaired_count:
+        raise EvaluationError(
+            f"shape mismatch: dirty has {dirty_count} records, repaired has {repaired_count}"
+        )
+    if dirty_count < n:
+        raise EvaluationError(
+            f"shape mismatch: dirty has {dirty_count} records but clean has {n}"
+        )
+    if dirty_has_deleted:
+        raise EvaluationError("the dirty dataset cannot contain deleted rows")
+    for index in inserted_rows:
+        if not n <= index < dirty_count:
+            raise EvaluationError(
+                f"log names inserted row {index}, outside the dirty dataset"
+            )
 
-    logged_total = len(logged_cells) + len(inserted_rows)
-    unit_total = n * len(attributes) + (len(dirty) - n)
+    logged_total = sum(map(len, logged_cells.values())) + len(inserted_rows)
+    unit_total = n * len(attributes) + (dirty_count - n)
     overall_raw = stats.get(None, {"tp": 0, "fp": 0, "fn": 0, "ok": 0})
 
     per_type: dict[str, MetricSet] = {}

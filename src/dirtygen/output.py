@@ -164,7 +164,12 @@ def _reject_constant(name: str):
 
 
 # One strict decoder for every reader, built once rather than per line.
-_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+_decoder = json.JSONDecoder(parse_constant=_reject_constant)
+_decode = _decoder.decode
+# The decoder's C scanner: scan_once(text, 0) decodes the value that starts
+# text and returns it with the index where it ends, with none of the
+# whitespace and trailing-text handling that decode adds.
+_scan_once = _decoder.scan_once
 
 
 def _strict_loads(text: str):
@@ -181,14 +186,8 @@ def read_dataset(
     path = Path(path)
     mode = _infer_mode(path, mode)
     if mode == "ndjson":
-        with open(path, encoding="utf-8", newline="") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                try:
-                    obj = _strict_loads(line)
-                except ValueError as exc:
-                    raise DatasetFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
-                yield _check_row(obj, path, lineno, allow_deleted)
+        for lineno, line in _ndjson_lines(path):
+            yield _decode_line(line, path, lineno, allow_deleted)
     else:
         text = Path(path).read_text(encoding="utf-8")
         try:
@@ -199,6 +198,63 @@ def read_dataset(
             raise DatasetFormatError(f"{path}: expected a top-level JSON array")
         for index, obj in enumerate(data):
             yield _check_row(obj, path, index + 1, allow_deleted)
+
+
+def read_dirty_and_repaired(
+    dirty_path: str | Path, repaired_path: str | Path
+) -> tuple[Iterator[dict], Iterator[dict | None]]:
+    """The dirty and the repaired dataset as two row streams, to be read in
+    lockstep, a dirty row before the repaired row at the same index (as
+    evalkit.score reads them).
+
+    When both files are ndjson, a repaired line byte-identical to the dirty
+    line just read yields that dirty record itself and is not decoded:
+    identical text decodes to identical values. Read out of step, every
+    repaired line is decoded.
+    """
+    dirty_path, repaired_path = Path(dirty_path), Path(repaired_path)
+    if _infer_mode(dirty_path, None) != "ndjson" or _infer_mode(repaired_path, None) != "ndjson":
+        return read_dataset(dirty_path), read_dataset(repaired_path, allow_deleted=True)
+    last = [0, "", None]  # line number, text and record of the dirty row read last
+
+    def dirty_rows() -> Iterator[dict]:
+        for lineno, line in _ndjson_lines(dirty_path):
+            record = _decode_line(line, dirty_path, lineno, False)
+            last[:] = lineno, line, record
+            yield record
+
+    def repaired_rows() -> Iterator[dict | None]:
+        for lineno, line in _ndjson_lines(repaired_path):
+            if lineno == last[0] and line == last[1]:
+                yield last[2]
+            else:
+                yield _decode_line(line, repaired_path, lineno, True)
+
+    return dirty_rows(), repaired_rows()
+
+
+def _ndjson_lines(path: Path) -> Iterator[tuple[int, str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            yield lineno, line.rstrip("\n")
+
+
+def _decode_line(line: str, path: Path, lineno: int, allow_deleted: bool):
+    """One ndjson line as a record, or None for a deleted row if allowed."""
+    # Fast path: a line that is exactly one JSON object. Anything else (spaces,
+    # a BOM, extra text, a non-object, a rejected constant) goes through the
+    # full decode, which returns the same object or raises the same error.
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line) and type(obj) is dict:
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    try:
+        obj = _strict_loads(line)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
+    return _check_row(obj, path, lineno, allow_deleted)
 
 
 def _check_row(obj, path: Path, position: int, allow_deleted: bool):
