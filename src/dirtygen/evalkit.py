@@ -5,7 +5,9 @@ tuples. A unit counts as flagged when the repaired value differs from the
 dirty value (or its row was deleted, written as a JSON null line). A flagged
 unit is a detection true positive if the log names it; a flagged unit is
 correctly repaired if the repaired value equals the clean value, or, for
-inserted rows, if the row was deleted. False flags are by definition not in
+inserted rows, if the row was deleted. Two values are equal when their
+canonical JSON encodings (output's compact encoder) are equal, so 1, 1.0 and
+true are three different values, and so are 0.0 and -0.0. False flags are by definition not in
 the log, so the per-type breakdown carries no false positives; its precision
 fields are meaningful only as "did this type's detections exist at all".
 """
@@ -18,10 +20,30 @@ from typing import Iterable
 
 from .errortypes import INSERTION_TYPES
 from .exceptions import EvaluationError
+from .output import _encode
 from .taxonomy import ABSENT
 
 _ENDED = object()  # fills the rows of a dataset that ended before the others
 _NO_CELLS: dict[str, str] = {}
+
+
+def _same_json(a, b) -> bool:
+    """Whether two values have the same canonical JSON encoding."""
+    if a is b:
+        return True
+    if a != b:
+        return False
+    kind = type(a)
+    if kind is type(b):
+        if kind is float:
+            return repr(a) == repr(b)  # the encoder writes a float's repr
+        if kind is not dict and kind is not list:
+            return True
+    return _encode(a) == _encode(b)
+
+
+def _same_record(a: dict, b: dict) -> bool:
+    return a is b or (a.keys() == b.keys() and all(_same_json(v, b[k]) for k, v in a.items()))
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -152,7 +174,7 @@ def score(
         deleted = repaired_row is None
         if clean_row is _ENDED:  # an inserted row
             error_type = inserted_rows.get(row_index)
-            edited = deleted or repaired_row != dirty_row
+            edited = deleted or not _same_record(repaired_row, dirty_row)
             if error_type is None:
                 if edited:
                     flagged_total += 1
@@ -167,8 +189,9 @@ def score(
             continue
 
         cells = logged_cells.get(row_index, _NO_CELLS)
-        if repaired_row is dirty_row or repaired_row == dirty_row:
-            # Nothing flagged: every logged cell of the row is missed.
+        if repaired_row is dirty_row:
+            # Nothing flagged: every logged cell of the row is missed. An
+            # equal row is not enough: 1 == 1.0 == True.
             for attribute, logged_type in cells.items():
                 if attribute in keys:
                     bump(logged_type, "fn")
@@ -176,11 +199,11 @@ def score(
         for attribute in attributes:
             dirty_value = dirty_row.get(attribute, ABSENT)
             repaired_value = ABSENT if deleted else repaired_row.get(attribute, ABSENT)
-            flagged = deleted or repaired_value != dirty_value
+            flagged = deleted or not _same_json(repaired_value, dirty_value)
             logged_type = cells.get(attribute)
             if flagged:
                 flagged_total += 1
-                correct = (not deleted) and repaired_value == clean_row.get(attribute, ABSENT)
+                correct = (not deleted) and _same_json(repaired_value, clean_row.get(attribute, ABSENT))
                 if logged_type is not None:
                     bump(logged_type, "tp")
                     if correct:

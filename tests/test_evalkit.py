@@ -148,3 +148,33 @@ def test_counts_reconcile_with_dataset_size():
     )
     assert total == counts["units"]
     assert counts["units"] == len(clean) * len(config.schema) + (len(dirty) - len(clean))
+
+
+# Values that are equal under Python's == but not as JSON: scoring compares
+# canonical encodings, so each is a different value.
+_JSON_DISTINCT = [(1, True), (1, 1.0), (0.0, -0.0), ([1], [True])]
+
+
+@pytest.mark.parametrize("clean_value, repaired_value", _JSON_DISTINCT)
+def test_type_changing_repair_is_wrong(clean_value, repaired_value):
+    # The dirty cell differs from both, so the repair is flagged, and it
+    # does not restore the clean value.
+    clean = [{"x": clean_value}]
+    dirty = [{"x": "bad"}]
+    log = [ErrorLogEntry(0, 0, "x", "erroneous_entry", clean_value, "bad")]
+    metrics = score(clean, dirty, [{"x": repaired_value}], log)
+    assert metrics.counts["true_positives"] == 1
+    assert metrics.counts["correct_repairs"] == 0
+    assert score(clean, dirty, [{"x": clean_value}], log).counts["correct_repairs"] == 1
+
+
+@pytest.mark.parametrize("dirty_value, repaired_value", _JSON_DISTINCT)
+def test_type_changing_rewrite_is_flagged(dirty_value, repaired_value):
+    clean = [{"x": dirty_value}, {"x": "c"}]
+    dirty = [{"x": dirty_value}, {"x": "c"}]
+    metrics = score(clean, dirty, [{"x": repaired_value}, {"x": "c"}], [])
+    assert metrics.counts["flagged"] == 1
+    assert metrics.counts["false_positives"] == 1
+    # An inserted row rewritten the same way counts as edited, not kept.
+    rewritten = score([], [{"x": dirty_value}], [{"x": repaired_value}], [])
+    assert rewritten.counts["flagged"] == 1
