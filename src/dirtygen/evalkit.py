@@ -7,9 +7,10 @@ unit is a detection true positive if the log names it; a flagged unit is
 correctly repaired if the repaired value equals the clean value, or, for
 inserted rows, if the row was deleted. Two values are equal when their
 canonical JSON encodings (output's compact encoder) are equal, so 1, 1.0 and
-true are three different values, and so are 0.0 and -0.0. False flags are by definition not in
-the log, so the per-type breakdown carries no false positives; its precision
-fields are meaningful only as "did this type's detections exist at all".
+true are three different values, and so are 0.0 and -0.0. False flags are by
+definition not in the log, so the per-type breakdown carries no false
+positives; its precision fields are meaningful only as "did this type's
+detections exist at all".
 """
 
 from __future__ import annotations
@@ -119,11 +120,11 @@ def score(
 
     The three datasets are read once, in lockstep, so they may be lists or
     one-shot iterators; only the log is held, indexed by dirty row. The
-    attributes scored are those of the first clean record, and every clean
-    record must have the same ones. Shape faults are raised after the pass,
-    in this order: dirty and repaired differ in length, dirty is shorter
-    than clean, dirty has a deleted row, the log names an inserted row
-    outside the dirty dataset.
+    attributes scored are those of the first clean record; a later clean
+    record with other keys is an EvaluationError as soon as it is read.
+    Shape faults are raised after the pass, in this order: dirty and
+    repaired differ in length, dirty is shorter than clean, dirty has a
+    deleted row, the log names an inserted row outside the dirty dataset.
     """
     logged_cells: dict[int, dict[str, str]] = {}
     inserted_rows: dict[int, str] = {}

@@ -538,14 +538,14 @@ def _scaling_doc(n: int) -> dict:
     }
 
 
-def _run_generate_with_peak_rss(config_path: Path, out_dir: Path) -> tuple[float, int]:
+def _run_cli_with_peak_rss(*argv: str) -> tuple[float, int]:
     """Run the CLI in a child process; return (seconds, peak RSS in KiB).
 
     Peak RSS is the kernel's VmHWM high-water mark, polled until exit.
     """
     started = time.monotonic()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dirtygen.cli", "generate", "--config", str(config_path), "--out", str(out_dir)],
+        [sys.executable, "-m", "dirtygen.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -573,8 +573,8 @@ def test_c6_scalability(tmp_path):
     small_cfg.write_text(json.dumps(_scaling_doc(10_000)), encoding="utf-8")
     big_cfg.write_text(json.dumps(_scaling_doc(1_000_000)), encoding="utf-8")
 
-    _, small_peak = _run_generate_with_peak_rss(small_cfg, tmp_path / "small_out")
-    big_seconds, big_peak = _run_generate_with_peak_rss(big_cfg, tmp_path / "big_out")
+    _, small_peak = _run_cli_with_peak_rss("generate", "--config", str(small_cfg), "--out", str(tmp_path / "small_out"))
+    big_seconds, big_peak = _run_cli_with_peak_rss("generate", "--config", str(big_cfg), "--out", str(tmp_path / "big_out"))
 
     assert big_seconds < 300.0, f"1M-tuple run took {big_seconds:.0f}s"
     assert big_peak <= 2 * small_peak, (
@@ -582,6 +582,53 @@ def test_c6_scalability(tmp_path):
     )
     dirty_lines = sum(1 for _ in open(tmp_path / "big_out" / "dirty.ndjson", "rb"))
     assert dirty_lines == 1_001_000  # 1M base + 1000 inserted duplicates
+
+
+def _write_seeded_repair(out_dir: Path, seed: int) -> Path:
+    """Repair out_dir's dirty.ndjson line by line: about half of the rows
+    that differ from clean are restored, one row in a hundred gets a wrong
+    score, and most inserted rows are deleted."""
+    rng = random.Random(seed)
+    path = out_dir / "repaired.ndjson"
+    with open(out_dir / "clean.ndjson", encoding="utf-8") as clean, \
+            open(out_dir / "dirty.ndjson", encoding="utf-8") as dirty, \
+            open(path, "w", encoding="utf-8", newline="\n") as repaired:
+        for dirty_line in dirty:
+            clean_line = clean.readline()
+            if not clean_line:
+                line = "null\n" if rng.random() < 0.7 else dirty_line
+            elif clean_line != dirty_line and rng.random() < 0.5:
+                line = clean_line
+            elif rng.random() < 0.01:
+                line = encode_record(json.loads(dirty_line) | {"score": -1.0}) + "\n"
+            else:
+                line = dirty_line
+            repaired.write(line)
+    return path
+
+
+def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
+    # evaluate holds the log index and one row of each input, so ten times
+    # the rows must not raise the peak by more than a quarter (measured
+    # 10k/100k: about 22 MiB both; when it loaded whole datasets, 100k
+    # peaked at 425 MiB).
+    peaks = {}
+    for n in (10_000, 100_000):
+        config = tmp_path / f"run{n}.json"
+        config.write_text(json.dumps(_scaling_doc(n)), encoding="utf-8")
+        out = tmp_path / f"out{n}"
+        _run_cli_with_peak_rss("generate", "--config", str(config), "--out", str(out))
+        repaired = _write_seeded_repair(out, seed=n)
+        report = tmp_path / f"report{n}.json"
+        _, peaks[n] = _run_cli_with_peak_rss(
+            "evaluate", "--clean", str(out / "clean.ndjson"), "--dirty", str(out / "dirty.ndjson"),
+            "--repaired", str(repaired), "--log", str(out / "errors.log"), "--report", str(report),
+        )
+        counts = json.loads(report.read_text(encoding="utf-8"))["counts"]
+        assert counts["correct_repairs"] > 0 and counts["false_positives"] > 0
+    assert peaks[100_000] <= 1.25 * peaks[10_000], (
+        f"evaluate peak RSS {peaks[100_000]} KiB at 100k rows against {peaks[10_000]} KiB at 10k"
+    )
 
 
 # ---------------------------------------------------------------------------

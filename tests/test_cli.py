@@ -333,3 +333,89 @@ def test_offdomain_lexicon_path_resolves_against_the_config_directory(tmp_path, 
     assert log[0].split("\t")[2] == f"config={config_hash}"
     drawn = {line.split("\t")[5] for line in log[1:] if line.split("\t")[2] == "city"}
     assert drawn and drawn <= {'"alpha"', '"beta"', '"gamma"'}
+
+
+def _generate_and_repair(tmp_path, mode):
+    """Generate the ERRORS config in `mode` and write a partial repair in the
+    same format: the first half of the rows set to clean, the inserted rows
+    alternately deleted and kept."""
+    from dirtygen.output import OutputSpec, read_dataset, write_dataset
+
+    config = write_config(tmp_path, errors=ERRORS, tuple_count=120)
+    doc = json.loads(config.read_text())
+    doc["output"]["mode"] = mode
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / mode
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    extension = "ndjson" if mode == "ndjson" else "json"
+    clean = list(read_dataset(out / f"clean.{extension}"))
+    dirty = list(read_dataset(out / f"dirty.{extension}"))
+    repaired = [
+        clean[i] if i < len(clean) // 2 else row if i < len(clean) or i % 2 else None
+        for i, row in enumerate(dirty)
+    ]
+    write_dataset(repaired, OutputSpec(directory=tmp_path / f"{mode}-repair", mode=mode), "repaired")
+    return [
+        "evaluate",
+        "--clean", str(out / f"clean.{extension}"),
+        "--dirty", str(out / f"dirty.{extension}"),
+        "--repaired", str(tmp_path / f"{mode}-repair" / f"repaired.{extension}"),
+        "--log", str(out / "errors.log"),
+    ]
+
+
+def test_evaluate_json_array_reports_as_ndjson(tmp_path, capsys):
+    reports = []
+    for mode in ("ndjson", "json_array"):
+        report = tmp_path / f"{mode}.report.json"
+        argv = _generate_and_repair(tmp_path, mode)
+        capsys.readouterr()
+        assert main(argv + ["--report", str(report)]) == 0
+        reports.append((report.read_bytes(), capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][0])["counts"]["correct_repairs"] > 0
+
+
+_INPUT_FLAGS = ["--clean", "--dirty", "--repaired", "--log"]
+
+
+@pytest.mark.parametrize("flag", _INPUT_FLAGS)
+def test_evaluate_malformed_line_exit_2_without_report(tmp_path, capsys, flag):
+    argv = _generate_and_repair(tmp_path, "ndjson")
+    position = argv.index(flag) + 1
+    path = Path(argv[position])
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    middle = len(lines) // 2
+    lines[middle] = '{"id":\n'
+    broken = tmp_path / f"broken{path.suffix}"
+    broken.write_text("".join(lines), encoding="utf-8")
+    argv[position] = str(broken)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(argv + ["--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {broken}: line {middle + 1}: ")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flag", _INPUT_FLAGS)
+def test_evaluate_missing_input_exit_3_without_report(tmp_path, capsys, flag):
+    argv = _generate_and_repair(tmp_path, "ndjson")
+    missing = tmp_path / "missing.ndjson"
+    argv[argv.index(flag) + 1] = str(missing)
+    report = tmp_path / "report.json"
+    assert main(argv + ["--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(missing) in err
+    assert not report.exists()
+
+
+def test_evaluate_shape_fault_exit_2_without_report(tmp_path, capsys):
+    argv = _generate_and_repair(tmp_path, "ndjson")
+    position = argv.index("--repaired") + 1
+    path = Path(argv[position])
+    path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]), encoding="utf-8")
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(argv + ["--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("evaluation error: shape mismatch")
+    assert not report.exists()

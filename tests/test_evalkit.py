@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from dirtygen import EvaluationError, apply_plan, parse_config, plan_errors, score
 from dirtygen.datagen import generate_clean_dataset
+from dirtygen.evalkit import MetricSet, RepairMetrics, _metric_set
 from dirtygen.inject import ErrorLogEntry
-from dirtygen.taxonomy import ABSENT
+from dirtygen.taxonomy import ABSENT, INSERTION_TYPES
 
 from conftest import make_config_text
+from confgen import random_config
 
 
 def build_run(errors=None, tuple_count=100):
@@ -178,3 +182,291 @@ def test_type_changing_rewrite_is_flagged(dirty_value, repaired_value):
     # An inserted row rewritten the same way counts as edited, not kept.
     rewritten = score([], [{"x": dirty_value}], [{"x": repaired_value}], [])
     assert rewritten.counts["flagged"] == 1
+
+
+def reference_score(clean, dirty, repaired, log) -> RepairMetrics:
+    """The list-based scoring that the streaming score replaced, kept as
+    written (Python ==, the union of clean keys) as the reference."""
+    n = len(clean)
+    if len(dirty) != len(repaired):
+        raise EvaluationError(
+            f"shape mismatch: dirty has {len(dirty)} records, repaired has {len(repaired)}"
+        )
+    if len(dirty) < n:
+        raise EvaluationError(
+            f"shape mismatch: dirty has {len(dirty)} records but clean has {n}"
+        )
+    if any(row is None for row in dirty):
+        raise EvaluationError("the dirty dataset cannot contain deleted rows")
+
+    seen: dict[str, None] = {}
+    for record in clean:
+        for key in record:
+            seen.setdefault(key)
+    attributes = list(seen)
+
+    logged_cells: dict[tuple[int, str], str] = {}
+    inserted_rows: dict[int, str] = {}
+    for entry in log:
+        if entry.error_type in INSERTION_TYPES:
+            if entry.attribute is None:
+                inserted_rows[entry.dirty_tuple_index] = entry.error_type
+            continue
+        if entry.attribute is None:
+            continue
+        logged_cells[(entry.dirty_tuple_index, entry.attribute)] = entry.error_type
+
+    for index in inserted_rows:
+        if not n <= index < len(dirty):
+            raise EvaluationError(
+                f"log names inserted row {index}, outside the dirty dataset"
+            )
+
+    stats: dict[str | None, dict[str, int]] = {}
+
+    def bump(error_type, key, amount=1):
+        for bucket in (None, error_type) if error_type else (None,):
+            slot = stats.setdefault(bucket, {"tp": 0, "fp": 0, "fn": 0, "ok": 0})
+            slot[key] += amount
+
+    flagged_total = 0
+    for row_index in range(n):
+        dirty_row = dirty[row_index]
+        repaired_row = repaired[row_index]
+        deleted = repaired_row is None
+        for attribute in attributes:
+            dirty_value = dirty_row.get(attribute, ABSENT)
+            repaired_value = ABSENT if deleted else repaired_row.get(attribute, ABSENT)
+            flagged = deleted or repaired_value != dirty_value
+            logged_type = logged_cells.get((row_index, attribute))
+            if flagged:
+                flagged_total += 1
+                clean_value = clean[row_index].get(attribute, ABSENT)
+                correct = (not deleted) and repaired_value == clean_value
+                if logged_type is not None:
+                    bump(logged_type, "tp")
+                    if correct:
+                        bump(logged_type, "ok")
+                else:
+                    bump(None, "fp")
+            elif logged_type is not None:
+                bump(logged_type, "fn")
+
+    for row_index in range(n, len(dirty)):
+        error_type = inserted_rows.get(row_index)
+        repaired_row = repaired[row_index]
+        deleted = repaired_row is None
+        edited = deleted or repaired_row != dirty[row_index]
+        if error_type is None:
+            if edited:
+                flagged_total += 1
+                bump(None, "fp")
+            continue
+        if edited:
+            flagged_total += 1
+            bump(error_type, "tp")
+            if deleted:
+                bump(error_type, "ok")
+        else:
+            bump(error_type, "fn")
+
+    logged_total = len(logged_cells) + len(inserted_rows)
+    unit_total = n * len(attributes) + (len(dirty) - n)
+    overall_raw = stats.get(None, {"tp": 0, "fp": 0, "fn": 0, "ok": 0})
+    per_type: dict[str, MetricSet] = {}
+    for error_type, raw in stats.items():
+        if error_type is None:
+            continue
+        per_type[error_type] = _metric_set(
+            raw["tp"], 0, raw["fn"], raw["ok"], raw["tp"], raw["tp"] + raw["fn"]
+        )
+    overall = _metric_set(
+        overall_raw["tp"], overall_raw["fp"], overall_raw["fn"], overall_raw["ok"],
+        flagged_total, logged_total,
+    )
+    counts = {
+        "true_positives": overall_raw["tp"],
+        "false_positives": overall_raw["fp"],
+        "false_negatives": overall_raw["fn"],
+        "true_negatives": unit_total - overall_raw["tp"] - overall_raw["fp"] - overall_raw["fn"],
+        "correct_repairs": overall_raw["ok"],
+        "flagged": flagged_total,
+        "logged": logged_total,
+        "units": unit_total,
+    }
+    return RepairMetrics(overall=overall, per_error_type=per_type, counts=counts)
+
+
+def _other_value(value, avoid):
+    """A value of value's JSON type that differs, under ==, from value and
+    from avoid; None where there is none (null, absent)."""
+    if isinstance(value, bool):
+        return None if (not value) == avoid else (not value)
+    if isinstance(value, str):
+        candidate = value + "#"
+        while candidate == avoid:
+            candidate += "#"
+        return candidate
+    if not isinstance(value, (int, float)):
+        return None
+    step = 1 if isinstance(value, int) else 0.25
+    candidate = value + step
+    while candidate == avoid:
+        candidate += step
+    return candidate
+
+
+def seeded_repair(clean, dirty, log, rng):
+    """A type-preserving repair of dirty: logged cells restored, rewritten
+    wrong or left alone; unlogged cells corrupted; a few base rows deleted;
+    inserted rows deleted or kept, some kept ones edited. Untouched rows are
+    the dirty record itself or a copy of it, alternately."""
+    n = len(clean)
+    repaired = [row if index % 2 else dict(row) for index, row in enumerate(dirty)]
+
+    def edit(row, attribute, value):
+        if repaired[row] is dirty[row]:
+            repaired[row] = dict(dirty[row])
+        if value is ABSENT:
+            repaired[row].pop(attribute, None)
+        else:
+            repaired[row][attribute] = value
+
+    for entry in log:
+        if entry.attribute is None or entry.error_type in INSERTION_TYPES:
+            continue
+        row, attribute = entry.dirty_tuple_index, entry.attribute
+        roll = rng.random()
+        clean_value = clean[row].get(attribute, ABSENT)
+        if roll < 0.4:
+            edit(row, attribute, clean_value)
+        elif roll < 0.6:
+            wrong = _other_value(clean_value, dirty[row].get(attribute, ABSENT))
+            if wrong is not None:
+                edit(row, attribute, wrong)
+    for _ in range(max(1, len(dirty) // 8)):
+        row = rng.randrange(len(dirty))
+        attribute = rng.choice(list(dirty[row]))
+        value = dirty[row][attribute]
+        wrong = _other_value(value, value)
+        if wrong is not None:
+            edit(row, attribute, wrong)
+    for row in rng.sample(range(n), min(2, n)):
+        repaired[row] = None
+    for row in range(n, len(dirty)):
+        if rng.random() < 0.6:
+            repaired[row] = None
+    return repaired
+
+
+def _both_ways(clean, dirty, repaired, log):
+    """score on lists, and on one-shot iterators of copies of every record."""
+    def once(rows):
+        return (row if row is None else dict(row) for row in rows)
+
+    return score(clean, dirty, repaired, log), score(once(clean), once(dirty), once(repaired), iter(log))
+
+
+@pytest.mark.parametrize("k", range(40))
+def test_streaming_score_matches_the_list_reference(k):
+    config = parse_config(random_config(random.Random(52_000 + k)))
+    clean = list(generate_clean_dataset(config))
+    dirty, log = apply_plan(clean, plan_errors(config), config)
+    repaired = seeded_repair(clean, dirty, log, random.Random(k))
+    expected = reference_score(clean, dirty, repaired, log)
+    for metrics in _both_ways(clean, dirty, repaired, log):
+        assert metrics.counts == expected.counts
+        assert metrics.overall == expected.overall
+        assert metrics.per_error_type == expected.per_error_type
+
+
+def _fault_run():
+    clean = [{"x": f"c{i}", "y": i} for i in range(6)]
+    dirty = [dict(r) for r in clean] + [{"x": "c0", "y": 0}, {"x": "c1", "y": 1}]
+    dirty[1]["x"] = "d1"
+    log = [
+        ErrorLogEntry(1, 1, "x", "erroneous_entry", "c1", "d1"),
+        ErrorLogEntry(6, None, None, "redundancy_about_entity", ABSENT, ABSENT),
+    ]
+    return clean, dirty, [dict(r) for r in dirty], log
+
+
+def _repaired_short(clean, dirty, repaired, log):
+    return clean, dirty, repaired[:-1], log
+
+
+def _repaired_long(clean, dirty, repaired, log):
+    return clean, dirty, repaired + [None], log
+
+
+def _clean_long(clean, dirty, repaired, log):
+    extra = [{"x": f"e{i}", "y": i} for i in range(4)]
+    return clean + extra, dirty, repaired, log
+
+
+def _dirty_null(clean, dirty, repaired, log):
+    dirty = list(dirty)
+    dirty[3] = None
+    return clean, dirty, repaired, log
+
+
+def _inserted_past_the_end(clean, dirty, repaired, log):
+    return clean, dirty, repaired, log + [
+        ErrorLogEntry(8, None, None, "irrelevant_observation", ABSENT, ABSENT)
+    ]
+
+
+def _inserted_in_the_base(clean, dirty, repaired, log):
+    return clean, dirty, repaired, log + [
+        ErrorLogEntry(2, None, None, "irrelevant_observation", ABSENT, ABSENT)
+    ]
+
+
+def _faults(*faults):
+    def apply(clean, dirty, repaired, log):
+        for fault in faults:
+            clean, dirty, repaired, log = fault(clean, dirty, repaired, log)
+        return clean, dirty, repaired, log
+    return apply
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_repaired_short, "shape mismatch: dirty has 8 records, repaired has 7"),
+        (_repaired_long, "shape mismatch: dirty has 8 records, repaired has 9"),
+        (_clean_long, "shape mismatch: dirty has 8 records but clean has 10"),
+        (_dirty_null, "the dirty dataset cannot contain deleted rows"),
+        (_inserted_past_the_end, "log names inserted row 8, outside the dirty dataset"),
+        (_inserted_in_the_base, "log names inserted row 2, outside the dirty dataset"),
+        # Several faults at once: the first in this order wins.
+        (_faults(_inserted_past_the_end, _dirty_null, _clean_long, _repaired_short),
+         "shape mismatch: dirty has 8 records, repaired has 7"),
+        (_faults(_inserted_past_the_end, _dirty_null, _clean_long),
+         "shape mismatch: dirty has 8 records but clean has 10"),
+        (_faults(_inserted_in_the_base, _dirty_null), "the dirty dataset cannot contain deleted rows"),
+    ],
+)
+def test_shape_faults_keep_their_messages_and_precedence(fault, message):
+    clean, dirty, repaired, log = fault(*_fault_run())
+    with pytest.raises(EvaluationError) as reference:
+        reference_score(clean, dirty, repaired, log)
+    assert str(reference.value) == message
+    for inputs in ((clean, dirty, repaired, log), tuple(map(iter, (clean, dirty, repaired, log)))):
+        with pytest.raises(EvaluationError) as raised:
+            score(*inputs)
+        assert str(raised.value) == message
+
+
+def test_clean_records_must_share_one_key_set():
+    clean, dirty, repaired, log = _fault_run()
+    clean[4] = {"x": "c4", "z": 4}
+    expected = "clean record 4 does not have the attributes of clean record 0: missing ['y'], extra ['z']"
+    with pytest.raises(EvaluationError) as raised:
+        score(clean, dirty, repaired, log)
+    assert str(raised.value) == expected
+    # It is raised as the record is read, ahead of every shape fault.
+    clean, dirty, repaired, log = _repaired_short(clean, dirty, repaired, log)
+    with pytest.raises(EvaluationError) as raised:
+        score(iter(clean), iter(dirty), iter(repaired), log)
+    assert str(raised.value) == expected

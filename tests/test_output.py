@@ -317,3 +317,66 @@ def test_writer_count_mismatch_detected(tmp_path):
     writer.write({"a": 1})
     with pytest.raises(DatasetFormatError, match="expected 2"):
         writer.close()
+
+
+# Lines the reader's one-object fast path must hand to the full decode; each
+# must read exactly as _strict_loads and the row check make of it.
+_ODD_LINES = [
+    ' {"a":1}',
+    '{"a":1} ',
+    '{"a":1}\r',
+    '\ufeff{"a":1}',
+    '{"a":NaN}',
+    '{"a":[1,Infinity]}',
+    '{"a":-Infinity}',
+    "1,2",
+    "{} {}",
+    '[{"a":1}]',
+    "null",
+    "",
+    '{"a":' + "9" * 4301 + "}",
+    '{"a":' + "9" * 4300 + "}",
+]
+
+
+@pytest.mark.parametrize("allow_deleted", [False, True])
+@pytest.mark.parametrize("line", _ODD_LINES)
+def test_ndjson_fast_path_reads_as_the_full_decode(tmp_path, line, allow_deleted):
+    from dirtygen.output import _check_row, _strict_loads
+
+    path = tmp_path / "data.ndjson"
+    path.write_bytes(('{"b":2}\n' + line + "\n").encode("utf-8"))
+    try:
+        expected = [{"b": 2}, _check_row(_strict_loads(line), path, 2, allow_deleted)]
+    except ValueError as exc:
+        expected = f"{path}: line 2: not valid JSON: {exc}"
+    except DatasetFormatError as exc:
+        expected = str(exc)
+    try:
+        got = list(read_dataset(path, allow_deleted=allow_deleted))
+    except DatasetFormatError as exc:
+        got = str(exc)
+    assert repr(got) == repr(expected)
+
+
+def test_repaired_lines_identical_to_dirty_are_the_dirty_records(tmp_path):
+    from dirtygen.output import read_dirty_and_repaired
+
+    dirty = tmp_path / "dirty.ndjson"
+    repaired = tmp_path / "repaired.ndjson"
+    dirty.write_text('{"a":1}\n{"a":2}\n{"a":3}\n', encoding="utf-8")
+    repaired.write_text('{"a":1}\n{"a":2.0}\nnull\n', encoding="utf-8")
+    dirty_rows, repaired_rows = read_dirty_and_repaired(dirty, repaired)
+    pairs = list(zip(dirty_rows, repaired_rows))
+    assert pairs == [({"a": 1}, {"a": 1}), ({"a": 2}, {"a": 2.0}), ({"a": 3}, None)]
+    assert pairs[0][1] is pairs[0][0]
+    assert type(pairs[1][1]["a"]) is float
+    # Read out of step, every line is decoded on its own.
+    dirty_rows, repaired_rows = read_dirty_and_repaired(dirty, repaired)
+    assert list(repaired_rows) == [{"a": 1}, {"a": 2.0}, None]
+    assert list(dirty_rows) == [{"a": 1}, {"a": 2}, {"a": 3}]
+    # A malformed repaired line is reported against the repaired file.
+    repaired.write_text('{"a":1}\n{"a":\n', encoding="utf-8")
+    dirty_rows, repaired_rows = read_dirty_and_repaired(dirty, repaired)
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(repaired))}: line 2: "):
+        list(zip(dirty_rows, repaired_rows))
