@@ -14,7 +14,13 @@ from dirtygen import (
     write_error_log,
 )
 from dirtygen.inject import ErrorLogEntry
-from dirtygen.output import OutputSpec, encode_record
+from dirtygen.output import (
+    OutputSpec,
+    _check_row,
+    _strict_loads,
+    encode_record,
+    read_dirty_and_repaired,
+)
 
 
 def spec_for(tmp_path, **kwargs):
@@ -342,8 +348,6 @@ _ODD_LINES = [
 @pytest.mark.parametrize("allow_deleted", [False, True])
 @pytest.mark.parametrize("line", _ODD_LINES)
 def test_ndjson_fast_path_reads_as_the_full_decode(tmp_path, line, allow_deleted):
-    from dirtygen.output import _check_row, _strict_loads
-
     path = tmp_path / "data.ndjson"
     path.write_bytes(('{"b":2}\n' + line + "\n").encode("utf-8"))
     try:
@@ -360,8 +364,6 @@ def test_ndjson_fast_path_reads_as_the_full_decode(tmp_path, line, allow_deleted
 
 
 def test_repaired_lines_identical_to_dirty_are_the_dirty_records(tmp_path):
-    from dirtygen.output import read_dirty_and_repaired
-
     dirty = tmp_path / "dirty.ndjson"
     repaired = tmp_path / "repaired.ndjson"
     dirty.write_text('{"a":1}\n{"a":2}\n{"a":3}\n', encoding="utf-8")
