@@ -215,18 +215,20 @@ def read_dirty_and_repaired(
     dirty_path, repaired_path = Path(dirty_path), Path(repaired_path)
     if _infer_mode(dirty_path, None) != "ndjson" or _infer_mode(repaired_path, None) != "ndjson":
         return read_dataset(dirty_path), read_dataset(repaired_path, allow_deleted=True)
-    last = [0, "", None]  # line number, text and record of the dirty row read last
+    # The dirty row read last: its line number, text and record.
+    last_lineno, last_line, last_record = 0, "", None
 
     def dirty_rows() -> Iterator[dict]:
+        nonlocal last_lineno, last_line, last_record
         for lineno, line in _ndjson_lines(dirty_path):
-            record = _decode_line(line, dirty_path, lineno, False)
-            last[:] = lineno, line, record
-            yield record
+            last_record = _decode_line(line, dirty_path, lineno, False)
+            last_lineno, last_line = lineno, line
+            yield last_record
 
     def repaired_rows() -> Iterator[dict | None]:
         for lineno, line in _ndjson_lines(repaired_path):
-            if lineno == last[0] and line == last[1]:
-                yield last[2]
+            if lineno == last_lineno and line == last_line:
+                yield last_record
             else:
                 yield _decode_line(line, repaired_path, lineno, True)
 

@@ -4,8 +4,9 @@ import pytest
 
 from dirtygen import EvaluationError, apply_plan, parse_config, plan_errors, score
 from dirtygen.datagen import generate_clean_dataset
-from dirtygen.evalkit import MetricSet, RepairMetrics, _metric_set
+from dirtygen.evalkit import MetricSet, RepairMetrics, _metric_set, _same_record
 from dirtygen.inject import ErrorLogEntry
+from dirtygen.output import encode_record
 from dirtygen.taxonomy import ABSENT, INSERTION_TYPES
 
 from conftest import make_config_text
@@ -295,6 +296,42 @@ def reference_score(clean, dirty, repaired, log) -> RepairMetrics:
         "units": unit_total,
     }
     return RepairMetrics(overall=overall, per_error_type=per_type, counts=counts)
+
+
+# Record pairs for _same_record; most are equal under ==, which leaves only
+# its per-value path or its C-pass shortcut to tell them apart.
+_RECORD_PAIRS = [
+    ({"a": 1, "b": "x"}, {"a": 1, "b": "x"}),
+    ({"a": 1, "b": "x"}, {"b": "x", "a": 1}),
+    ({"a": 1, "b": True}, {"b": 1, "a": True}),
+    ({"a": 1.5, "b": None}, {"a": 1.5, "b": None}),
+    ({"a": 1, "b": "x"}, {"a": 1.0, "b": "x"}),
+    ({"a": 0, "b": "x"}, {"a": 0, "b": "x"}),
+    ({"a": 0, "b": "x"}, {"a": False, "b": "x"}),
+    ({"a": 0.0, "b": "x"}, {"a": -0.0, "b": "x"}),
+    ({"a": [1], "b": "x"}, {"a": [True], "b": "x"}),
+    ({"a": [1], "b": "x"}, {"a": [1], "b": "x"}),
+    ({"a": {"c": 1}}, {"a": {"c": 1.0}}),
+    ({"a": {"c": 1}}, {"a": {"c": 1}}),
+    ({"a": 1}, {"a": 2}),
+    ({"a": 1}, {"b": 1}),
+]
+
+
+@pytest.mark.parametrize("a, b", _RECORD_PAIRS)
+def test_same_record_compares_each_value_by_its_encoding(a, b):
+    expected = a.keys() == b.keys() and all(encode_record({"v": v}) == encode_record({"v": b[k]}) for k, v in a.items())
+    assert _same_record(a, b) is expected
+    assert _same_record(b, a) is expected
+
+
+def test_rewrite_under_other_keys_order_is_flagged_per_cell():
+    # Equal under == and with the same types in key order, but a and b
+    # swap an int and a bool between them.
+    clean = [{"a": 1, "b": True}]
+    metrics = score(clean, [{"a": 1, "b": True}], [{"b": 1, "a": True}], [])
+    assert metrics.counts["flagged"] == 2
+    assert score(clean, clean, [{"b": True, "a": 1}], []).counts["flagged"] == 0
 
 
 def _other_value(value, avoid):

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from dirtygen import (
     DatasetFormatError,
     read_dataset,
     read_error_log,
+    score,
     write_dataset,
     write_error_log,
 )
+from dirtygen import output as output_module
 from dirtygen.inject import ErrorLogEntry
 from dirtygen.output import (
     OutputSpec,
@@ -382,3 +385,28 @@ def test_repaired_lines_identical_to_dirty_are_the_dirty_records(tmp_path):
     dirty_rows, repaired_rows = read_dirty_and_repaired(dirty, repaired)
     with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(repaired))}: line 2: "):
         list(zip(dirty_rows, repaired_rows))
+
+
+def test_score_reads_dirty_before_repaired(tmp_path, monkeypatch):
+    # The identical-line shortcut holds only when each dirty row is read
+    # before the repaired row at its index, as score reads them.
+    dirty = tmp_path / "dirty.ndjson"
+    repaired = tmp_path / "repaired.ndjson"
+    dirty.write_text('{"a":1}\n{"a":2}\n{"a":3}\n', encoding="utf-8")
+    repaired.write_text('{"a":1}\n{"a":1}\n{"a":3}\n', encoding="utf-8")
+    decoded = []
+    decode = output_module._decode_line
+
+    def counting(line, path, lineno, allow_deleted):
+        decoded.append((Path(path).name, lineno))
+        return decode(line, path, lineno, allow_deleted)
+
+    monkeypatch.setattr(output_module, "_decode_line", counting)
+    clean = [{"a": 1}, {"a": 1}, {"a": 3}]
+    log = [ErrorLogEntry(1, 1, "a", "erroneous_entry", 1, 2)]
+    metrics = score(clean, *read_dirty_and_repaired(dirty, repaired), log)
+    assert decoded == [
+        ("dirty.ndjson", 1), ("dirty.ndjson", 2), ("repaired.ndjson", 2), ("dirty.ndjson", 3)
+    ]
+    assert metrics.counts["correct_repairs"] == 1
+    assert metrics.counts["flagged"] == 1
