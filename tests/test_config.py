@@ -194,6 +194,51 @@ def test_hash_changes_with_seed_and_schema():
     assert compute_config_hash(base) == base.config_hash
 
 
+def test_config_hash_is_pinned(tmp_path, monkeypatch):
+    # One document over every source kind and every signature rule: a
+    # lexicon by bundled name and one by relative path, a set with and one
+    # without weights, default sequence terms, a dependency mapping,
+    # offdomain carriers of four kinds and skewed bias weights. A change
+    # to how any of them is hashed changes this digest.
+    monkeypatch.delenv("DIRTYGEN_LEXICON_DIR", raising=False)
+    (tmp_path / "colors.txt").write_text("red\ngreen\n blue\nred\n", encoding="utf-8")
+    doc = {
+        "schema": [
+            {"name": "id", "datatype": "integer", "source": {"kind": "sequence"}, "unique": True},
+            {"name": "first", "datatype": "string", "source": {"kind": "lexicon", "name": "first_names"}},
+            {"name": "color", "datatype": "string", "source": {"kind": "lexicon", "path": "colors.txt"}},
+            {"name": "city", "datatype": "string",
+             "source": {"kind": "set", "values": ["Berlin", "Munich", "Hamburg"], "weights": [3, 2, 1]}},
+            {"name": "grade", "datatype": "string", "source": {"kind": "set", "values": ["A", "B", "C"]}},
+            {"name": "zone", "datatype": "string"},
+            {"name": "age", "datatype": "integer",
+             "source": {"kind": "numeric", "distribution": "uniform", "min": 0, "max": 120}, "interval": [0, 120]},
+            {"name": "score", "datatype": "float",
+             "source": {"kind": "numeric", "distribution": "normal", "mean": 50.5, "stddev": 10}},
+            {"name": "code", "datatype": "string", "source": {"kind": "template", "template": "AA-###"}},
+        ],
+        "dependencies": [
+            {"determinant": "city", "dependent": "zone", "mapping": {"Berlin": "N", "Munich": "S", "Hamburg": "N"}},
+        ],
+        "errors": [
+            {"type": "missing_value", "rate": 0.05, "attributes": ["zone", "age"]},
+            {"type": "irrelevant_observation", "rate": 0.05, "params": {"offdomain": {
+                "city": {"kind": "set", "values": ["Atlantis", "El Dorado"]},
+                "age": {"kind": "numeric", "distribution": "uniform", "min": 500, "max": 600},
+                "code": {"kind": "template", "template": "###"},
+                "first": {"kind": "lexicon", "name": "cities"},
+            }}},
+            {"type": "bias", "rate": 0.05, "params": {
+                "group_attribute": "grade", "group_value": "A", "target_attribute": "city",
+                "skewed_weights": {"Berlin": 1, "Munich": 4, "Hamburg": 0},
+            }},
+        ],
+        "generation": {"tuple_count": 50, "seed": 11},
+    }
+    config = parse_config(json.dumps(doc), base_dir=tmp_path)
+    assert config.config_hash == "2b71ed72f2ec712a4c2b8ee612c05c13a9641015b930928447aa79b0bdb4c792"
+
+
 def test_seed_override():
     config = parse_config(make_config_text(), seed_override=123)
     assert config.seed == 123
