@@ -49,78 +49,6 @@ BUNDLED_LEXICONS = ("first_names", "last_names", "cities", "streets", "words")
 LEXICON_DIR_ENV = "DIRTYGEN_LEXICON_DIR"
 
 # ---------------------------------------------------------------------------
-# Value sources
-
-
-@dataclass(frozen=True)
-class LexiconSource:
-    name: str  # bundled name or the path as given
-    values: tuple[str, ...] = field(repr=False)
-
-    kind = "lexicon"
-
-    def signature(self) -> dict:
-        digest = hashlib.sha256("\n".join(self.values).encode("utf-8")).hexdigest()
-        return {"kind": "lexicon", "name": self.name, "sha256": digest}
-
-
-@dataclass(frozen=True)
-class NumericSource:
-    distribution: str  # "uniform" | "normal"
-    low: float = 0.0
-    high: float = 0.0
-    mean: float = 0.0
-    stddev: float = 0.0
-
-    kind = "numeric"
-
-    def signature(self) -> dict:
-        if self.distribution == "uniform":
-            return {"kind": "numeric", "distribution": "uniform", "min": self.low, "max": self.high}
-        return {
-            "kind": "numeric",
-            "distribution": "normal",
-            "mean": self.mean,
-            "stddev": self.stddev,
-        }
-
-
-@dataclass(frozen=True)
-class TemplateSource:
-    template: str
-
-    kind = "template"
-
-    def signature(self) -> dict:
-        return {"kind": "template", "template": self.template}
-
-
-@dataclass(frozen=True)
-class SequenceSource:
-    start: float
-    step: float
-
-    kind = "sequence"
-
-    def signature(self) -> dict:
-        return {"kind": "sequence", "start": self.start, "step": self.step}
-
-
-@dataclass(frozen=True)
-class ConstantSetSource:
-    values: tuple
-    weights: tuple[float, ...] | None = None
-
-    kind = "set"
-
-    def signature(self) -> dict:
-        return {"kind": "set", "values": list(self.values), "weights": list(self.weights or ())}
-
-
-ValueSource = LexiconSource | NumericSource | TemplateSource | SequenceSource | ConstantSetSource
-
-
-# ---------------------------------------------------------------------------
 # Domain model
 
 
@@ -142,7 +70,7 @@ class DependencyRule:
 class AttributeSpec:
     name: str
     datatype: str  # "string" | "integer" | "float"
-    source: ValueSource | None = None
+    source: dict | None = None  # the walked SOURCE entry, defaults filled in
     pattern: str | None = None
     interval: tuple[float, float] | None = None
     admissible_set: tuple | None = None
@@ -152,7 +80,6 @@ class AttributeSpec:
     null_rate: float = 0.0
     # Resolved during parsing:
     dependency: DependencyRule | None = field(default=None, repr=False, compare=False)
-    finite_domain: tuple | None = field(default=None, repr=False, compare=False)
     domain: Domain | None = field(default=None, repr=False, compare=False)
     # TupleBlock -> clean values; for a dependent, determinant column -> its column
     column: Callable | None = field(default=None, repr=False, compare=False)
@@ -162,8 +89,8 @@ class AttributeSpec:
         """The explicit pattern, or the regex implied by a template source."""
         if self.compiled_pattern is not None:
             return self.compiled_pattern
-        if isinstance(self.source, TemplateSource):
-            return template_regex(self.source.template)
+        if self.source is not None and self.source["kind"] == "template":
+            return template_regex(self.source["template"])
         return None
 
     def satisfies(self, value) -> bool:
@@ -209,7 +136,7 @@ class AttributeSpec:
     def source_signature(self) -> dict:
         if self.dependency is not None:
             return {"kind": "derived", "determinant": self.dependency.determinant}
-        return self.source.signature()
+        return source_signature(self.source)
 
     def signature(self) -> dict:
         return {
@@ -371,6 +298,11 @@ SOURCE = Tagged("kind", "source kind", {
                          Field("number", REQUIRED, *_NON_NEGATIVE)),
     },
 })
+# The datatypes each source kind's values can take, unless an admissible_set
+# is declared: it becomes the domain in the source's place.
+_NUMERIC = ("integer", "float")
+SOURCE_DATATYPES = {"lexicon": ("string",), "numeric": _NUMERIC, "template": ("string",), "sequence": _NUMERIC,
+                    "set": ("string", *_NUMERIC)}
 
 ATTRIBUTE = {
     "name": Field("string", REQUIRED, re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch,
@@ -516,34 +448,39 @@ def _walk_section(raw: dict, section: dict | Tagged, what: str) -> dict:
 # Walked entries -> sources and attributes
 
 
-def build_source(raw: dict, where: str, base_dir: Path | None = None) -> ValueSource:
-    """The value source of a walked SOURCE entry, with the checks between its keys."""
+def build_source(raw: dict, where: str, base_dir: Path | None = None) -> dict:
+    """A walked SOURCE entry, which is the source itself, after the checks
+    between its keys. A lexicon becomes its reference and its loaded values."""
     kind = raw["kind"]
     if kind == "lexicon":
         ref = raw.get("name") or raw.get("path")
         if not ref:
             _fail(f"{where}: lexicon requires 'name' or 'path'")
-        return LexiconSource(name=ref, values=tuple(load_lexicon(ref, base_dir=base_dir)))
-    if kind == "template":
-        return TemplateSource(template=raw["template"])
-    if kind == "sequence":
-        return SequenceSource(start=raw["start"], step=raw["step"])
+        return {"kind": kind, "name": ref, "values": tuple(load_lexicon(ref, base_dir=base_dir))}
     if kind == "set":
-        weights = raw.get("weights")
-        if weights is not None and len(weights) != len(raw["values"]):
+        if "weights" in raw and len(raw["weights"]) != len(raw["values"]):
             _fail(f"{where}: weights must match values in length")
-        return ConstantSetSource(tuple(raw["values"]), None if weights is None else tuple(weights))
-    if raw["distribution"] == "uniform":
+    elif kind == "numeric" and raw["distribution"] == "uniform":
         low, high = raw["min"], raw["max"]
         if not low < high:
             _fail(f"{where}: uniform requires min < max")
         if not math.isfinite(float(high) - float(low)):
             _fail(f"{where}: max - min exceeds the float range")
-        return NumericSource("uniform", low=low, high=high)
-    mean, stddev = raw["mean"], raw["stddev"]
-    if not math.isfinite(abs(float(mean)) + NORMAL_Z_BOUND * float(stddev)):
-        _fail(f"{where}: mean + {NORMAL_Z_BOUND} stddev exceeds the float range")
-    return NumericSource("normal", mean=mean, stddev=stddev)
+    elif kind == "numeric":
+        if not math.isfinite(abs(float(raw["mean"])) + NORMAL_Z_BOUND * float(raw["stddev"])):
+            _fail(f"{where}: mean + {NORMAL_Z_BOUND} stddev exceeds the float range")
+    return raw
+
+
+def source_signature(source: dict) -> dict:
+    """The hashed form of a source: a lexicon by its reference and content
+    digest, a set with its weights ([] when none), any other as walked."""
+    if source["kind"] == "lexicon":
+        digest = hashlib.sha256("\n".join(source["values"]).encode("utf-8")).hexdigest()
+        return {"kind": "lexicon", "name": source["name"], "sha256": digest}
+    if source["kind"] == "set":
+        return {"weights": [], **source}
+    return source
 
 
 def _compile_pattern(pattern: str, where: str) -> re.Pattern:
@@ -594,9 +531,9 @@ def _attribute(raw: dict, base_dir: Path | None) -> AttributeSpec:
 
 
 def _resolve_domain(attr: AttributeSpec, tuple_count: int) -> None:
-    """Validate constraint interactions, fix the finite generation domain and
-    resolve the attribute's Domain."""
-    members = attr.admissible_set
+    """Validate constraint interactions and resolve the attribute's Domain,
+    listing the members of a finite one."""
+    src, members = attr.source, attr.admissible_set
     if members is not None:
         for member in members:
             if not attr.satisfies(member):
@@ -604,8 +541,8 @@ def _resolve_domain(attr: AttributeSpec, tuple_count: int) -> None:
                     f"attribute '{attr.name}': admissible_set member {member!r} "
                     f"violates the declared pattern or interval"
                 )
-    if isinstance(attr.source, ConstantSetSource):
-        typed = tuple(attr.typed(v, f"attribute '{attr.name}' set value") for v in attr.source.values)
+    if src["kind"] == "set":
+        typed = tuple(attr.typed(v, f"attribute '{attr.name}' set value") for v in src["values"])
         for member in typed:
             if not attr.satisfies(member):
                 _fail(
@@ -614,31 +551,25 @@ def _resolve_domain(attr: AttributeSpec, tuple_count: int) -> None:
                 )
             if members is not None and member not in members:
                 _fail(f"attribute '{attr.name}': set source value {member!r} is outside the admissible_set")
-        attr.finite_domain = members or typed
-    elif members is not None:
-        attr.finite_domain = members
-    elif isinstance(attr.source, LexiconSource):
-        if attr.datatype != "string":
-            _fail(f"attribute '{attr.name}': lexicon sources require datatype string")
-        kept = tuple(v for v in attr.source.values if attr.satisfies(v))
-        if not kept:
-            _fail(
-                f"attribute '{attr.name}': no lexicon value satisfies the "
-                f"declared constraints"
-            )
-        attr.finite_domain = kept
-    elif isinstance(attr.source, TemplateSource) and attr.datatype != "string":
-        _fail(f"attribute '{attr.name}': template sources require datatype string")
-    elif isinstance(attr.source, NumericSource) and attr.datatype == "string":
-        _fail(f"attribute '{attr.name}': numeric sources require a numeric datatype")
-    elif isinstance(attr.source, SequenceSource) and attr.datatype == "string":
-        _fail(f"attribute '{attr.name}': sequence sources require a numeric datatype")
-    if isinstance(attr.source, SequenceSource) and attr.datatype == "integer":
-        if attr.source.start != int(attr.source.start) or attr.source.step != int(attr.source.step):
+        members = members or typed
+    elif members is None:  # a declared admissible_set is the domain, whatever the source
+        datatypes = SOURCE_DATATYPES[src["kind"]]
+        if attr.datatype not in datatypes:
+            noun = "datatype string" if datatypes == ("string",) else "a numeric datatype"
+            _fail(f"attribute '{attr.name}': {src['kind']} sources require {noun}")
+        if src["kind"] == "lexicon":
+            members = tuple(v for v in src["values"] if attr.satisfies(v))
+            if not members:
+                _fail(
+                    f"attribute '{attr.name}': no lexicon value satisfies the "
+                    f"declared constraints"
+                )
+    if src["kind"] == "sequence" and attr.datatype == "integer":
+        if src["start"] != int(src["start"]) or src["step"] != int(src["step"]):
             _fail(f"attribute '{attr.name}': integer sequences need integer start and step")
     # Fails where a uniform range and the interval leave nothing to draw, and
     # where a unique normal's interval holds no probability mass.
-    attr.domain = resolve(attr, tuple_count)
+    attr.domain = resolve(attr, tuple_count, members)
 
 
 def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
@@ -649,19 +580,20 @@ def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
     if attr.null_rate > 0:
         _fail(f"attribute '{attr.name}': unique attributes cannot draw nulls")
     src = attr.source
-    if isinstance(src, NumericSource) and src.distribution == "normal" and attr.datatype == "integer":
+    kind = src["kind"]
+    if kind == "numeric" and src["distribution"] == "normal" and attr.datatype == "integer":
         _fail(
             f"attribute '{attr.name}': unique integer attributes need a uniform, "
             f"sequence, template, or finite-set source"
         )
-    if isinstance(src, SequenceSource) and src.step == 0:
+    if kind == "sequence" and src["step"] == 0:
         _fail(f"attribute '{attr.name}': a unique sequence needs step != 0")
-    if isinstance(src, TemplateSource) and attr.compiled_pattern is not None:
+    if kind == "template" and attr.compiled_pattern is not None:
         _fail(
             f"attribute '{attr.name}': unique template attributes must encode their "
             f"format in the template itself, not in a separate pattern"
         )
-    if isinstance(src, NumericSource) and attr.compiled_pattern is not None:
+    if kind == "numeric" and attr.compiled_pattern is not None:
         _fail(f"attribute '{attr.name}': unique numeric attributes cannot take a pattern")
     size = attr.domain.size
     if size is not None and size < tuple_count:
@@ -674,7 +606,7 @@ def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
 def _validate_sequence(attr: AttributeSpec, tuple_count: int) -> None:
     """A sequence's first tuple_count values, its clean values, must stay in
     the float range, the interval and the admissible set."""
-    if not isinstance(attr.source, SequenceSource) or tuple_count == 0:
+    if attr.source is None or attr.source["kind"] != "sequence" or tuple_count == 0:
         return
     at = attr.domain.by_index
     if not _is_finite(at(tuple_count - 1)):  # the values are linear in the tuple index
@@ -1065,7 +997,7 @@ def _error_signature(spec: ErrorSpec) -> dict:
     params = {}
     for key, value in sig["params"].items():
         if key == "offdomain" and isinstance(value, dict):
-            params[key] = {name: carrier.source.signature() for name, carrier in value.items()}
+            params[key] = {name: source_signature(carrier.source) for name, carrier in value.items()}
         elif key == "skewed_weights" and isinstance(value, dict):
             params[key] = {json.dumps(k, ensure_ascii=False): w for k, w in value.items()}
         else:

@@ -101,35 +101,35 @@ def finite(values: tuple, weights: tuple[float, ...] | None = None) -> Domain:
     return Domain(n, 1, attempts, values.__contains__, values.__getitem__, n, values)
 
 
-def resolve(attr, tuple_count: int) -> Domain:
+def resolve(attr, tuple_count: int, values: tuple | None = None) -> Domain:
     """The domain of an attribute with a value source.
 
-    attr.finite_domain, when set, lists the members. An attribute standing in
-    for a bare source (an offdomain carrier) takes a set's or a lexicon's
-    values as they are.
+    values, when given, lists the members. An attribute standing in for a
+    bare source (an offdomain carrier) takes a set's or a lexicon's values as
+    they are.
     """
     src = attr.source
-    values = attr.finite_domain
-    if values is None and src.kind in ("set", "lexicon"):
-        values = tuple(src.values)
+    kind = src["kind"]
+    if values is None and kind in ("set", "lexicon"):
+        values = tuple(src["values"])
     if values is not None:
-        weights = src.weights if src.kind == "set" and attr.admissible_set is None else None
-        domain = finite(values, weights)
-        if src.kind == "sequence":  # clean values follow the sequence even then
+        # A set's weights; an admissible_set replaces the values they weigh.
+        domain = finite(values, src.get("weights") if attr.admissible_set is None else None)
+        if kind == "sequence":  # clean values follow the sequence even then
             domain = domain._replace(by_index=_sequence_at(attr))
         return domain
-    if src.kind == "sequence":
+    if kind == "sequence":
         return _sequence_domain(attr, tuple_count)
-    if src.kind == "template":
+    if kind == "template":
         return _template_domain(attr)
-    if src.distribution == "normal":
+    if src["distribution"] == "normal":
         return _normal_domain(attr)
     return _uniform_domain(attr)
 
 
 def _sequence_terms(attr) -> tuple:
     """start and step; an integer sequence's as ints, so its values are exact."""
-    start, step = attr.source.start, attr.source.step
+    start, step = attr.source["start"], attr.source["step"]
     if attr.datatype == "integer":
         return int(start), int(step)
     return start, step
@@ -164,7 +164,7 @@ def _sequence_domain(attr, tuple_count: int) -> Domain:
 
 
 def _template_domain(attr) -> Domain:
-    template = attr.source.template
+    template = attr.source["template"]
     size, regex, satisfies = template_size(template), template_regex(template), attr.satisfies
 
     def contains(value) -> bool:
@@ -197,10 +197,10 @@ def _numeric_contains(attr, low=None, high=None) -> Callable:
 
 
 def _uniform_domain(attr) -> Domain:
-    src = attr.source
+    low, high = attr.source["min"], attr.source["max"]
     # The range is cut to the interval, so only a pattern can reject a draw.
     if attr.datatype == "integer":
-        lo, hi = math.ceil(src.low), math.floor(src.high)
+        lo, hi = math.ceil(low), math.floor(high)
         if attr.interval is not None:
             lo = max(lo, math.ceil(attr.interval[0]))
             hi = min(hi, math.floor(attr.interval[1]))
@@ -213,7 +213,7 @@ def _uniform_domain(attr) -> Domain:
         attempts = lambda _, words: [lo + ((w * size) >> 64) for w in words[0]]  # noqa: E731
         at = lambda k: lo + k  # noqa: E731
     else:
-        lo, hi = src.low, src.high
+        lo, hi = low, high
         if attr.interval is not None:
             lo = max(lo, attr.interval[0])
             hi = min(hi, attr.interval[1])
@@ -231,19 +231,19 @@ def _uniform_domain(attr) -> Domain:
         size,
         1,
         attempts,
-        _numeric_contains(attr, src.low, src.high),
+        _numeric_contains(attr, low, high),
         at,
         size,
         accept=attr.satisfies if attr.compiled_pattern is not None else None,
         name=attr.name,
-        mean=(src.low + src.high) / 2.0,
-        stddev=(src.high - src.low) / math.sqrt(12.0),
-        bound=max(abs(float(src.low)), abs(float(src.high))),
+        mean=(low + high) / 2.0,
+        stddev=(high - low) / math.sqrt(12.0),
+        bound=max(abs(float(low)), abs(float(high))),
     )
 
 
 def _normal_domain(attr) -> Domain:
-    mean, stddev = attr.source.mean, attr.source.stddev
+    mean, stddev = attr.source["mean"], attr.source["stddev"]
     typed = round_half_away if attr.datatype == "integer" else float
 
     def attempts(_, words) -> list:  # u1 in (0, 1] and u2 in [0, 1), as Stream.normal draws them
@@ -274,7 +274,7 @@ def _normal_domain(attr) -> Domain:
 
 def _normal_grid(attr, size: int) -> Callable:
     """k -> the quantile at point (k + 0.5) / size of the interval's probability mass."""
-    dist = NormalDist(attr.source.mean, attr.source.stddev)
+    dist = NormalDist(attr.source["mean"], attr.source["stddev"])
     p_lo, p_hi = 0.0, 1.0
     if attr.interval is not None:
         p_lo, p_hi = dist.cdf(attr.interval[0]), dist.cdf(attr.interval[1])

@@ -257,7 +257,7 @@ def _in_some_domain(text: str, config) -> bool:
         pattern = attr.effective_pattern()
         if pattern is not None and pattern.fullmatch(text):
             return True
-        if attr.finite_domain is not None and text in attr.finite_domain:
+        if attr.domain.values is not None and text in attr.domain.values:
             return True
     return False
 
@@ -598,12 +598,12 @@ def _parse_bias(params: dict, where: str, config) -> None:
         return
     if "shift" in params:
         raise ConfigError(f"{where}: shift and skewed_weights exclude each other")
-    if target.finite_domain is None:
+    if target.domain.values is None or target.dependency is not None:
         raise ConfigError(f"{where}: skewed_weights requires a finite-domain target")
     typed = {}
     for key, weight in weights.items():
         value = target.typed(key, f"{where} skewed_weights key")
-        if value not in target.finite_domain:
+        if value not in target.domain.values:
             raise ConfigError(f"{where}: skewed_weights key {key!r} is outside the target domain")
         typed[value] = weight
     if len([w for w in typed.values() if w > 0]) < 2:

@@ -17,16 +17,6 @@ STAGE_COLUMN = 3
 STAGE_CELL = 4
 
 
-def __getattr__(name: str):
-    # The type lists are derived from the registry in errortypes, which
-    # imports modules that import this one, so they resolve on first use.
-    if name in ("ALL_ERROR_TYPES", "INSERTION_TYPES"):
-        from . import errortypes
-
-        return getattr(errortypes, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class _Absent:
     """Sentinel for "no value at all", distinct from an explicit null."""
 

@@ -26,9 +26,9 @@ from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, score, verif
 from dirtygen.cli import main as cli_main
 from dirtygen.datagen import generate_clean_dataset, value_in_domain
 from dirtygen.errorplan import spec_target_count
+from dirtygen.errortypes import ALL_ERROR_TYPES, INSERTION_TYPES
 from dirtygen.inject import ErrorLogEntry, realized_counts
 from dirtygen.output import encode_record, read_dataset, write_dataset
-from dirtygen.taxonomy import ALL_ERROR_TYPES, INSERTION_TYPES
 
 from checker import check_dataset
 from confgen import random_config
@@ -245,7 +245,7 @@ def test_property_clean_values_in_domain(property_runs):
             members = domain.members()
             if members is not None:
                 # A sequence is unbounded and lists its first tuple_count members.
-                listed = domain.values is None and attr.source is not None and attr.source.kind == "sequence"
+                listed = domain.values is None and attr.source is not None and attr.source["kind"] == "sequence"
                 assert len(members) == (config.tuple_count if listed else domain.size), attr.name
                 members = set(members)
             for record in clean:

@@ -549,6 +549,9 @@ def test_nested_offdomain_value_parses_or_raises_config_error():
                                           "admissible_set": ["a", "b"]}),
         _error({"type": "bias", "rate": 0.1, "params": {"group_attribute": "age", "group_value": 30, "target_attribute": "city",
                                                          "skewed_weights": {"Berlin": 2, "Munich": 1}, "shift": 1}}),
+        # skewed_weights cannot target a dependent, whose values follow its rule.
+        _error({"type": "bias", "rate": 0.1, "params": {"group_attribute": "age", "group_value": 30, "target_attribute": "zip",
+                                                         "skewed_weights": {"10115": 2, "80331": 1}}}),
     ],
 )
 def test_malformed_values_raise_config_error(mutate):

@@ -26,7 +26,7 @@ def test_uniform_integer_respects_interval():
 def test_lexicon_values_come_from_the_list(base_config):
     attr = base_config.attribute("first_name")
     for i in range(100):
-        assert clean_cell_value(base_config, i, "first_name") in attr.finite_domain
+        assert clean_cell_value(base_config, i, "first_name") in attr.domain.values
 
 
 def test_dependent_attribute_follows_mapping(base_config):

@@ -9,7 +9,7 @@ import pytest
 import dirtygen
 from dirtygen import parse_config
 from dirtygen.cli import main as cli_main
-from dirtygen.config import ATTRIBUTE, GENERATION, OUTPUT, SCALING, SOURCE, Tagged
+from dirtygen.config import ATTRIBUTE, GENERATION, OUTPUT, SCALING, SOURCE, SOURCE_DATATYPES, Tagged
 from dirtygen.errortypes import ERROR_TYPES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,11 +90,11 @@ def _section(heading: str) -> str:
     return re.search(rf"^#+ {re.escape(heading)}\n(.*?)(?=^#+ |\Z)", text, flags=re.M | re.S).group(1)
 
 
-def _field_column(heading: str) -> dict[str, set[str]]:
+def _field_column(heading: str, column: int = 1) -> dict[str, set[str]]:
     """Each table row under the heading: its first cell, unquoted -> the
-    quoted names in its second cell."""
+    quoted names in the given cell."""
     rows = [line.strip().strip("|").split("|") for line in _section(heading).splitlines() if line.startswith("|")]
-    return {row[0].strip().strip("`"): set(re.findall(r"`([^`]+)`", row[1])) for row in rows[2:]}
+    return {row[0].strip().strip("`"): set(re.findall(r"`([^`]+)`", row[column])) for row in rows[2:]}
 
 
 def _keys(section) -> set[str]:
@@ -107,6 +107,7 @@ def _keys(section) -> set[str]:
 def test_config_reference_lists_the_grammar_keys():
     assert set(_field_column("Attributes")) == set(ATTRIBUTE)
     assert _field_column("Value sources") == {kind: _keys(choice) for kind, choice in SOURCE.choices.items()}
+    assert _field_column("Value sources", 2) == {kind: set(types) for kind, types in SOURCE_DATATYPES.items()}
     assert _field_column("Type-specific params") == {
         name: set(etype.params) for name, etype in ERROR_TYPES.items() if etype.params
     }

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, verify_error
 from dirtygen.datagen import clean_cell_value, generate_clean_dataset
-from dirtygen.errortypes import _interval_violation, apply_edit, edit_distance_one, misspell
+from dirtygen.errortypes import ERROR_TYPES, _interval_violation, apply_edit, edit_distance_one, misspell
 from dirtygen.inject import inject_cell, realized_counts
 from dirtygen.rng import derive_stream
 
@@ -385,6 +386,28 @@ def test_irrelevant_observation_outside_every_domain():
         for attr in config.schema:
             assert not value_in_domain(attr, record[attr.name], config)
 
+
+def test_meaningless_value_avoids_a_dependents_values():
+    # A dependent's domain is its mapping's values: a meaningless value must
+    # never be one of them, and the verifier must not take one for meaningless.
+    images = ["".join(letters) for letters in product("abcdefghij", repeat=3)]
+    doc = {
+        "schema": [
+            {"name": "k", "datatype": "integer",
+             "source": {"kind": "numeric", "distribution": "uniform", "min": 0, "max": 999}},
+            {"name": "tag", "datatype": "string"},
+        ],
+        "dependencies": [{"determinant": "k", "dependent": "tag", "mapping": dict(zip(map(str, range(1000)), images))}],
+        "generation": {"tuple_count": 10, "seed": 1},
+    }
+    config = parse_config(json.dumps(doc))
+    attr = config.attribute("tag")
+    stream = derive_stream(3, "test-meaningless")
+    draws = [inject_cell("meaningless_value", "abc", attr, config, stream, {}) for _ in range(5000)]
+    assert not set(draws) & set(images)
+    verify = ERROR_TYPES["meaningless_value"].verify
+    assert not verify("abc", "jij", attr, config, {}, None, None, None)
+    assert verify("abc", "jij#", attr, config, {}, None, None, None)
 
 def test_bias_shift_is_exactly_one_sigma():
     errors = [
