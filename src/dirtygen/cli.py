@@ -1,8 +1,14 @@
 """Command-line front end: generate, validate, evaluate.
 
-Exit codes: 0 success, 1 configuration error, 2 generation or evaluation
-error, 3 I/O error. Human-readable output goes to stdout, machine artifacts
-to files, error messages to stderr.
+Exit codes:
+  0  success
+  1  configuration error
+  2  generation, evaluation or input error
+  3  I/O error
+
+Human-readable output goes to stdout, machine artifacts to files, error
+messages to stderr. The commands only do the work: main alone turns an error
+into its message and exit code, by the _FAILURES table.
 """
 
 from __future__ import annotations
@@ -13,13 +19,12 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import ConfigError, DirtygenError, EvaluationError, GenerationError, __version__
 from .config import load_config
 from .datagen import generate_clean_dataset
 from .errorplan import applicable_population, format_plan, plan_errors, spec_target_count
 from .errortypes import ERROR_TYPES
 from .evalkit import score
-from .exceptions import ConfigError, DirtygenError, EvaluationError, GenerationError
 from .inject import inject_stream, realized_counts
 from .output import (
     DatasetWriter,
@@ -34,6 +39,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_GENERATION = 2
 EXIT_IO = 3
+
+# The message prefix and exit code of each error a command lets through; an
+# error takes the entry of the nearest class in its MRO, so a DirtygenError
+# that is none of the first three is bad input (a malformed dataset or log).
+_FAILURES = {
+    ConfigError: ("config error", EXIT_CONFIG),
+    GenerationError: ("generation error", EXIT_GENERATION),
+    EvaluationError: ("evaluation error", EXIT_GENERATION),
+    DirtygenError: ("input error", EXIT_GENERATION),
+    OSError: ("i/o error", EXIT_IO),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,65 +85,53 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     started = time.monotonic()
-    try:
-        config = load_config(args.config, seed_override=args.seed, output_dir_override=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config, seed_override=args.seed, output_dir_override=args.out)
+    plan = plan_errors(config)
+    if args.emit_plan:
+        text = format_plan(plan)
+        if text:
+            print(text)
+    for warning in plan.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
-    try:
-        plan = plan_errors(config)
-        if args.emit_plan:
-            text = format_plan(plan)
-            if text:
-                print(text)
-        for warning in plan.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+    out = config.output
+    out.directory.mkdir(parents=True, exist_ok=True)
+    clean_writer = DatasetWriter(out, "clean", config.tuple_count)
+    dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
+    counts: dict[str, int] = {}
+    last_clean = [None, None]  # the latest clean record and its encoded line
 
-        out = config.output
-        out.directory.mkdir(parents=True, exist_ok=True)
-        clean_writer = DatasetWriter(out, "clean", config.tuple_count)
-        dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
-        counts: dict[str, int] = {}
-        last_clean = [None, None]  # the latest clean record and its encoded line
+    def clean_and_tee():
+        for record in generate_clean_dataset(config):
+            last_clean[:] = record, clean_writer.write(record)
+            yield record
 
-        def clean_and_tee():
-            for record in generate_clean_dataset(config):
-                last_clean[:] = record, clean_writer.write(record)
-                yield record
+    with open(out.log_path, "w", encoding="utf-8", newline="\n") as log_file:
+        log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
+        for dirty_record, entries in inject_stream(clean_and_tee(), plan, config):
+            # inject_stream passes an untouched row through as the clean
+            # dict itself, with no log entries: its line is already encoded.
+            untouched = not entries and dirty_record is last_clean[0]
+            dirty_writer.write(dirty_record, last_clean[1] if untouched else None)
+            for entry in entries:
+                log_writer.write(entry)
+            for error_type, amount in realized_counts(entries).items():
+                counts[error_type] = counts.get(error_type, 0) + amount
+    clean_paths = clean_writer.close()
+    dirty_paths = dirty_writer.close()
 
-        with open(out.log_path, "w", encoding="utf-8", newline="\n") as log_file:
-            log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
-            for dirty_record, entries in inject_stream(clean_and_tee(), plan, config):
-                # inject_stream passes an untouched row through as the clean
-                # dict itself, with no log entries: its line is already encoded.
-                untouched = not entries and dirty_record is last_clean[0]
-                dirty_writer.write(dirty_record, last_clean[1] if untouched else None)
-                for entry in entries:
-                    log_writer.write(entry)
-                for error_type, amount in realized_counts(entries).items():
-                    counts[error_type] = counts.get(error_type, 0) + amount
-        clean_paths = clean_writer.close()
-        dirty_paths = dirty_writer.close()
-
-        manifest = {
-            "tool": "dirtygen",
-            "version": __version__,
-            "config_hash": config.config_hash,
-            "seed": config.seed,
-            "tuple_count": config.tuple_count,
-            "inserted_count": plan.inserted_count,
-            "dirty_count": config.tuple_count + plan.inserted_count,
-            "error_counts": dict(sorted(counts.items())),
-            "duration_seconds": round(time.monotonic() - started, 3),
-        }
-        write_manifest(out, manifest)
-    except GenerationError as exc:
-        print(f"generation error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    manifest = {
+        "tool": "dirtygen",
+        "version": __version__,
+        "config_hash": config.config_hash,
+        "seed": config.seed,
+        "tuple_count": config.tuple_count,
+        "inserted_count": plan.inserted_count,
+        "dirty_count": config.tuple_count + plan.inserted_count,
+        "error_counts": dict(sorted(counts.items())),
+        "duration_seconds": round(time.monotonic() - started, 3),
+    }
+    write_manifest(out, manifest)
 
     print(f"clean:    {', '.join(str(p) for p in clean_paths)} ({config.tuple_count} records)")
     print(
@@ -146,11 +150,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config)
     print(f"config ok: {len(config.schema)} attributes, {config.tuple_count} tuples, seed {config.seed}")
     print(f"config hash: sha256:{config.config_hash}")
     if config.errors:
@@ -169,31 +169,17 @@ def cmd_validate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     # score reads the three datasets as it goes, so format and I/O errors in
-    # them surface from inside it.
-    try:
-        log = read_error_log(args.log)
-        dirty, repaired = read_dirty_and_repaired(args.dirty, args.repaired)
-        metrics = score(read_dataset(args.clean), dirty, repaired, log)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except EvaluationError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except DirtygenError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
+    # them surface from inside it, before any report is written.
+    log = read_error_log(args.log)
+    dirty, repaired = read_dirty_and_repaired(args.dirty, args.repaired)
+    metrics = score(read_dataset(args.clean), dirty, repaired, log)
 
     if args.report:
-        try:
-            report_path = Path(args.report)
-            report_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        report_path = Path(args.report)
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     overall = metrics.overall
     print(f"{'metric':<24} {'value':>8}")
@@ -213,13 +199,14 @@ def cmd_evaluate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "validate":
-        return cmd_validate(args)
-    return cmd_evaluate(args)
+    args = _build_parser().parse_args(argv)
+    command = {"generate": cmd_generate, "validate": cmd_validate, "evaluate": cmd_evaluate}
+    try:
+        return command[args.command](args)
+    except tuple(_FAILURES) as exc:
+        prefix, code = next(_FAILURES[kind] for kind in type(exc).__mro__ if kind in _FAILURES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

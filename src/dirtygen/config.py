@@ -32,7 +32,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -139,18 +139,9 @@ class AttributeSpec:
         return source_signature(self.source)
 
     def signature(self) -> dict:
-        return {
-            "name": self.name,
-            "datatype": self.datatype,
-            "source": self.source_signature(),
-            "pattern": self.pattern,
-            "interval": list(self.interval) if self.interval else None,
-            "admissible_set": list(self.admissible_set) if self.admissible_set else None,
-            "unique": self.unique,
-            "synonyms": {k: list(v) for k, v in self.synonyms.items()} if self.synonyms else None,
-            "nullable_in_clean": self.nullable_in_clean,
-            "null_rate": self.null_rate,
-        }
+        """The declared fields (those compared), with the source's signature."""
+        declared = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return declared | {"source": self.source_signature(), "synonyms": self.synonyms or None}
 
 
 @dataclass(frozen=True)
@@ -959,7 +950,7 @@ def load_config(
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(
         text,

@@ -6,8 +6,8 @@ dirty value (or its row was deleted, written as a JSON null line). A flagged
 unit is a detection true positive if the log names it; a flagged unit is
 correctly repaired if the repaired value equals the clean value, or, for
 inserted rows, if the row was deleted. Two values are equal when their
-canonical JSON encodings (output's compact encoder) are equal, so 1, 1.0 and
-true are three different values, and so are 0.0 and -0.0. False flags are by
+canonical JSON encodings are equal (output.same_json), so 1, 1.0 and true
+are three different values, and so are 0.0 and -0.0. False flags are by
 definition not in the log, so the per-type breakdown carries no false
 positives; its precision fields are meaningful only as "did this type's
 detections exist at all".
@@ -15,37 +15,21 @@ detections exist at all".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from typing import Iterable
 
 from .errortypes import INSERTION_TYPES
 from .exceptions import EvaluationError
-from .output import _encode
+from .output import same_json
 from .taxonomy import ABSENT
 
 _ENDED = object()  # fills the rows of a dataset that ended before the others
 _NO_CELLS: dict[str, str] = {}
 
 
-def _same_json(a, b) -> bool:
-    """Whether two values have the same canonical JSON encoding."""
-    # Equal scalars skip _encode: timed faster than `a is b or (a == b and _encode(a) == _encode(b))`.
-    if a is b:
-        return True
-    if a != b:
-        return False
-    kind = type(a)
-    if kind is type(b):
-        if kind is float:
-            return repr(a) == repr(b)  # the encoder writes a float's repr
-        if kind is not dict and kind is not list:
-            return True
-    return _encode(a) == _encode(b)
-
-
 def _same_record(a: dict, b: dict) -> bool:
-    """Whether two records have the same keys and _same_json values under each."""
+    """Whether two records have the same keys and same_json values under each."""
     if a is b:
         return True
     if a != b:
@@ -62,7 +46,7 @@ def _same_record(a: dict, b: dict) -> bool:
         and types == list(map(type, map(b.__getitem__, a)))
     ):
         return True
-    return all(_same_json(v, b[k]) for k, v in a.items())
+    return all(same_json(v, b[k]) for k, v in a.items())
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -85,14 +69,7 @@ class MetricSet:
     repair_f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "detection_precision": self.detection_precision,
-            "detection_recall": self.detection_recall,
-            "detection_f1": self.detection_f1,
-            "repair_precision": self.repair_precision,
-            "repair_recall": self.repair_recall,
-            "repair_f1": self.repair_f1,
-        }
+        return asdict(self)
 
 
 def _metric_set(tp: int, fp: int, fn: int, repaired_ok: int, flagged: int, logged: int) -> MetricSet:
@@ -222,11 +199,11 @@ def score(
         for attribute in attributes:
             dirty_value = dirty_row.get(attribute, ABSENT)
             repaired_value = ABSENT if deleted else repaired_row.get(attribute, ABSENT)
-            flagged = deleted or not _same_json(repaired_value, dirty_value)
+            flagged = deleted or not same_json(repaired_value, dirty_value)
             logged_type = cells.get(attribute)
             if flagged:
                 flagged_total += 1
-                correct = (not deleted) and _same_json(repaired_value, clean_row.get(attribute, ABSENT))
+                correct = (not deleted) and same_json(repaired_value, clean_row.get(attribute, ABSENT))
                 if logged_type is not None:
                     bump(logged_type, "tp")
                     if correct:

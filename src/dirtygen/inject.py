@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .config import AttributeSpec, GeneratorConfig
+from .config import GeneratorConfig
 from .datagen import generate_record
 from .errorplan import ErrorPlan, PlanEntry
 from .errortypes import ERROR_TYPES
 from .exceptions import GenerationError
-from .rng import Stream, derive_stream
+from .output import same_json
+from .rng import derive_stream
 from .taxonomy import ABSENT, STAGE_INSERTION
 
 
@@ -40,22 +41,6 @@ class ErrorLogEntry:
     dirty_value: object
 
 
-def inject_cell(
-    error_type: str,
-    clean_value,
-    attr: AttributeSpec,
-    config: GeneratorConfig,
-    stream: Stream,
-    params: dict | None = None,
-    entry: PlanEntry | None = None,
-):
-    """Dirty replacement for one cell under a cell- or column-addressed type."""
-    etype = ERROR_TYPES.get(error_type)
-    if etype is None or etype.marker:
-        raise GenerationError(f"not a cell-level error type: {error_type}")
-    return etype.inject(clean_value, attr, stream, config, params, entry)
-
-
 def _apply_base_entry(
     entry: PlanEntry,
     dirty: dict,
@@ -73,9 +58,7 @@ def _apply_base_entry(
         changes = etype.inject(dirty, config, stream, params, entry)
     else:
         clean_value = clean[attribute]
-        new_value = inject_cell(
-            etype.name, clean_value, config.attribute(attribute), config, stream, params, entry
-        )
+        new_value = etype.inject(clean_value, config.attribute(attribute), stream, config, params, entry)
         if new_value == clean_value:
             raise GenerationError(
                 f"injector for {etype.name} on '{attribute}' reproduced the "
@@ -182,7 +165,9 @@ def verify_error(
     Both must be lists. Each such check is one pass over a dataset in C; an
     entity check diffs whole records only for the clean tuples that match the
     dirty record on one of its first few attributes. A type whose spec is
-    missing from the config is checked with its default params.
+    missing from the config is checked with its default params. The logged
+    values must equal the records' under output.same_json, so a logged 1.0
+    or true does not match a recorded 1.
     """
     etype = ERROR_TYPES.get(entry.error_type)
     if etype is None:
@@ -196,9 +181,9 @@ def verify_error(
         if entry.attribute is None:
             return etype.verify_marker(None, dirty_record, config, params, clean_dataset)
         # Content provenance entry: the record must carry the logged value.
-        if dirty_record.get(entry.attribute, ABSENT) != entry.dirty_value:
+        if not same_json(dirty_record.get(entry.attribute, ABSENT), entry.dirty_value):
             return False
-        if etype.draws_source and entry.clean_value == entry.dirty_value:
+        if etype.draws_source and same_json(entry.clean_value, entry.dirty_value):
             return True  # unperturbed copy of the source value
         return etype.verify(
             entry.clean_value, entry.dirty_value, config.attribute(entry.attribute),
@@ -215,7 +200,7 @@ def verify_error(
         return False
     clean_value = clean_record.get(entry.attribute, ABSENT)
     dirty_value = dirty_record.get(entry.attribute, ABSENT)
-    if clean_value != entry.clean_value or dirty_value != entry.dirty_value:
+    if not (same_json(clean_value, entry.clean_value) and same_json(dirty_value, entry.dirty_value)):
         return False
     return etype.verify(
         clean_value, dirty_value, config.attribute(entry.attribute),

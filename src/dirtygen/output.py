@@ -65,6 +65,27 @@ class OutputSpec:
 # keyword arguments on every call. encode still builds a fresh C encoder per
 # call, through iterencode(_one_shot=True).
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
+# The same encoding for comparisons: a literal out of the float range, such as
+# 1e999, reads as inf, which _encode refuses and this writes as Infinity.
+_encode_any = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def same_json(a, b) -> bool:
+    """Whether two values have the same canonical JSON encoding: the one
+    equality of logged and dataset values, so 1, 1.0 and true are three
+    different values, and so are 0.0 and -0.0."""
+    # Equal scalars skip encoding: timed faster than `a is b or (a == b and _encode(a) == _encode(b))`.
+    if a is b:
+        return True
+    if a != b:
+        return False
+    kind = type(a)
+    if kind is type(b):
+        if kind is float:
+            return repr(a) == repr(b)  # the encoder writes a float's repr
+        if kind is not dict and kind is not list:
+            return True
+    return _encode_any(a) == _encode_any(b)
 
 
 def encode_record(record: dict) -> str:
@@ -186,13 +207,12 @@ def read_dataset(
     path = Path(path)
     mode = _infer_mode(path, mode)
     if mode == "ndjson":
-        for lineno, line in _ndjson_lines(path):
+        for lineno, line in _numbered_lines(path):
             yield _decode_line(line, path, lineno, allow_deleted)
     else:
-        text = Path(path).read_text(encoding="utf-8")
         try:
-            data = _strict_loads(text)
-        except ValueError as exc:
+            data = _strict_loads(path.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
             raise DatasetFormatError(f"{path}: not a valid JSON document: {exc}") from exc
         if not isinstance(data, list):
             raise DatasetFormatError(f"{path}: expected a top-level JSON array")
@@ -220,13 +240,13 @@ def read_dirty_and_repaired(
 
     def dirty_rows() -> Iterator[dict]:
         nonlocal last_lineno, last_line, last_record
-        for lineno, line in _ndjson_lines(dirty_path):
+        for lineno, line in _numbered_lines(dirty_path):
             last_record = _decode_line(line, dirty_path, lineno, False)
             last_lineno, last_line = lineno, line
             yield last_record
 
     def repaired_rows() -> Iterator[dict | None]:
-        for lineno, line in _ndjson_lines(repaired_path):
+        for lineno, line in _numbered_lines(repaired_path):
             if lineno == last_lineno and line == last_line:
                 yield last_record
             else:
@@ -235,10 +255,14 @@ def read_dirty_and_repaired(
     return dirty_rows(), repaired_rows()
 
 
-def _ndjson_lines(path: Path) -> Iterator[tuple[int, str]]:
+def _numbered_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 file, without their LF."""
     with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            yield lineno, line.rstrip("\n")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
 def _decode_line(line: str, path: Path, lineno: int, allow_deleted: bool):
@@ -250,11 +274,11 @@ def _decode_line(line: str, path: Path, lineno: int, allow_deleted: bool):
         obj, end = _scan_once(line, 0)
         if end == len(line) and type(obj) is dict:
             return obj
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         pass
     try:
         obj = _strict_loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DatasetFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
     return _check_row(obj, path, lineno, allow_deleted)
 
@@ -318,37 +342,35 @@ def read_error_log(path: str | Path) -> list:
 
     path = Path(path)
     entries = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise DatasetFormatError(f"{path}: missing '#' header line")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected 6 tab-separated fields, got {len(fields)}"
+    lines = _numbered_lines(path)
+    if not next(lines, (1, ""))[1].startswith("#"):
+        raise DatasetFormatError(f"{path}: missing '#' header line")
+    for lineno, line in lines:
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 6:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: expected 6 tab-separated fields, got {len(fields)}"
+            )
+        dirty_idx, clean_idx, attribute, error_type, clean_val, dirty_val = fields
+        if error_type not in ERROR_TYPES:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: unknown error type {error_type!r}"
+            )
+        try:
+            entries.append(
+                ErrorLogEntry(
+                    dirty_tuple_index=int(dirty_idx),
+                    clean_tuple_index=None if clean_idx == "-" else int(clean_idx),
+                    attribute=None if attribute == "-" else attribute,
+                    error_type=error_type,
+                    clean_value=_decode_log_value(clean_val),
+                    dirty_value=_decode_log_value(dirty_val),
                 )
-            dirty_idx, clean_idx, attribute, error_type, clean_val, dirty_val = fields
-            if error_type not in ERROR_TYPES:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: unknown error type {error_type!r}"
-                )
-            try:
-                entries.append(
-                    ErrorLogEntry(
-                        dirty_tuple_index=int(dirty_idx),
-                        clean_tuple_index=None if clean_idx == "-" else int(clean_idx),
-                        attribute=None if attribute == "-" else attribute,
-                        error_type=error_type,
-                        clean_value=_decode_log_value(clean_val),
-                        dirty_value=_decode_log_value(dirty_val),
-                    )
-                )
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
+            )
+        except (ValueError, RecursionError) as exc:
+            raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
     return entries
 
 

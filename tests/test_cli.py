@@ -192,6 +192,13 @@ def test_validate_missing_file_exit_1(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "none.json")]) == 1
 
 
+def test_validate_non_utf8_config_exit_1(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(b'{"schema": "\xff"}')
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+
+
 def test_evaluate_perfect_repair(tmp_path, capsys):
     config = write_config(tmp_path, errors=ERRORS, tuple_count=100)
     out = tmp_path / "o"
@@ -406,3 +413,46 @@ def test_evaluate_missing_input_exit_3_without_report(tmp_path, capsys, flag):
     assert err.startswith("i/o error: ") and str(missing) in err
     assert not report.exists()
 
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("fault", ["non_utf8", "deep"])
+@pytest.mark.parametrize("flag", _INPUT_FLAGS)
+def test_evaluate_undecodable_input_exit_2_without_report(tmp_path, capsys, flag, fault):
+    # Bytes that are not UTF-8, and arrays nested past the decoder's depth,
+    # are input errors like any malformed line.
+    argv = _generate_and_repair(tmp_path, "ndjson")
+    position = argv.index(flag) + 1
+    path = Path(argv[position])
+    lines = path.read_bytes().splitlines(keepends=True)
+    middle = len(lines) // 2
+    if fault == "non_utf8":
+        lines[middle] = b"\xff\n"
+    elif flag == "--log":
+        lines[middle] = b"0\t0\tcity\tmissing_value\t" + _DEEP + b"\tnull\n"
+    else:
+        lines[middle] = _DEEP + b"\n"
+    broken = tmp_path / f"broken{path.suffix}"
+    broken.write_bytes(b"".join(lines))
+    argv[position] = str(broken)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(argv + ["--report", str(report)]) == 2
+    where = "not valid UTF-8" if fault == "non_utf8" else f"line {middle + 1}"
+    assert capsys.readouterr().err.startswith(f"input error: {broken}: {where}: ")
+    assert not report.exists()
+
+
+def test_evaluate_reads_a_float_literal_out_of_range(tmp_path, capsys):
+    # 1e999 reads as inf, which the writer's encoder refuses; comparing the
+    # lists that hold it must not.
+    paths = {}
+    for name, line in [("clean", '{"a":[1]}'), ("dirty", '{"a":[1e999]}'), ("repaired", '{"a": [1e999]}')]:
+        paths[name] = tmp_path / f"{name}.ndjson"
+        paths[name].write_text(line + "\n", encoding="utf-8")
+    log = tmp_path / "errors.log"
+    log.write_text("# dirtygen-log-v1\n", encoding="utf-8")
+    argv = ["evaluate", "--log", str(log)] + [f"--{name}={path}" for name, path in paths.items()]
+    assert main(argv) == 0
+    assert "flagged=0" in capsys.readouterr().out

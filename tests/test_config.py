@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
@@ -7,7 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirtygen import (
@@ -20,7 +22,7 @@ from dirtygen import (
 )
 from dirtygen.cli import main as cli_main
 from dirtygen.config import DOCUMENT, MAX_SHARDS, MAX_WIDTH, Field, Tagged, compute_config_hash
-from dirtygen.errortypes import ALL_ERROR_TYPES, ERROR_TYPES
+from dirtygen.errortypes import ERROR_TYPES
 
 from checker import check_dataset
 from conftest import make_config_text
@@ -564,33 +566,6 @@ _JSON = st.recursive(
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=8,
 )
-_NAMES = st.sampled_from(["id", "first_name", "age", "score", "city", "zip", "nope"])
-_PARAM_KEYS = st.sampled_from(sorted({key for etype in ERROR_TYPES.values() for key in etype.params}))
-_SPEC = st.fixed_dictionaries(
-    {},
-    optional={
-        "type": st.sampled_from(ALL_ERROR_TYPES) | _JSON,
-        "rate": st.floats(0, 0.2) | _JSON,
-        "attributes": st.lists(_NAMES | _JSON, max_size=3) | _JSON,
-        "params": st.dictionaries(_PARAM_KEYS, _NAMES | _JSON, max_size=4) | _JSON,
-    },
-)
-_OUTPUT = st.fixed_dictionaries(
-    {}, optional={"directory": st.just("out") | _JSON, "mode": st.just("json_array") | _JSON}
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(errors=st.lists(_SPEC | _JSON, max_size=4) | _JSON, output=_OUTPUT | _JSON)
-def test_errors_and_output_sections_raise_only_config_error(errors, output):
-    doc = json.loads(make_config_text())
-    doc["errors"] = errors
-    doc["output"] = output
-    try:
-        config = parse_config(json.dumps(doc))
-    except ConfigError:
-        return
-    assert isinstance(config, GeneratorConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +697,18 @@ def _mutated(mutations) -> str:
     return json.dumps(doc)
 
 
+# The examples are shapes of the errors and output sections that a run of
+# 300 draws, spread over every section, may miss.
 @settings(max_examples=300, deadline=None)
 @given(mutations=_mutations(_JSON))
+@example(mutations=[((), ("errors", {"type": "noise"}))])
+@example(mutations=[((), ("errors", [1]))])
+@example(mutations=[(("errors", 0), ("attributes", "city")), (("errors", 1), ("extra", 1))])
+@example(mutations=[(("errors", 0), ("extra", 1)), (("errors", 0), ("Name", None)), (("errors", 0), ("", []))])
+@example(mutations=[((), ("output", ["out"]))])
+@example(mutations=[(("output",), ("directory", 5))])
+@example(mutations=[(("output",), ("mode", None))])
+@example(mutations=[(("output",), ("extra", 1)), (("output",), ("Name", {}))])
 def test_every_section_raises_only_config_error(mutations):
     try:
         config = parse_config(_mutated(mutations))
@@ -736,7 +721,8 @@ def test_every_section_raises_only_config_error(mutations):
 @given(mutations=_mutations(st.nothing()))
 def test_a_config_that_parses_also_generates(mutations):
     # parse_config's guarantee: a config that parses runs, to a clean exit or
-    # a reported generation error, never to a traceback.
+    # a reported generation error, never to a traceback or another error
+    # (cli.main reports any package error, a writer's count check among them).
     text = _mutated(mutations)
     try:
         config = parse_config(text)
@@ -747,4 +733,8 @@ def test_a_config_that_parses_also_generates(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
         path.write_text(text, encoding="utf-8")
-        assert cli_main(["generate", "--config", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main(["generate", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    reported = any(line.startswith("generation error: ") for line in err.getvalue().splitlines())
+    assert code == 0 or (code == 2 and reported), err.getvalue()

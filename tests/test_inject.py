@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, verify_error
 from dirtygen.datagen import clean_cell_value, generate_clean_dataset
 from dirtygen.errortypes import ERROR_TYPES, _interval_violation, apply_edit, edit_distance_one, misspell
-from dirtygen.inject import inject_cell, realized_counts
+from dirtygen.inject import realized_counts
 from dirtygen.rng import derive_stream
 
 from conftest import make_config_text
@@ -141,7 +141,7 @@ def test_interval_violation_stays_outside(base_config):
 def test_missing_value_returns_null(base_config):
     attr = base_config.attribute("city")
     stream = derive_stream(1, "t")
-    assert inject_cell("missing_value", "Berlin", attr, base_config, stream, {}) is None
+    assert ERROR_TYPES["missing_value"].inject("Berlin", attr, stream, base_config, {}, None) is None
 
 
 def test_erroneous_entry_with_two_member_set():
@@ -155,7 +155,7 @@ def test_erroneous_entry_with_two_member_set():
     attr = config.attribute("g")
     for i in range(20):
         stream = derive_stream(5, "test-erroneous", i)
-        assert inject_cell("erroneous_entry", "A", attr, config, stream, {}) == "B"
+        assert ERROR_TYPES["erroneous_entry"].inject("A", attr, stream, config, {}, None) == "B"
 
 
 def test_outlier_formula():
@@ -403,7 +403,7 @@ def test_meaningless_value_avoids_a_dependents_values():
     config = parse_config(json.dumps(doc))
     attr = config.attribute("tag")
     stream = derive_stream(3, "test-meaningless")
-    draws = [inject_cell("meaningless_value", "abc", attr, config, stream, {}) for _ in range(5000)]
+    draws = [ERROR_TYPES["meaningless_value"].inject("abc", attr, stream, config, {}, None) for _ in range(5000)]
     assert not set(draws) & set(images)
     verify = ERROR_TYPES["meaningless_value"].verify
     assert not verify("abc", "jij", attr, config, {}, None, None, None)
@@ -499,6 +499,27 @@ def test_verify_error_examples(base_config):
     mis = ErrorLogEntry(0, 0, "first_name", "misspelling", "Anna", "Anan")
     assert verify_error(mis, clean, dict(clean, first_name="Anan"), base_config)
     assert damerau_levenshtein("Anna", "Anan") == 1
+
+
+@pytest.mark.parametrize(
+    "error_type, dirty_age, logged_clean, logged_dirty",
+    [
+        ("missing_value", None, True, None),
+        ("missing_value", None, 1.0, None),
+        ("interval_violation", 181, 1, 181.0),
+    ],
+)
+def test_verify_error_compares_logged_values_type_strictly(
+    base_config, error_type, dirty_age, logged_clean, logged_dirty
+):
+    # A logged value of another JSON type is not the record's value, though == says it is.
+    from dirtygen.inject import ErrorLogEntry
+
+    clean = {"id": 1, "first_name": "Anna", "age": 1, "score": 50.0, "city": "Berlin", "zip": "10115"}
+    dirty = dict(clean, age=dirty_age)
+    assert verify_error(ErrorLogEntry(0, 0, "age", error_type, 1, dirty_age), clean, dirty, base_config)
+    entry = ErrorLogEntry(0, 0, "age", error_type, logged_clean, logged_dirty)
+    assert not verify_error(entry, clean, dirty, base_config)
 
 
 def test_verifier_passes_on_every_entry_of_a_mixed_run():

@@ -1,5 +1,7 @@
 import json
 import re
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from dirtygen import (
     ABSENT,
     DatasetFormatError,
+    DirtygenError,
+    load_config,
     read_dataset,
     read_error_log,
     score,
@@ -410,3 +414,37 @@ def test_score_reads_dirty_before_repaired(tmp_path, monkeypatch):
     ]
     assert metrics.counts["correct_repairs"] == 1
     assert metrics.counts["flagged"] == 1
+
+
+# Pieces of the readers' formats, of JSON and of bad UTF-8, so that drawn
+# files get past their first byte; deep arrays pass the decoder's depth.
+_PIECES = st.sampled_from([
+    b"{", b"}", b"[", b"]", b'"a"', b":", b",", b"1", b"-0.5e3", b"1e999", b"null", b"true",
+    b'"\\ud800"', b"\n", b"\r\n", b"\t", b"-", b"# dirtygen-log-v1\n", b"0\t0\tcity\tmissing_value\t",
+    b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"NaN", b'{"schema":',
+])
+_BYTES = st.lists(
+    _PIECES | st.binary(max_size=8) | st.integers(1000, 5000).map(lambda n: b"[" * n + b"]" * n),
+    max_size=12,
+).map(b"".join)
+_READERS = {
+    "ndjson": lambda a, b: list(read_dataset(a, "ndjson", allow_deleted=True)),
+    "json_array": lambda a, b: list(read_dataset(a, "json_array")),
+    "dirty_and_repaired": lambda a, b: list(zip_longest(*read_dirty_and_repaired(a, b))),
+    "error_log": lambda a, b: read_error_log(a),
+    "config": lambda a, b: load_config(a),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@settings(max_examples=150, deadline=None)
+@given(first=_BYTES, second=_BYTES)
+def test_readers_raise_only_dirtygen_errors_for_any_bytes(reader, first, second):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a.ndjson", Path(tmp) / "b.ndjson"
+        a.write_bytes(first)
+        b.write_bytes(second)
+        try:
+            _READERS[reader](a, b)
+        except DirtygenError:
+            pass
