@@ -22,7 +22,7 @@ from dirtygen import (
 )
 from dirtygen.cli import main as cli_main
 from dirtygen.config import DOCUMENT, MAX_SHARDS, MAX_WIDTH, Field, Tagged, compute_config_hash
-from dirtygen.errortypes import ERROR_TYPES
+from dirtygen.errortypes import ALL_ERROR_TYPES, ERROR_TYPES
 
 from checker import check_dataset
 from conftest import make_config_text
@@ -566,6 +566,33 @@ _JSON = st.recursive(
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=8,
 )
+_NAMES = st.sampled_from(["id", "first_name", "age", "score", "city", "zip", "nope"])
+_PARAM_KEYS = st.sampled_from(sorted({key for etype in ERROR_TYPES.values() for key in etype.params}))
+_SPEC = st.fixed_dictionaries(
+    {},
+    optional={
+        "type": st.sampled_from(ALL_ERROR_TYPES) | _JSON,
+        "rate": st.floats(0, 0.2) | _JSON,
+        "attributes": st.lists(_NAMES | _JSON, max_size=3) | _JSON,
+        "params": st.dictionaries(_PARAM_KEYS, _NAMES | _JSON, max_size=4) | _JSON,
+    },
+)
+_OUTPUT = st.fixed_dictionaries(
+    {}, optional={"directory": st.just("out") | _JSON, "mode": st.just("json_array") | _JSON}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(errors=st.lists(_SPEC | _JSON, max_size=4) | _JSON, output=_OUTPUT | _JSON)
+def test_errors_and_output_sections_raise_only_config_error(errors, output):
+    doc = json.loads(make_config_text())
+    doc["errors"] = errors
+    doc["output"] = output
+    try:
+        config = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert isinstance(config, GeneratorConfig)
 
 
 # ---------------------------------------------------------------------------
