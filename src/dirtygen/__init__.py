@@ -14,13 +14,12 @@ from .config import (
     DependencyRule,
     ErrorSpec,
     GeneratorConfig,
-    ScalingSpec,
     load_config,
     load_lexicon,
     parse_config,
 )
 from .datagen import generate_clean_dataset, generate_record
-from .errorplan import ErrorPlan, PlanEntry, applicable_population, plan_errors
+from .errorplan import ErrorPlan, PlanEntry, plan_errors
 from .errortypes import ALL_ERROR_TYPES
 from .evalkit import RepairMetrics, score
 from .exceptions import (
@@ -33,7 +32,7 @@ from .exceptions import (
     PlanError,
 )
 from .inject import ErrorLogEntry, apply_plan, inject_stream, verify_error
-from .output import OutputSpec, read_dataset, read_error_log, write_dataset, write_error_log
+from .output import OutputSpec, read_dataset, read_error_log
 from .rng import derive_stream
 from .taxonomy import ABSENT
 
@@ -56,8 +55,6 @@ __all__ = [
     "PlanEntry",
     "PlanError",
     "RepairMetrics",
-    "ScalingSpec",
-    "applicable_population",
     "apply_plan",
     "derive_stream",
     "generate_clean_dataset",
@@ -71,6 +68,4 @@ __all__ = [
     "read_error_log",
     "score",
     "verify_error",
-    "write_dataset",
-    "write_error_log",
 ]

@@ -42,7 +42,7 @@ from .domains import MAX_MEMBERS, Domain, finite, resolve
 from .exceptions import ConfigError, LexiconError
 from .output import OutputSpec
 from .rng import NORMAL_Z_BOUND
-from .taxonomy import STAGE_CELL, STAGE_COLUMN, STAGE_ROW, split_count
+from .taxonomy import STAGE_CELL, STAGE_COLUMN, STAGE_ROW, round_half_away, split_count
 from .templates import template_regex
 
 BUNDLED_LEXICONS = ("first_names", "last_names", "cities", "streets", "words")
@@ -144,16 +144,13 @@ class AttributeSpec:
         return declared | {"source": self.source_signature(), "synonyms": self.synonyms or None}
 
 
-@dataclass(frozen=True)
-class ScalingSpec:
-    column_replication: int = 0
-
-
 @dataclass
 class ErrorSpec:
     error_type: str
     rate: float
     target_attributes: tuple[str, ...]  # resolved, possibly empty for row/insertion types
+    population: int  # the rate's denominator: tuples, or tuples x target attributes
+    count: int  # the exact number of errors to realize: round_half_away(rate x population)
     params: dict = field(default_factory=dict)
 
     def signature(self) -> dict:
@@ -172,7 +169,7 @@ class GeneratorConfig:
     errors: tuple[ErrorSpec, ...]
     tuple_count: int
     seed: int
-    scaling: ScalingSpec
+    column_replication: int
     output: OutputSpec
     config_hash: str = ""
     attr_positions: dict = field(default_factory=dict, repr=False, compare=False)
@@ -596,7 +593,7 @@ def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
 
 def _validate_sequence(attr: AttributeSpec, tuple_count: int) -> None:
     """A sequence's first tuple_count values, its clean values, must stay in
-    the float range, the interval and the admissible set."""
+    the float range, the interval, the pattern and the admissible set."""
     if attr.source is None or attr.source["kind"] != "sequence" or tuple_count == 0:
         return
     at = attr.domain.by_index
@@ -609,6 +606,12 @@ def _validate_sequence(attr: AttributeSpec, tuple_count: int) -> None:
                 f"attribute '{attr.name}': the sequence leaves the interval "
                 f"[{lo}, {hi}] within {tuple_count} tuples"
             )
+    pattern = attr.compiled_pattern
+    if pattern is not None:
+        # Stops at the first miss, as the admissible-set check does.
+        miss = next((k for k in range(tuple_count) if not pattern.fullmatch(str(at(k)))), None)
+        if miss is not None:
+            _fail(f"attribute '{attr.name}': sequence value {at(miss)!r} of tuple {miss} does not match the pattern")
     members = attr.admissible_set
     if members is not None:
         # Stops at the first miss: distinct values (step != 0) reach one
@@ -654,6 +657,8 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> list[D
                 f"attribute {dep!r} is dependent on {det!r} and must not declare "
                 f"its own value source"
             )
+        if by_name[dep].null_rate > 0:  # it is null exactly where its determinant is
+            _fail(f"attribute {dep!r} is dependent on {det!r} and must not declare a null_rate")
         by_name[dep].dependency = rule
         by_name[dep].domain = finite(tuple(sorted(set(mapping.values()), key=repr)))
         rules.append(rule)
@@ -760,7 +765,9 @@ def _parse_error_spec(raw: dict, where: str, etype, config: GeneratorConfig) -> 
 
     if etype.parse is not None:
         etype.parse(params, where, config)
-    spec = ErrorSpec(error_type=etype.name, rate=raw["rate"], target_attributes=targets, params=params)
+    population = config.tuple_count * (1 if etype.per_tuple else len(targets))
+    count = round_half_away(raw["rate"] * population)
+    spec = ErrorSpec(etype.name, raw["rate"], targets, population, count, params)
     if etype.bound is not None:
         for name in etype.targets(spec):
             if not math.isfinite(etype.bound(config.attribute(name), params)):
@@ -777,7 +784,7 @@ def _check_feasibility(config: GeneratorConfig, typed: list) -> None:
     row_claims = 0
     for i, (etype, spec) in enumerate(typed):
         if etype.stage == STAGE_ROW:
-            row_claims += etype.target_count(spec.rate, 0, n)
+            row_claims += spec.count
             if row_claims > n:
                 _fail(
                     f"errors[{i}] ({spec.error_type}): infeasible rate; row-scope "
@@ -790,8 +797,7 @@ def _check_feasibility(config: GeneratorConfig, typed: list) -> None:
             continue
         if etype.shortfall is not None:
             continue  # may realize below target by design; never oversubscribes
-        targets = spec.target_attributes
-        count = etype.target_count(spec.rate, len(targets), n)
+        targets, count = spec.target_attributes, spec.count
         if etype.claims_donor and count > max(n - 1, 0):
             _fail(
                 f"errors[{i}] ({spec.error_type}): infeasible rate; needs {count} "
@@ -910,7 +916,7 @@ def parse_config(
         errors=(),
         tuple_count=tuple_count,
         seed=seed,
-        scaling=ScalingSpec(column_replication=replication),
+        column_replication=replication,
         output=output,
         attr_positions={a.name: i for i, a in enumerate(attrs)},
         eval_order=_evaluation_order(attrs),
@@ -974,7 +980,7 @@ def compute_config_hash(config: GeneratorConfig) -> str:
         "generation": {
             "tuple_count": config.tuple_count,
             "seed": config.seed,
-            "column_replication": config.scaling.column_replication,
+            "column_replication": config.column_replication,
             "shard_count": config.output.shard_count,
         },
         "output": {"mode": config.output.mode},

@@ -26,13 +26,6 @@ if TYPE_CHECKING:  # config calls column_rule while it parses
 STAGE_CLEAN = "clean"
 
 
-def distribution_params(attr: AttributeSpec) -> tuple[float, float]:
-    """Mean and standard deviation of the declared source distribution."""
-    if attr.domain.mean is None:
-        raise GenerationError(f"attribute '{attr.name}' has no numeric distribution")
-    return attr.domain.mean, attr.domain.stddev
-
-
 # ---------------------------------------------------------------------------
 # The clean-value rule
 #

@@ -58,19 +58,6 @@ class ErrorPlan:
     warnings: tuple[str, ...] = ()
 
 
-def applicable_population(spec: ErrorSpec, config: GeneratorConfig) -> int:
-    """The denominator of the spec's rate: cells for cell-addressed types,
-    tuples for row and insertion types."""
-    return ERROR_TYPES[spec.error_type].population(len(spec.target_attributes), config.tuple_count)
-
-
-def spec_target_count(spec: ErrorSpec, config: GeneratorConfig) -> int:
-    """Exact number of errors the spec must realize."""
-    return ERROR_TYPES[spec.error_type].target_count(
-        spec.rate, len(spec.target_attributes), config.tuple_count
-    )
-
-
 class _Claims:
     """Row and cell claims; cells are keyed as row * width + attr position.
 
@@ -113,10 +100,9 @@ def plan_errors(config: GeneratorConfig) -> ErrorPlan:
     )
     for index, spec in staged:
         etype = ERROR_TYPES[spec.error_type]
-        count = spec_target_count(spec, config)
         if etype.stage == STAGE_INSERTION:
             stream = Stream(address_key(config.seed, f"plan:{etype.name}"))
-            for _ in range(count):
+            for _ in range(spec.count):
                 # n >= 1 whenever count >= 1
                 source = stream.randrange(n) if etype.draws_source else None
                 entry = PlanEntry(etype.name, etype.scope, index, source, None)
@@ -124,7 +110,7 @@ def plan_errors(config: GeneratorConfig) -> ErrorPlan:
                 insertions.append(entry)
             continue
         targets = etype.targets(spec) or (None,)
-        for attribute, share in zip(targets, split_count(count, len(targets))):
+        for attribute, share in zip(targets, split_count(spec.count, len(targets))):
             _place(config, index, spec, etype, attribute, share, claims, entries, warnings)
 
     row_entries: dict[int, list[PlanEntry]] = {}

@@ -35,7 +35,7 @@ from .config import (
     AttributeSpec,
     build_source,
 )
-from .datagen import clean_cell_value, distribution_params, generate_record, may_be_null, value_in_domain
+from .datagen import clean_cell_value, generate_record, may_be_null, value_in_domain
 from .domains import resolve, weighted_index
 from .exceptions import ConfigError, GenerationError
 from .rng import NORMAL_Z_BOUND, Stream, derive_stream
@@ -86,7 +86,7 @@ class ErrorType:
     inject: Callable
     verify: Callable
     verify_marker: Callable | None = None
-    per_tuple: bool = False  # the rate counts tuples, not target cells
+    per_tuple: bool = False  # the rate counts tuples, not target cells (ErrorSpec.population)
     applicable: Callable | None = None  # (attr, config) -> bool; None: takes no target attributes
     single_target: bool = False
     params: dict = field(default_factory=dict)  # key -> its Field of the config grammar
@@ -116,14 +116,6 @@ class ErrorType:
     def defaults(self) -> dict:
         """The params of a spec that gives none."""
         return {key: f.default for key, f in self.params.items() if f.default not in (None, REQUIRED)}
-
-    def population(self, n_targets: int, tuple_count: int) -> int:
-        """Size of the population the rate applies to."""
-        return tuple_count if self.per_tuple else n_targets * tuple_count
-
-    def target_count(self, rate: float, n_targets: int, tuple_count: int) -> int:
-        """Exact number of errors a spec must realize."""
-        return round_half_away(rate * self.population(n_targets, tuple_count))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +462,6 @@ def _copy_donor(clean, attr, stream, config, params, entry):
 def _duplicated(clean, dirty, attr, config, params, clean_record, dirty_record, dirty_dataset):
     if dirty == clean:
         return False
-    if dirty_dataset is None:
-        return True
     return sum(_matches(dirty_dataset, attr.name, dirty)) >= 2
 
 
@@ -494,8 +484,7 @@ def _distribution_sourced(attr, config) -> bool:
 
 
 def _outlier_bound(attr, params) -> float:
-    mu, sigma = distribution_params(attr)
-    return abs(mu) + 2 * params["k"] * sigma
+    return abs(attr.domain.mean) + 2 * params["k"] * attr.domain.stddev
 
 
 def _noise_bound(attr, params) -> float:
@@ -508,31 +497,30 @@ def _bias_bound(attr, params) -> float:
 
 
 def _outlier(clean, attr, stream, config, params, entry):
-    mu, sigma = distribution_params(attr)
+    mu, sigma = attr.domain.mean, attr.domain.stddev
     sign = 1.0 if stream.randrange(2) == 1 else -1.0
     return mu + sign * params["k"] * sigma * (1.0 + stream.random())
 
 
 def _is_outlier(clean, dirty, attr, config, params, *_) -> bool:
-    mu, sigma = distribution_params(attr)
-    if not _is_number(dirty):
+    mu, sigma = attr.domain.mean, attr.domain.stddev
+    if not _is_number(dirty) or mu is None:  # None: a logged attribute without a distribution
         return False
     return dirty != clean and abs(dirty - mu) >= params["k"] * sigma
 
 
 def _noise(clean, attr, stream, config, params, entry):
-    _, sigma = distribution_params(attr)
-    epsilon = stream.normal(0.0, params["alpha"] * sigma)
+    sigma = params["alpha"] * attr.domain.stddev
+    epsilon = stream.normal(0.0, sigma)
     while epsilon == 0.0:
-        epsilon = stream.normal(0.0, params["alpha"] * sigma)
+        epsilon = stream.normal(0.0, sigma)
     return clean + epsilon
 
 
 def _is_noise(clean, dirty, attr, config, params, *_) -> bool:
-    _, sigma = distribution_params(attr)
-    if not _is_number(dirty):
+    if not _is_number(dirty) or attr.domain.stddev is None:
         return False
-    return 0 < abs(dirty - clean) <= NORMAL_Z_BOUND * params["alpha"] * sigma
+    return 0 < abs(dirty - clean) <= NORMAL_Z_BOUND * params["alpha"] * attr.domain.stddev
 
 
 def _key_removed(clean, dirty, attr, config, params, clean_record, dirty_record, _) -> bool:
@@ -824,8 +812,6 @@ def _differing(dirty_record: dict, config, clean_dataset: list[dict], limit: int
 
 
 def _duplicates_a_tuple(clean_record, dirty_record, config, params, clean_dataset) -> bool:
-    if clean_dataset is None:
-        return True
     allowed = params["perturbed_attributes"] if params["near_duplicate"] else 0
     for source, diffs in _differing(dirty_record, config, clean_dataset, allowed):
         if all(
@@ -863,8 +849,6 @@ def _in_domain(clean, dirty, attr, config, *_) -> bool:
 
 def _conflicts_with_a_tuple(clean_record, dirty_record, config, params, clean_dataset) -> bool:
     """One non-key attribute differs from some clean tuple, with a valid value."""
-    if clean_dataset is None:
-        return True
     for _, diffs in _differing(dirty_record, config, clean_dataset, 1):
         if len(diffs) != 1:
             continue

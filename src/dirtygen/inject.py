@@ -153,21 +153,19 @@ def verify_error(
     dirty_record: dict,
     config: GeneratorConfig,
     *,
-    dirty_dataset: list[dict] | None = None,
-    clean_dataset: list[dict] | None = None,
+    dirty_dataset: list[dict],
+    clean_dataset: list[dict],
 ) -> bool:
     """True iff the dirty side violates the defining property of the entry's
     error type while the clean side satisfies it.
 
-    Column- and entity-scoped checks need dataset context; pass dirty_dataset
-    (all dirty records) and clean_dataset (all clean records) for a full
-    check. Without them those aspects degrade to local consistency checks.
-    Both must be lists. Each such check is one pass over a dataset in C; an
-    entity check diffs whole records only for the clean tuples that match the
-    dirty record on one of its first few attributes. A type whose spec is
-    missing from the config is checked with its default params. The logged
-    values must equal the records' under output.same_json, so a logged 1.0
-    or true does not match a recorded 1.
+    Column- and entity-scoped checks read dirty_dataset (all dirty records)
+    and clean_dataset (all clean records), both lists. Each such check is one
+    pass over a dataset in C; an entity check diffs whole records only for
+    the clean tuples that match the dirty record on one of its first few
+    attributes. A type whose spec is missing from the config is checked with
+    its default params. The logged values must equal the records' under
+    output.same_json, so a logged 1.0 or true does not match a recorded 1.
     """
     etype = ERROR_TYPES.get(entry.error_type)
     if etype is None:

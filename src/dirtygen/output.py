@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .exceptions import DatasetFormatError
 from .taxonomy import ABSENT, split_count
@@ -73,19 +73,23 @@ _encode_any = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 def same_json(a, b) -> bool:
     """Whether two values have the same canonical JSON encoding: the one
     equality of logged and dataset values, so 1, 1.0 and true are three
-    different values, and so are 0.0 and -0.0."""
+    different values, and so are 0.0 and -0.0. A value nested too deeply to
+    compare is a DatasetFormatError."""
     # Equal scalars skip encoding: timed faster than `a is b or (a == b and _encode(a) == _encode(b))`.
     if a is b:
         return True
-    if a != b:
-        return False
-    kind = type(a)
-    if kind is type(b):
-        if kind is float:
-            return repr(a) == repr(b)  # the encoder writes a float's repr
-        if kind is not dict and kind is not list:
-            return True
-    return _encode_any(a) == _encode_any(b)
+    try:
+        if a != b:
+            return False
+        kind = type(a)
+        if kind is type(b):
+            if kind is float:
+                return repr(a) == repr(b)  # the encoder writes a float's repr
+            if kind is not dict and kind is not list:
+                return True
+        return _encode_any(a) == _encode_any(b)
+    except RecursionError:  # the readers decode values a few frames less deep
+        raise DatasetFormatError("a value nests arrays or objects too deeply to compare") from None
 
 
 def encode_record(record: dict) -> str:
@@ -160,19 +164,6 @@ class DatasetWriter:
         return self.paths
 
 
-def write_dataset(
-    records: Iterable[dict], spec: OutputSpec, which: str, total_count: int | None = None
-) -> list[Path]:
-    """Serialize records to the dataset file(s) for `which` ("clean" or "dirty")."""
-    if total_count is None:
-        records = list(records)
-        total_count = len(records)
-    writer = DatasetWriter(spec, which, total_count)
-    for record in records:
-        writer.write(record)
-    return writer.close()
-
-
 def _infer_mode(path: Path, mode: str | None) -> str:
     if mode is not None:
         return mode
@@ -203,7 +194,7 @@ def _strict_loads(text: str):
 def read_dataset(
     path: str | Path, mode: str | None = None, *, allow_deleted: bool = False
 ) -> Iterator[dict | None]:
-    """Stream records back from a dataset file; inverse of write_dataset."""
+    """Stream records back from a dataset file; inverse of DatasetWriter."""
     path = Path(path)
     mode = _infer_mode(path, mode)
     if mode == "ndjson":
@@ -301,16 +292,6 @@ def _decode_log_value(text: str):
     if text == "-":
         return ABSENT
     return _strict_loads(text)
-
-
-def write_error_log(entries: Iterable, spec: OutputSpec, *, seed: int, config_hash: str) -> Path:
-    spec.directory.mkdir(parents=True, exist_ok=True)
-    path = spec.log_path
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = ErrorLogWriter(fh, seed=seed, config_hash=config_hash)
-        for entry in entries:
-            writer.write(entry)
-    return path
 
 
 class ErrorLogWriter:

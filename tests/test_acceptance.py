@@ -24,15 +24,15 @@ import pytest
 
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, score, verify_error
 from dirtygen.cli import main as cli_main
-from dirtygen.datagen import generate_clean_dataset, value_in_domain
-from dirtygen.errorplan import spec_target_count
+from dirtygen.datagen import generate_clean_dataset, may_be_null, value_in_domain
 from dirtygen.errortypes import ALL_ERROR_TYPES, INSERTION_TYPES
 from dirtygen.inject import ErrorLogEntry, realized_counts
-from dirtygen.output import encode_record, read_dataset, write_dataset
+from dirtygen.output import encode_record, read_dataset
 
 from checker import check_dataset
 from confgen import random_config
 from replay import replay
+from test_output import write_records
 
 # ---------------------------------------------------------------------------
 # Criterion 1: every error type is generatable and verifiable
@@ -114,7 +114,7 @@ def test_c1_every_error_type_generates_and_verifies(error_type):
     plan = plan_errors(config)
     dirty, log = apply_plan(clean, plan, config)
 
-    target = spec_target_count(config.errors[0], config)
+    target = config.errors[0].count
     realized = realized_counts(log).get(error_type, 0)
     if error_type == "bias" and plan.warnings:
         assert realized <= target
@@ -169,9 +169,7 @@ def test_c2_rate_exactness(property_runs):
         counts = realized_counts(log)
         targets: dict[str, int] = {}
         for spec in config.errors:
-            targets[spec.error_type] = targets.get(spec.error_type, 0) + spec_target_count(
-                spec, config
-            )
+            targets[spec.error_type] = targets.get(spec.error_type, 0) + spec.count
         for error_type, target in targets.items():
             realized = counts.get(error_type, 0)
             if error_type == "bias" and plan.warnings:
@@ -235,7 +233,8 @@ def test_property_verifier_soundness(property_runs):
 
 def test_property_clean_values_in_domain(property_runs):
     # Every clean value is a member of its attribute's resolved domain, by
-    # membership and, where the domain lists its members, by enumeration.
+    # membership and, where the domain lists its members, by enumeration;
+    # every clean null sits where may_be_null allows one.
     sources = parse_config(json.dumps(_golden_sources_doc()))
     runs = [(sources, list(generate_clean_dataset(sources)))]
     runs += [(config, clean) for config, clean, *_ in property_runs]
@@ -251,6 +250,7 @@ def test_property_clean_values_in_domain(property_runs):
             for record in clean:
                 value = record[attr.name]
                 if value is None:
+                    assert may_be_null(attr, config), (config.seed, attr.name)
                     continue
                 assert value_in_domain(attr, value, config), (config.seed, attr.name, value)
                 assert members is None or value in members, (config.seed, attr.name, value)
@@ -726,7 +726,7 @@ def test_c8_portability(tmp_path):
                 assert isinstance(parsed, list) and all(isinstance(r, dict) for r in parsed)
 
             records = list(read_dataset(path))
-            rewritten = write_dataset(records, _respec(out / "rt", mode), which)[0]
+            rewritten = write_records(records, _respec(out / "rt", mode), which)[0]
             assert rewritten.read_bytes() == raw, f"{which} {mode} round trip"
 
 

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from dirtygen.cli import main
-from dirtygen.output import OutputSpec, read_dataset, write_dataset
+from dirtygen.output import OutputSpec, read_dataset
 
 from conftest import make_config_text
+from test_output import write_records
 
 
 def run_cli(*argv):
@@ -359,7 +360,7 @@ def _generate_and_repair(tmp_path, mode):
         clean[i] if i < len(clean) // 2 else row if i < len(clean) or i % 2 else None
         for i, row in enumerate(dirty)
     ]
-    write_dataset(repaired, OutputSpec(directory=tmp_path / f"{mode}-repair", mode=mode), "repaired")
+    write_records(repaired, OutputSpec(directory=tmp_path / f"{mode}-repair", mode=mode), "repaired")
     return [
         "evaluate",
         "--clean", str(out / f"clean.{extension}"),
@@ -456,3 +457,33 @@ def test_evaluate_reads_a_float_literal_out_of_range(tmp_path, capsys):
     argv = ["evaluate", "--log", str(log)] + [f"--{name}={path}" for name, path in paths.items()]
     assert main(argv) == 0
     assert "flagged=0" in capsys.readouterr().out
+
+
+def test_evaluate_never_tracebacks_on_deep_nesting(tmp_path, capsys):
+    # The readers refuse a value nested past the decoder's limit (exit 2). A
+    # value just under it, the same in dirty and repaired but not the same
+    # text, is compared a few frames deeper and must not overflow there: it
+    # scores (exit 0) or is an input error. The limit moves between Python
+    # versions, so the depths are swept up to it: coarsely to the first
+    # refusal, then one by one below it.
+    log = tmp_path / "errors.log"
+    log.write_text("# dirtygen-log-v1\n", encoding="utf-8")
+
+    def evaluate(depth: int) -> int:
+        value = "[" * depth + "1" + "]" * depth
+        paths = {}
+        for name, line in [("clean", f'{{"a":{value}}}'), ("dirty", f'{{"a":{value}}}'), ("repaired", f'{{"a": {value}}}')]:
+            paths[name] = tmp_path / f"{name}.ndjson"
+            paths[name].write_text(line + "\n", encoding="utf-8")
+        code = main(["evaluate", "--log", str(log)] + [f"--{name}={path}" for name, path in paths.items()])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (depth, code, err)
+        assert code == 0 or err.startswith("input error: "), (depth, err)
+        return code
+
+    depth = 0
+    while evaluate(depth) == 0:
+        depth += 50
+        assert depth < 50_000, "no depth was refused"
+    for below in range(max(depth - 100, 0), depth):
+        evaluate(below)

@@ -156,6 +156,17 @@ def test_dependent_with_own_source_rejected():
         parse_config(json.dumps(doc))
 
 
+def test_dependent_with_null_rate_rejected():
+    # A dependent is null exactly where its determinant is; a null_rate of
+    # its own would be ignored, so it is refused.
+    doc = json.loads(make_config_text())
+    for attr in doc["schema"]:
+        if attr["name"] == "zip":
+            attr.update(nullable_in_clean=True, null_rate=0.5)
+    with pytest.raises(ConfigError, match="'zip'.*null_rate"):
+        parse_config(json.dumps(doc))
+
+
 def test_rate_outside_unit_interval_rejected():
     doc = json.loads(minimal_text())
     doc["errors"] = [{"type": "missing_value", "rate": 1.5}]
@@ -455,11 +466,19 @@ def _sequence_text(tuple_count: int, datatype: str = "integer", start=1, step=1,
         pytest.param(_sequence_text(2, "integer", 1e308, 1e308), "float range", id="integer-overflow"),
         pytest.param(_sequence_text(3, start=0.5, step=0.5, admissible_set=[0, 1, 2]),
                      "integer start and step", id="integer-fractional-under-set"),
+        pytest.param(_sequence_text(5, pattern="[0-9]{3}"),
+                     "value 1 of tuple 0 does not match the pattern", id="pattern-start"),
+        pytest.param(_sequence_text(900, start=100, pattern="[0-9]{3}"), None, id="pattern-inside"),
+        pytest.param(_sequence_text(901, start=100, pattern="[0-9]{3}", unique=True),
+                     "value 1000 of tuple 900 does not match", id="pattern-left"),
+        pytest.param(_sequence_text(3, "float", 0.5, 0.25, pattern=r"0\.[0-9]+"),
+                     "value 1.0 of tuple 2 does not match", id="pattern-float-left"),
     ],
 )
 def test_sequence_clean_values_stay_in_interval_and_admissible_set(text, error):
     # A sequence's clean values follow the sequence even under an admissible
-    # set, so a sequence that leaves the set or the interval is rejected.
+    # set or a pattern, so a sequence that leaves the set, the pattern or the
+    # interval is rejected.
     if error is not None:
         with pytest.raises(ConfigError, match=error):
             parse_config(text)

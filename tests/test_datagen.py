@@ -4,7 +4,7 @@ import math
 import pytest
 
 from dirtygen import GenerationError, generate_clean_dataset, generate_record, parse_config
-from dirtygen.datagen import STAGE_CLEAN, clean_cell_value, distribution_params, value_in_domain
+from dirtygen.datagen import STAGE_CLEAN, clean_cell_value, value_in_domain
 from dirtygen.cli import main as cli_main
 from dirtygen.rng import IndexPermutation, Stream, address_key, derive_stream, stage_key, tuple_key
 
@@ -228,10 +228,11 @@ def test_tuple_index_outside_the_dataset_is_rejected(tuple_index):
 def test_distribution_params():
     doc = json.loads(make_config_text())
     config = parse_config(json.dumps(doc))
-    mu, sigma = distribution_params(config.attribute("age"))
+    age, score = config.attribute("age").domain, config.attribute("score").domain
+    mu, sigma = age.mean, age.stddev
     assert mu == 60
     assert abs(sigma - 120 / math.sqrt(12)) < 1e-12
-    mu, sigma = distribution_params(config.attribute("score"))
+    mu, sigma = score.mean, score.stddev
     assert (mu, sigma) == (50.0, 10.0)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dirtygen import parse_config, plan_errors
-from dirtygen.errorplan import applicable_population, format_plan, spec_target_count
+from dirtygen.errorplan import format_plan
 
 from conftest import make_config_text
 
@@ -17,16 +17,16 @@ def test_population_cell_level_counts_cells():
         [{"type": "missing_value", "rate": 0.1, "attributes": ["city", "age"]}],
         tuple_count=500,
     )
-    assert applicable_population(config.errors[0], config) == 1000
-    assert spec_target_count(config.errors[0], config) == 100
+    assert config.errors[0].population == 1000
+    assert config.errors[0].count == 100
 
 
 def test_population_insertions_count_tuples():
     config = parse_with_errors(
         [{"type": "redundancy_about_entity", "rate": 0.02}], tuple_count=1000
     )
-    assert applicable_population(config.errors[0], config) == 1000
-    assert spec_target_count(config.errors[0], config) == 20
+    assert config.errors[0].population == 1000
+    assert config.errors[0].count == 20
     plan = plan_errors(config)
     assert plan.inserted_count == 20
 
@@ -36,7 +36,7 @@ def test_population_uniqueness_single_attribute():
         [{"type": "uniqueness_value_violation", "rate": 0.1, "attributes": ["id"]}],
         tuple_count=100,
     )
-    assert applicable_population(config.errors[0], config) == 100
+    assert config.errors[0].population == 100
 
 
 def test_zero_rates_empty_plan():
@@ -70,7 +70,7 @@ def test_exact_counts_per_spec():
     for entry in plan.entries:
         by_spec[entry.spec_index] = by_spec.get(entry.spec_index, 0) + 1
     for index, spec in enumerate(config.errors):
-        assert by_spec.get(index, 0) == spec_target_count(spec, config), spec.error_type
+        assert by_spec.get(index, 0) == spec.count, spec.error_type
 
 
 def test_no_two_entries_share_a_cell():
@@ -166,7 +166,7 @@ def test_bias_shortfall_is_a_warning_not_an_error():
     from dirtygen.datagen import clean_cell_value
 
     berlin_rows = sum(1 for i in range(60) if clean_cell_value(config, i, "city") == "Berlin")
-    target = spec_target_count(config.errors[0], config)
+    target = config.errors[0].count
     realized = len(plan.entries)
     if berlin_rows >= target:
         assert realized == target and not plan.warnings

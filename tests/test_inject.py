@@ -172,9 +172,8 @@ def test_outlier_formula():
 
 
 def test_outlier_value_from_fixed_draws(base_config):
-    from dirtygen.datagen import distribution_params
-
-    mu, sigma = distribution_params(base_config.attribute("score"))
+    domain = base_config.attribute("score").domain
+    mu, sigma = domain.mean, domain.stddev
     sign, u = 1.0, 0.0
     assert mu + sign * 5 * sigma * (1 + u) == 100.0
 
@@ -476,13 +475,11 @@ def test_log_replay_reproduces_dirty(config_with_errors):
 
 
 def test_realized_counts_match_targets(config_with_errors):
-    from dirtygen.errorplan import spec_target_count
-
     clean = list(generate_clean_dataset(config_with_errors))
     _, log = apply_plan(clean, plan_errors(config_with_errors), config_with_errors)
     counts = realized_counts(log)
     for spec in config_with_errors.errors:
-        assert counts.get(spec.error_type, 0) == spec_target_count(spec, config_with_errors)
+        assert counts.get(spec.error_type, 0) == spec.count
 
 
 def test_verify_error_examples(base_config):
@@ -491,14 +488,28 @@ def test_verify_error_examples(base_config):
     clean = {"id": 1, "first_name": "Anna", "age": 34, "score": 50.0, "city": "Berlin", "zip": "10115"}
     dirty = dict(clean, age=181)
     entry = ErrorLogEntry(0, 0, "age", "interval_violation", 34, 181)
-    assert verify_error(entry, clean, dirty, base_config)
+    assert verify_error(entry, clean, dirty, base_config, dirty_dataset=[dirty], clean_dataset=[clean])
 
     bad = ErrorLogEntry(0, 0, "city", "missing_value", "Berlin", "Berlin")
-    assert not verify_error(bad, clean, dict(clean), base_config)
+    unchanged = dict(clean)
+    assert not verify_error(bad, clean, unchanged, base_config, dirty_dataset=[unchanged], clean_dataset=[clean])
 
     mis = ErrorLogEntry(0, 0, "first_name", "misspelling", "Anna", "Anan")
-    assert verify_error(mis, clean, dict(clean, first_name="Anan"), base_config)
+    misspelled = dict(clean, first_name="Anan")
+    assert verify_error(mis, clean, misspelled, base_config, dirty_dataset=[misspelled], clean_dataset=[clean])
     assert damerau_levenshtein("Anna", "Anan") == 1
+
+
+@pytest.mark.parametrize("error_type", ["outlier", "noise"])
+def test_distribution_checks_refuse_an_attribute_without_one(base_config, error_type):
+    # A log may name any attribute; one without a distribution holds no
+    # outlier and no noise, so the entry does not verify.
+    from dirtygen.inject import ErrorLogEntry
+
+    clean = {"id": 1, "first_name": "Anna", "age": 34, "score": 50.0, "city": "Berlin", "zip": "10115"}
+    dirty = dict(clean, city=1e9)
+    entry = ErrorLogEntry(0, 0, "city", error_type, "Berlin", 1e9)
+    assert not verify_error(entry, clean, dirty, base_config, dirty_dataset=[dirty], clean_dataset=[clean])
 
 
 @pytest.mark.parametrize(
@@ -517,9 +528,10 @@ def test_verify_error_compares_logged_values_type_strictly(
 
     clean = {"id": 1, "first_name": "Anna", "age": 1, "score": 50.0, "city": "Berlin", "zip": "10115"}
     dirty = dict(clean, age=dirty_age)
-    assert verify_error(ErrorLogEntry(0, 0, "age", error_type, 1, dirty_age), clean, dirty, base_config)
+    datasets = {"dirty_dataset": [dirty], "clean_dataset": [clean]}
+    assert verify_error(ErrorLogEntry(0, 0, "age", error_type, 1, dirty_age), clean, dirty, base_config, **datasets)
     entry = ErrorLogEntry(0, 0, "age", error_type, logged_clean, logged_dirty)
-    assert not verify_error(entry, clean, dirty, base_config)
+    assert not verify_error(entry, clean, dirty, base_config, **datasets)
 
 
 def test_verifier_passes_on_every_entry_of_a_mixed_run():

@@ -16,12 +16,12 @@ from dirtygen import (
     read_dataset,
     read_error_log,
     score,
-    write_dataset,
-    write_error_log,
 )
 from dirtygen import output as output_module
 from dirtygen.inject import ErrorLogEntry
 from dirtygen.output import (
+    DatasetWriter,
+    ErrorLogWriter,
     OutputSpec,
     _check_row,
     _strict_loads,
@@ -32,6 +32,25 @@ from dirtygen.output import (
 
 def spec_for(tmp_path, **kwargs):
     return OutputSpec(directory=tmp_path, **kwargs)
+
+
+def write_records(records, spec, which):
+    """The records through one DatasetWriter; returns its paths."""
+    records = list(records)
+    writer = DatasetWriter(spec, which, len(records))
+    for record in records:
+        writer.write(record)
+    return writer.close()
+
+
+def write_log(entries, spec, *, seed, config_hash):
+    """The entries through one ErrorLogWriter, at the spec's log path."""
+    spec.directory.mkdir(parents=True, exist_ok=True)
+    with open(spec.log_path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = ErrorLogWriter(fh, seed=seed, config_hash=config_hash)
+        for entry in entries:
+            writer.write(entry)
+    return spec.log_path
 
 
 def test_record_line_format():
@@ -76,46 +95,46 @@ def test_encode_record_rejects_non_finite_floats(value):
 
 def test_ndjson_bytes(tmp_path):
     records = [{"a": 1}, {"a": None}, {"b": "x"}]
-    paths = write_dataset(records, spec_for(tmp_path), "clean")
+    paths = write_records(records, spec_for(tmp_path), "clean")
     data = paths[0].read_bytes()
     assert data == b'{"a":1}\n{"a":null}\n{"b":"x"}\n'
 
 
 def test_json_array_bytes(tmp_path):
     records = [{"a": 1}, {"a": 2}]
-    paths = write_dataset(records, spec_for(tmp_path, mode="json_array"), "clean")
+    paths = write_records(records, spec_for(tmp_path, mode="json_array"), "clean")
     assert paths[0].read_bytes() == b'[\n{"a":1},\n{"a":2}\n]\n'
 
 
 def test_json_array_empty(tmp_path):
-    paths = write_dataset([], spec_for(tmp_path, mode="json_array"), "clean")
+    paths = write_records([], spec_for(tmp_path, mode="json_array"), "clean")
     assert paths[0].read_bytes() == b"[]\n"
 
 
 def test_round_trip_ndjson(tmp_path):
     records = [{"a": i, "b": f"v{i}", "c": i / 3} for i in range(1000)]
-    paths = write_dataset(records, spec_for(tmp_path), "clean")
+    paths = write_records(records, spec_for(tmp_path), "clean")
     assert list(read_dataset(paths[0])) == records
 
 
 def test_round_trip_json_array(tmp_path):
     records = [{"a": i, "b": None if i % 3 else "x"} for i in range(50)]
-    paths = write_dataset(records, spec_for(tmp_path, mode="json_array"), "dirty")
+    paths = write_records(records, spec_for(tmp_path, mode="json_array"), "dirty")
     assert list(read_dataset(paths[0])) == records
 
 
 def test_write_read_write_identical_bytes(tmp_path):
     records = [{"a": i, "x": i * 0.1} for i in range(200)]
-    first = write_dataset(records, spec_for(tmp_path / "one"), "clean")[0]
+    first = write_records(records, spec_for(tmp_path / "one"), "clean")[0]
     back = list(read_dataset(first))
-    second = write_dataset(back, spec_for(tmp_path / "two"), "clean")[0]
+    second = write_records(back, spec_for(tmp_path / "two"), "clean")[0]
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_sharding_partitions_contiguously(tmp_path):
     records = [{"i": i} for i in range(10)]
     out = spec_for(tmp_path, shard_count=3)
-    paths = write_dataset(records, out, "clean", total_count=10)
+    paths = write_records(records, out, "clean")
     assert [p.name for p in paths] == ["clean.00000.ndjson", "clean.00001.ndjson", "clean.00002.ndjson"]
     sizes = [len(list(read_dataset(p))) for p in paths]
     assert sizes == [4, 3, 3]
@@ -125,7 +144,7 @@ def test_sharding_partitions_contiguously(tmp_path):
 
 def test_sharding_with_fewer_records_than_shards(tmp_path):
     records = [{"i": 0}]
-    paths = write_dataset(records, spec_for(tmp_path, shard_count=3), "clean", total_count=1)
+    paths = write_records(records, spec_for(tmp_path, shard_count=3), "clean")
     sizes = [len(list(read_dataset(p))) for p in paths]
     assert sizes == [1, 0, 0]
 
@@ -218,7 +237,7 @@ def entry(**kwargs):
 
 def test_log_line_format(tmp_path):
     out = spec_for(tmp_path)
-    path = write_error_log([entry()], out, seed=7, config_hash="abc")
+    path = write_log([entry()], out, seed=7, config_hash="abc")
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# dirtygen-log-v1\tseed=7\tconfig=sha256:abc")
     assert lines[1] == '5\t5\tcity\tmissing_value\t"Berlin"\tnull'
@@ -234,14 +253,14 @@ def test_log_line_for_inserted_tuple(tmp_path):
         clean_value=ABSENT,
         dirty_value=ABSENT,
     )
-    path = write_error_log([marker], out, seed=7, config_hash="abc")
+    path = write_log([marker], out, seed=7, config_hash="abc")
     assert path.read_text(encoding="utf-8").splitlines()[1] == (
         "1000\t-\t-\tirrelevant_observation\t-\t-"
     )
 
 
 def test_empty_log_is_header_only(tmp_path):
-    path = write_error_log([], spec_for(tmp_path), seed=7, config_hash="abc")
+    path = write_log([], spec_for(tmp_path), seed=7, config_hash="abc")
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("#")
@@ -267,7 +286,7 @@ def test_log_round_trip(tmp_path):
             dirty_value=ABSENT,
         ),
     ]
-    path = write_error_log(entries, spec_for(tmp_path), seed=1, config_hash="x")
+    path = write_log(entries, spec_for(tmp_path), seed=1, config_hash="x")
     assert read_error_log(path) == entries
 
 
@@ -287,7 +306,7 @@ def test_log_requires_header(tmp_path):
 
 def test_log_value_with_tab_is_escaped(tmp_path):
     tricky = entry(clean_value="a\tb", dirty_value=None)
-    path = write_error_log([tricky], spec_for(tmp_path), seed=1, config_hash="x")
+    path = write_log([tricky], spec_for(tmp_path), seed=1, config_hash="x")
     assert read_error_log(path) == [tricky]
 
 
@@ -309,7 +328,7 @@ def test_dataset_round_trip_property(tmp_path_factory, records):
     directory = tmp_path_factory.mktemp("rt")
     for mode in ("ndjson", "json_array"):
         out = OutputSpec(directory=directory / mode, mode=mode)
-        path = write_dataset(records, out, "clean")[0]
+        path = write_records(records, out, "clean")[0]
         assert list(read_dataset(path)) == records
 
 
@@ -324,8 +343,6 @@ def test_log_value_encoding_round_trip(value):
 
 
 def test_writer_count_mismatch_detected(tmp_path):
-    from dirtygen.output import DatasetWriter
-
     writer = DatasetWriter(spec_for(tmp_path), "clean", 2)
     writer.write({"a": 1})
     with pytest.raises(DatasetFormatError, match="expected 2"):
