@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import ConfigError, DirtygenError, EvaluationError, GenerationError, __version__
@@ -98,7 +99,7 @@ def cmd_generate(args) -> int:
     out.directory.mkdir(parents=True, exist_ok=True)
     clean_writer = DatasetWriter(out, "clean", config.tuple_count)
     dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
-    counts: dict[str, int] = {}
+    counts: Counter = Counter()
     last_clean = [None, None]  # the latest clean record and its encoded line
 
     def clean_and_tee():
@@ -113,10 +114,10 @@ def cmd_generate(args) -> int:
             # dict itself, with no log entries: its line is already encoded.
             untouched = not entries and dirty_record is last_clean[0]
             dirty_writer.write(dirty_record, last_clean[1] if untouched else None)
-            for entry in entries:
-                log_writer.write(entry)
-            for error_type, amount in realized_counts(entries).items():
-                counts[error_type] = counts.get(error_type, 0) + amount
+            if entries:  # most rows have none, and build nothing
+                for entry in entries:
+                    log_writer.write(entry)
+                counts.update(realized_counts(entries))
     clean_paths = clean_writer.close()
     dirty_paths = dirty_writer.close()
 

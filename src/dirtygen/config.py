@@ -84,6 +84,8 @@ class AttributeSpec:
     # TupleBlock -> clean values; for a dependent, determinant column -> its column
     column: Callable | None = field(default=None, repr=False, compare=False)
     compiled_pattern: re.Pattern | None = field(default=None, repr=False, compare=False)
+    # source_signature() as canonical JSON: one string to compare sources by
+    source_json: str | None = field(default=None, repr=False, compare=False)
 
     def effective_pattern(self) -> re.Pattern | None:
         """The explicit pattern, or the regex implied by a template source."""
@@ -628,7 +630,8 @@ def _validate_sequence(attr: AttributeSpec, tuple_count: int) -> None:
 # Dependencies
 
 
-def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> list[DependencyRule]:
+def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> tuple[list[DependencyRule], tuple]:
+    """Attach and check the rules; returns them with the evaluation order."""
     by_name = {a.name: a for a in attrs}
     rules: list[DependencyRule] = []
     dependents_seen = set()
@@ -663,18 +666,7 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> list[D
         by_name[dep].domain = finite(tuple(sorted(set(mapping.values()), key=repr)))
         rules.append(rule)
 
-    # Cycle check: walk determinant chains, each up to the first attribute
-    # an earlier walk has already followed to its end.
-    acyclic: set[str] = set()
-    for attr in attrs:
-        seen = set()
-        cursor = attr
-        while cursor.dependency is not None and cursor.name not in acyclic:
-            if cursor.name in seen:
-                _fail(f"dependency rules form a cycle involving {cursor.name!r}")
-            seen.add(cursor.name)
-            cursor = by_name[cursor.dependency.determinant]
-        acyclic |= seen
+    order = _evaluation_order(attrs, by_name)
 
     # Totality and image validity; every rule is attached, so a chained
     # determinant's domain is its own rule's images.
@@ -702,7 +694,7 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> list[D
                     f"dependency rule {rule.determinant!r} -> {rule.dependent!r}: "
                     f"mapped value {image!r} violates the dependent's constraints"
                 )
-    return rules
+    return rules, order
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +884,7 @@ def parse_config(
         if attr.source is not None:
             _resolve_domain(attr, tuple_count)
 
-    dependencies = _resolve_dependencies(attrs, raw_rules)
+    dependencies, eval_order = _resolve_dependencies(attrs, raw_rules)
 
     for attr in attrs:
         _validate_sequence(attr, tuple_count)
@@ -906,6 +898,7 @@ def parse_config(
                     f"never be generated"
                 )
         attr.column = column_rule(attr, seed)
+        attr.source_json = json.dumps(attr.source_signature(), sort_keys=True)
 
     directory = output_raw["directory"] if output_dir_override is None else output_dir_override
     output = OutputSpec(Path(directory), output_raw["mode"], scaling["shard_count"])
@@ -919,7 +912,7 @@ def parse_config(
         column_replication=replication,
         output=output,
         attr_positions={a.name: i for i, a in enumerate(attrs)},
-        eval_order=_evaluation_order(attrs),
+        eval_order=eval_order,
         base_dir=base_dir,
     )
     config.errors, config.spec_by_target = _parse_errors(doc.get("errors", []), config)
@@ -930,17 +923,20 @@ def parse_config(
     return config
 
 
-def _evaluation_order(attrs: list[AttributeSpec]) -> tuple[str, ...]:
-    """Schema order with every determinant placed before its dependents."""
+def _evaluation_order(attrs: list[AttributeSpec], by_name: dict) -> tuple[str, ...]:
+    """Schema order with every determinant placed before its dependents. Each
+    walk up a determinant chain stops at the first attribute already placed;
+    one it placed itself closes a cycle."""
     order: list[str] = []
     placed: set[str] = set()
-    by_name = {a.name: a for a in attrs}
     for attr in attrs:
         chain = []  # attr and its determinants not yet placed, nearest first
         while attr is not None and attr.name not in placed:
-            placed.add(attr.name)  # rules form no cycle, so the walk ends
+            placed.add(attr.name)
             chain.append(attr.name)
             attr = None if attr.dependency is None else by_name[attr.dependency.determinant]
+        if attr is not None and attr.name in chain:
+            _fail(f"dependency rules form a cycle involving {attr.name!r}")
         order.extend(reversed(chain))
     return tuple(order)
 

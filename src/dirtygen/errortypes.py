@@ -16,7 +16,6 @@ row" in the paper but is planned as an insertion).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -268,16 +267,12 @@ def _meaningless(config, stream: Stream, avoid) -> str:
 
 def _other_attributes(attr: AttributeSpec, attrs, *, distinct_source: bool) -> list:
     """The other attributes of the schema; with distinct_source, only those
-    whose values come from a different source."""
-    own = json.dumps(attr.source_signature(), sort_keys=True)
-    out = []
-    for other in attrs:
-        if other.name == attr.name:
-            continue
-        if distinct_source and json.dumps(other.source_signature(), sort_keys=True) == own:
-            continue
-        out.append(other)
-    return out
+    whose values come from a different source (compared as JSON, so 1, 1.0
+    and true are three sources)."""
+    return [
+        other for other in attrs
+        if other.name != attr.name and not (distinct_source and other.source_json == attr.source_json)
+    ]
 
 
 def _retype(text: str, datatype: str):
@@ -312,11 +307,7 @@ def _syntax_violation(clean, attr, stream, *_):
 
 def _violates_pattern(clean, dirty, attr, *_) -> bool:
     pattern = attr.effective_pattern()
-    return (
-        pattern is not None
-        and pattern.fullmatch(str(clean)) is not None
-        and pattern.fullmatch(str(dirty)) is None
-    )
+    return pattern.fullmatch(str(clean)) is not None and pattern.fullmatch(str(dirty)) is None
 
 
 def _interval_violation(clean, attr: AttributeSpec, stream: Stream, *_):
@@ -476,7 +467,7 @@ def _has_synonym(config, spec, row, attribute, claims) -> dict | None:
 
 
 def _is_synonym(clean, dirty, attr, *_) -> bool:
-    return attr.synonyms is not None and clean in attr.synonyms and dirty in attr.synonyms[clean]
+    return clean in attr.synonyms and dirty in attr.synonyms[clean]
 
 
 def _distribution_sourced(attr, config) -> bool:
@@ -504,9 +495,7 @@ def _outlier(clean, attr, stream, config, params, entry):
 
 def _is_outlier(clean, dirty, attr, config, params, *_) -> bool:
     mu, sigma = attr.domain.mean, attr.domain.stddev
-    if not _is_number(dirty) or mu is None:  # None: a logged attribute without a distribution
-        return False
-    return dirty != clean and abs(dirty - mu) >= params["k"] * sigma
+    return _is_number(dirty) and dirty != clean and abs(dirty - mu) >= params["k"] * sigma
 
 
 def _noise(clean, attr, stream, config, params, entry):
@@ -518,9 +507,8 @@ def _noise(clean, attr, stream, config, params, entry):
 
 
 def _is_noise(clean, dirty, attr, config, params, *_) -> bool:
-    if not _is_number(dirty) or attr.domain.stddev is None:
-        return False
-    return 0 < abs(dirty - clean) <= NORMAL_Z_BOUND * params["alpha"] * attr.domain.stddev
+    bound = NORMAL_Z_BOUND * params["alpha"] * attr.domain.stddev
+    return _is_number(dirty) and 0 < abs(dirty - clean) <= bound
 
 
 def _key_removed(clean, dirty, attr, config, params, clean_record, dirty_record, _) -> bool:

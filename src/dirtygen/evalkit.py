@@ -15,6 +15,7 @@ detections exist at all".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from typing import Iterable
@@ -94,11 +95,7 @@ class RepairMetrics:
     counts: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "overall": self.overall.to_dict(),
-            "per_error_type": {k: v.to_dict() for k, v in sorted(self.per_error_type.items())},
-            "counts": dict(self.counts),
-        }
+        return asdict(self)
 
 
 def score(
@@ -136,18 +133,13 @@ def score(
             continue  # row markers carry no cell of their own
         logged_cells.setdefault(entry.dirty_tuple_index, {})[entry.attribute] = entry.error_type
 
-    stats: dict[str | None, dict[str, int]] = {}
-
-    def bump(error_type: str | None, key: str, amount: int = 1) -> None:
-        for bucket in (None, error_type) if error_type else (None,):
-            slot = stats.setdefault(bucket, {"tp": 0, "fp": 0, "fn": 0, "ok": 0})
-            slot[key] += amount
-
+    # (error type, outcome): "tp", "fn" and "ok" (a correct repair) for a
+    # logged unit, and (None, "fp") for a flagged unit the log does not name.
+    tally: Counter = Counter()
     attributes: list[str] = []
     keys = None
     n = dirty_count = repaired_count = 0
     dirty_has_deleted = False
-    flagged_total = 0
     # dirty before repaired: see the docstring.
     rows = zip_longest(clean, dirty, repaired, fillvalue=_ENDED)
     for row_index, (clean_row, dirty_row, repaired_row) in enumerate(rows):
@@ -177,16 +169,10 @@ def score(
             error_type = inserted_rows.get(row_index)
             edited = deleted or not _same_record(repaired_row, dirty_row)
             if error_type is None:
-                if edited:
-                    flagged_total += 1
-                    bump(None, "fp")
-            elif edited:
-                flagged_total += 1
-                bump(error_type, "tp")
-                if deleted:
-                    bump(error_type, "ok")
-            else:
-                bump(error_type, "fn")
+                tally[None, "fp"] += edited
+            else:  # deleting an inserted row is its correct repair
+                tally[error_type, "tp" if edited else "fn"] += 1
+                tally[error_type, "ok"] += deleted
             continue
 
         cells = logged_cells.get(row_index, _NO_CELLS)
@@ -194,24 +180,21 @@ def score(
             # Nothing flagged: every logged cell of the row is missed.
             for attribute, logged_type in cells.items():
                 if attribute in keys:
-                    bump(logged_type, "fn")
+                    tally[logged_type, "fn"] += 1
             continue
         for attribute in attributes:
             dirty_value = dirty_row.get(attribute, ABSENT)
             repaired_value = ABSENT if deleted else repaired_row.get(attribute, ABSENT)
-            flagged = deleted or not same_json(repaired_value, dirty_value)
             logged_type = cells.get(attribute)
-            if flagged:
-                flagged_total += 1
-                correct = (not deleted) and same_json(repaired_value, clean_row.get(attribute, ABSENT))
-                if logged_type is not None:
-                    bump(logged_type, "tp")
-                    if correct:
-                        bump(logged_type, "ok")
-                else:
-                    bump(None, "fp")
+            if deleted or not same_json(repaired_value, dirty_value):
+                if logged_type is None:
+                    tally[None, "fp"] += 1
+                    continue
+                tally[logged_type, "tp"] += 1
+                if not deleted and same_json(repaired_value, clean_row.get(attribute, ABSENT)):
+                    tally[logged_type, "ok"] += 1
             elif logged_type is not None:
-                bump(logged_type, "fn")
+                tally[logged_type, "fn"] += 1
 
     if dirty_count != repaired_count:
         raise EvaluationError(
@@ -231,34 +214,22 @@ def score(
 
     logged_total = sum(map(len, logged_cells.values())) + len(inserted_rows)
     unit_total = n * len(attributes) + (dirty_count - n)
-    overall_raw = stats.get(None, {"tp": 0, "fp": 0, "fn": 0, "ok": 0})
-
     per_type: dict[str, MetricSet] = {}
-    for error_type, raw in stats.items():
-        if error_type is None:
-            continue
-        type_logged = raw["tp"] + raw["fn"]
-        type_flagged = raw["tp"]  # false flags are untyped by construction
-        per_type[error_type] = _metric_set(
-            raw["tp"], 0, raw["fn"], raw["ok"], type_flagged, type_logged
-        )
-
-    overall = _metric_set(
-        overall_raw["tp"],
-        overall_raw["fp"],
-        overall_raw["fn"],
-        overall_raw["ok"],
-        flagged_total,
-        logged_total,
-    )
+    for error_type in sorted({t for t, _ in tally if t is not None}):
+        tp, fn = tally[error_type, "tp"], tally[error_type, "fn"]
+        # False flags are untyped by construction: a type's flagged units are its tp.
+        per_type[error_type] = _metric_set(tp, 0, fn, tally[error_type, "ok"], tp, tp + fn)
+    tp, fn, ok = (sum(tally[t, outcome] for t in per_type) for outcome in ("tp", "fn", "ok"))
+    fp = tally[None, "fp"]
     counts = {
-        "true_positives": overall_raw["tp"],
-        "false_positives": overall_raw["fp"],
-        "false_negatives": overall_raw["fn"],
-        "true_negatives": unit_total - overall_raw["tp"] - overall_raw["fp"] - overall_raw["fn"],
-        "correct_repairs": overall_raw["ok"],
-        "flagged": flagged_total,
+        "true_positives": tp,
+        "false_positives": fp,
+        "false_negatives": fn,
+        "true_negatives": unit_total - tp - fp - fn,
+        "correct_repairs": ok,
+        "flagged": tp + fp,
         "logged": logged_total,
         "units": unit_total,
     }
+    overall = _metric_set(tp, fp, fn, ok, tp + fp, logged_total)
     return RepairMetrics(overall=overall, per_error_type=per_type, counts=counts)

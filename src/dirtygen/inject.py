@@ -11,6 +11,7 @@ test suite to confirm every logged error is real.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -134,13 +135,11 @@ def apply_plan(
     return records, log
 
 
-def realized_counts(entries: Iterable[ErrorLogEntry]) -> dict[str, int]:
+def realized_counts(entries: Iterable[ErrorLogEntry]) -> Counter:
     """Errors realized per type: markers for row/insertion scopes, cells otherwise."""
-    counts: dict[str, int] = {}
-    for entry in entries:
-        if (entry.attribute is None) == ERROR_TYPES[entry.error_type].marker:
-            counts[entry.error_type] = counts.get(entry.error_type, 0) + 1
-    return counts
+    return Counter(
+        e.error_type for e in entries if (e.attribute is None) == ERROR_TYPES[e.error_type].marker
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +162,9 @@ def verify_error(
     and clean_dataset (all clean records), both lists. Each such check is one
     pass over a dataset in C; an entity check diffs whole records only for
     the clean tuples that match the dirty record on one of its first few
-    attributes. A type whose spec is missing from the config is checked with
-    its default params. The logged values must equal the records' under
+    attributes. An entry on an attribute its type does not apply to is
+    False; a type whose spec is missing from the config is checked with its
+    default params. The logged values must equal the records' under
     output.same_json, so a logged 1.0 or true does not match a recorded 1.
     """
     etype = ERROR_TYPES.get(entry.error_type)
@@ -196,11 +196,13 @@ def verify_error(
         )
     if entry.attribute not in config.attr_positions:
         return False
+    attr = config.attribute(entry.attribute)
+    if etype.applicable is not None and not etype.applicable(attr, config):
+        return False  # parse_config rejects such a spec, so no generated entry has one
     clean_value = clean_record.get(entry.attribute, ABSENT)
     dirty_value = dirty_record.get(entry.attribute, ABSENT)
     if not (same_json(clean_value, entry.clean_value) and same_json(dirty_value, entry.dirty_value)):
         return False
     return etype.verify(
-        clean_value, dirty_value, config.attribute(entry.attribute),
-        config, params, clean_record, dirty_record, dirty_dataset,
+        clean_value, dirty_value, attr, config, params, clean_record, dirty_record, dirty_dataset
     )

@@ -21,7 +21,7 @@ from dirtygen import (
     parse_config,
 )
 from dirtygen.cli import main as cli_main
-from dirtygen.config import DOCUMENT, MAX_SHARDS, MAX_WIDTH, Field, Tagged, compute_config_hash
+from dirtygen.config import DOCUMENT, MAX_SHARDS, MAX_WIDTH, AttributeSpec, Field, Tagged, compute_config_hash
 from dirtygen.errortypes import ALL_ERROR_TYPES, ERROR_TYPES
 
 from checker import check_dataset
@@ -144,6 +144,26 @@ def test_dependency_cycles_rejected():
         "generation": {"tuple_count": 10, "seed": 1},
     }
     with pytest.raises(ConfigError, match="cycle"):
+        parse_config(json.dumps(doc))
+
+
+def test_dependency_cycle_is_named_and_long_chains_resolve():
+    # A chain as long as the width allows, far past the recursion limit.
+    width = MAX_WIDTH
+    schema = [{"name": "a0", "datatype": "string", "source": {"kind": "set", "values": ["x"]}}]
+    schema += [{"name": f"a{i}", "datatype": "string"} for i in range(1, width)]
+    rules = [
+        {"determinant": f"a{i}", "dependent": f"a{i + 1}", "mapping": {"x": "x"}}
+        for i in range(width - 1)
+    ]
+    doc = {"schema": schema[::-1], "dependencies": rules, "generation": {"tuple_count": 2, "seed": 1}}
+    config = parse_config(json.dumps(doc))
+    assert config.eval_order == tuple(f"a{i}" for i in range(width))
+    # Close the chain into a ring: the first walk, from the last attribute,
+    # runs down to a0 and meets the last attribute again.
+    del schema[0]["source"]
+    rules.append({"determinant": f"a{width - 1}", "dependent": "a0", "mapping": {"x": "x"}})
+    with pytest.raises(ConfigError, match=f"dependency rules form a cycle involving 'a{width - 1}'"):
         parse_config(json.dumps(doc))
 
 
@@ -295,6 +315,30 @@ def test_scaling_bounds_are_inclusive():
         parse_config(json.dumps(doc))
     doc["generation"]["scaling"] = {"column_replication": 2, "shard_count": 3}
     assert len(parse_config(json.dumps(doc)).schema) == 16
+
+
+def test_parsing_compares_each_attribute_source_once(monkeypatch):
+    # Every attribute asks whether another one has a different source; each
+    # source's signature is computed once, not once per pair.
+    doc = {
+        "schema": [
+            {"name": "word", "datatype": "string", "source": {"kind": "lexicon", "name": "words"}},
+            {
+                "name": "n",
+                "datatype": "integer",
+                "source": {"kind": "numeric", "distribution": "uniform", "min": 0, "max": 9},
+            },
+        ],
+        "errors": [{"type": "inadequate_value_to_attribute_context", "rate": 0.01}],
+        "generation": {"tuple_count": 100, "seed": 1, "scaling": {"column_replication": 100}},
+    }
+    calls = []
+    signature = AttributeSpec.source_signature
+    monkeypatch.setattr(AttributeSpec, "source_signature", lambda self: calls.append(1) or signature(self))
+    config = parse_config(json.dumps(doc))
+    width = len(config.schema)
+    assert width == 202 and len(config.errors[0].target_attributes) == width
+    assert len(calls) <= 3 * width
 
 
 def test_bundled_lexicon_is_realistic():

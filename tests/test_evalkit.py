@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirtygen import EvaluationError, apply_plan, parse_config, plan_errors, score
 from dirtygen.datagen import generate_clean_dataset
@@ -297,6 +299,76 @@ def reference_score(clean, dirty, repaired, log) -> RepairMetrics:
         "units": unit_total,
     }
     return RepairMetrics(overall=overall, per_error_type=per_type, counts=counts)
+
+
+# Values of one JSON type each: == and same_json agree on them, so the
+# reference's Python == and score's encodings must give the same counts.
+_VALUES = st.none() | st.integers(0, 2) | st.sampled_from(["x", "y"])
+_ATTRIBUTES = ("a", "b", "c")
+
+
+@st.composite
+def _score_inputs(draw):
+    """clean, dirty, repaired and log, shaped by hand: deleted and edited
+    repaired rows, inserted rows logged or not, log cells on keys no record
+    has and rows past the end, and the marker and content entries that score
+    skips. Each cell and each inserted row is logged at most once."""
+    n, inserted = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+
+    def record():
+        return {name: draw(_VALUES) for name in _ATTRIBUTES}
+
+    def edited(row):
+        out = dict(row)
+        for name in draw(st.lists(st.sampled_from(_ATTRIBUTES), max_size=2)):
+            if draw(st.booleans()):
+                out.pop(name, None)
+            else:
+                out[name] = draw(_VALUES)
+        return out
+
+    clean = [record() for _ in range(n)]
+    dirty = [edited(row) for row in clean] + [record() for _ in range(inserted)]
+    repaired = [
+        {"delete": None, "keep": row, "edit": edited(row)}[draw(st.sampled_from(["delete", "keep", "edit"]))]
+        for row in dirty
+    ]
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n + inserted), st.sampled_from(_ATTRIBUTES + ("zz",))),
+        st.sampled_from(["misspelling", "missing_value", "semi_empty_tuple"]),
+        max_size=8,
+    ))
+    markers = draw(st.dictionaries(
+        st.integers(n, n + inserted - 1) if inserted else st.nothing(),
+        st.sampled_from(sorted(INSERTION_TYPES)),
+    ))
+    log = [ErrorLogEntry(row, row, name, t, ABSENT, ABSENT) for (row, name), t in cells.items()]
+    log += [ErrorLogEntry(row, None, None, t, ABSENT, ABSENT) for row, t in markers.items()]
+    log += [ErrorLogEntry(row, None, "a", t, ABSENT, dirty[row].get("a")) for row, t in markers.items()]
+    if n:
+        log.append(ErrorLogEntry(0, 0, None, "semi_empty_tuple", ABSENT, ABSENT))
+    return clean, dirty, repaired, draw(st.permutations(log))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_score_inputs())
+def test_score_tally_matches_the_reference(inputs):
+    clean, dirty, repaired, log = inputs
+    metrics = score(clean, dirty, repaired, log)
+    assert metrics == reference_score(clean, dirty, repaired, log)
+    counts = metrics.counts
+    assert counts["flagged"] == counts["true_positives"] + counts["false_positives"]
+    # Each type scored alone, the others' cells unlogged, has the same
+    # per-type metrics, and the overall counts are the sums over the types.
+    alone = {
+        t: score(clean, dirty, repaired, [e for e in log if e.error_type == t])
+        for t in {e.error_type for e in log}
+    }
+    for t, metrics_alone in alone.items():
+        expected = {t: metrics.per_error_type[t]} if t in metrics.per_error_type else {}
+        assert metrics_alone.per_error_type == expected
+    for key in ("true_positives", "false_negatives", "correct_repairs"):
+        assert counts[key] == sum(m.counts[key] for m in alone.values())
 
 
 # Record pairs for _same_record; most are equal under ==, which leaves only

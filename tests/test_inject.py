@@ -512,6 +512,29 @@ def test_distribution_checks_refuse_an_attribute_without_one(base_config, error_
     assert not verify_error(entry, clean, dirty, base_config, dirty_dataset=[dirty], clean_dataset=[clean])
 
 
+@pytest.mark.parametrize("error_type", sorted(ERROR_TYPES))
+def test_verify_error_refuses_an_attribute_its_type_does_not_apply_to(base_config, error_type):
+    # A log may name any attribute. Each cell here takes another row's value
+    # of its column (city: Berlin -> Munich, a value many rows hold), and
+    # the verdict is a bool, False wherever the type does not apply.
+    from dirtygen.inject import ErrorLogEntry
+
+    etype = ERROR_TYPES[error_type]
+    clean = list(generate_clean_dataset(base_config))
+    for attr in base_config.schema:
+        clean_value = clean[0][attr.name]
+        dirty_value = next(r[attr.name] for r in clean if r[attr.name] not in (clean_value, None))
+        dirty_record = dict(clean[0], **{attr.name: dirty_value})
+        entry = ErrorLogEntry(0, 0, attr.name, error_type, clean_value, dirty_value)
+        verdict = verify_error(
+            entry, clean[0], dirty_record, base_config,
+            dirty_dataset=[dirty_record, *clean[1:]], clean_dataset=clean,
+        )
+        assert type(verdict) is bool, (attr.name, verdict)
+        if etype.applicable is not None and not etype.applicable(attr, base_config):
+            assert verdict is False, attr.name
+
+
 @pytest.mark.parametrize(
     "error_type, dirty_age, logged_clean, logged_dirty",
     [
