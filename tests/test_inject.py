@@ -515,8 +515,8 @@ def test_distribution_checks_refuse_an_attribute_without_one(base_config, error_
 @pytest.mark.parametrize("error_type", sorted(ERROR_TYPES))
 def test_verify_error_refuses_an_attribute_its_type_does_not_apply_to(base_config, error_type):
     # A log may name any attribute. Each cell here takes another row's value
-    # of its column (city: Berlin -> Munich, a value many rows hold), and
-    # the verdict is a bool, False wherever the type does not apply.
+    # of its column (for city, a city many rows hold), and the verdict is a
+    # bool, False wherever the type does not apply.
     from dirtygen.inject import ErrorLogEntry
 
     etype = ERROR_TYPES[error_type]
