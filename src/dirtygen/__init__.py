@@ -5,67 +5,61 @@ clean dataset, inject twenty configurable error types at exact rates, and
 emit the dirty dataset, the clean ground truth, and a cell-level error log.
 A scoring kit grades cleaning tools against the log. Everything is byte-for-
 byte reproducible from the configuration and seed.
+
+The public names load on first use (PEP 562), each with its defining module
+only, so a process that only scores never imports the generator.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .config import (
-    AttributeSpec,
-    DependencyRule,
-    ErrorSpec,
-    GeneratorConfig,
-    load_config,
-    load_lexicon,
-    parse_config,
-)
-from .datagen import generate_clean_dataset, generate_record
-from .errorplan import ErrorPlan, PlanEntry, plan_errors
-from .errortypes import ALL_ERROR_TYPES
-from .evalkit import RepairMetrics, score
-from .exceptions import (
-    ConfigError,
-    DatasetFormatError,
-    DirtygenError,
-    EvaluationError,
-    GenerationError,
-    LexiconError,
-    PlanError,
-)
-from .inject import ErrorLogEntry, apply_plan, inject_stream, verify_error
-from .output import OutputSpec, read_dataset, read_error_log
-from .rng import derive_stream
-from .taxonomy import ABSENT
+# Each public name and the module that defines it.
+_EXPORTS = {
+    "ABSENT": "taxonomy",
+    "ALL_ERROR_TYPES": "errortypes",
+    "AttributeSpec": "config",
+    "ConfigError": "exceptions",
+    "DatasetFormatError": "exceptions",
+    "DependencyRule": "config",
+    "DirtygenError": "exceptions",
+    "ErrorLogEntry": "output",
+    "ErrorPlan": "errorplan",
+    "ErrorSpec": "config",
+    "EvaluationError": "exceptions",
+    "GenerationError": "exceptions",
+    "GeneratorConfig": "config",
+    "LexiconError": "exceptions",
+    "OutputSpec": "output",
+    "PlanEntry": "errorplan",
+    "PlanError": "exceptions",
+    "RepairMetrics": "evalkit",
+    "apply_plan": "inject",
+    "derive_stream": "rng",
+    "generate_clean_dataset": "datagen",
+    "generate_record": "datagen",
+    "inject_stream": "inject",
+    "load_config": "config",
+    "load_lexicon": "config",
+    "parse_config": "config",
+    "plan_errors": "errorplan",
+    "read_dataset": "output",
+    "read_error_log": "output",
+    "score": "evalkit",
+    "verify_error": "inject",
+}
 
-__all__ = [
-    "ABSENT",
-    "ALL_ERROR_TYPES",
-    "AttributeSpec",
-    "ConfigError",
-    "DatasetFormatError",
-    "DependencyRule",
-    "DirtygenError",
-    "ErrorLogEntry",
-    "ErrorPlan",
-    "ErrorSpec",
-    "EvaluationError",
-    "GenerationError",
-    "GeneratorConfig",
-    "LexiconError",
-    "OutputSpec",
-    "PlanEntry",
-    "PlanError",
-    "RepairMetrics",
-    "apply_plan",
-    "derive_stream",
-    "generate_clean_dataset",
-    "generate_record",
-    "inject_stream",
-    "load_config",
-    "load_lexicon",
-    "parse_config",
-    "plan_errors",
-    "read_dataset",
-    "read_error_log",
-    "score",
-    "verify_error",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

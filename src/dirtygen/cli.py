@@ -9,6 +9,9 @@ Exit codes:
 Human-readable output goes to stdout, machine artifacts to files, error
 messages to stderr. The commands only do the work: main alone turns an error
 into its message and exit code, by the _FAILURES table.
+
+Only the scoring modules load with this one; generate and validate load the
+generator when they run, and call it through the package namespace.
 """
 
 from __future__ import annotations
@@ -20,21 +23,12 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from . import ConfigError, DirtygenError, EvaluationError, GenerationError, __version__
-from .config import load_config
-from .datagen import generate_clean_dataset
-from .errorplan import format_plan, plan_errors
-from .errortypes import ERROR_TYPES
+import dirtygen as dg
+
+from . import __version__
 from .evalkit import score
-from .inject import inject_stream, realized_counts
-from .output import (
-    DatasetWriter,
-    ErrorLogWriter,
-    read_dataset,
-    read_dirty_and_repaired,
-    read_error_log,
-    write_manifest,
-)
+from .exceptions import ConfigError, DirtygenError, EvaluationError, GenerationError
+from .output import DatasetWriter, ErrorLogWriter, read_aligned, read_error_log, write_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -85,9 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    from .errorplan import format_plan
+    from .inject import realized_counts
+
     started = time.monotonic()
-    config = load_config(args.config, seed_override=args.seed, output_dir_override=args.out)
-    plan = plan_errors(config)
+    config = dg.load_config(args.config, seed_override=args.seed, output_dir_override=args.out)
+    plan = dg.plan_errors(config)
     if args.emit_plan:
         text = format_plan(plan)
         if text:
@@ -103,13 +100,13 @@ def cmd_generate(args) -> int:
     last_clean = [None, None]  # the latest clean record and its encoded line
 
     def clean_and_tee():
-        for record in generate_clean_dataset(config):
+        for record in dg.generate_clean_dataset(config):
             last_clean[:] = record, clean_writer.write(record)
             yield record
 
     with open(out.log_path, "w", encoding="utf-8", newline="\n") as log_file:
         log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
-        for dirty_record, entries in inject_stream(clean_and_tee(), plan, config):
+        for dirty_record, entries in dg.inject_stream(clean_and_tee(), plan, config):
             # inject_stream passes an untouched row through as the clean
             # dict itself, with no log entries: its line is already encoded.
             untouched = not entries and dirty_record is last_clean[0]
@@ -151,7 +148,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = load_config(args.config)
+    from .errortypes import ERROR_TYPES
+
+    config = dg.load_config(args.config)
     print(f"config ok: {len(config.schema)} attributes, {config.tuple_count} tuples, seed {config.seed}")
     print(f"config hash: sha256:{config.config_hash}")
     if config.errors:
@@ -168,8 +167,7 @@ def cmd_evaluate(args) -> int:
     # score reads the three datasets as it goes, so format and I/O errors in
     # them surface from inside it, before any report is written.
     log = read_error_log(args.log)
-    dirty, repaired = read_dirty_and_repaired(args.dirty, args.repaired)
-    metrics = score(read_dataset(args.clean), dirty, repaired, log)
+    metrics = score(*read_aligned(args.clean, args.dirty, args.repaired), log)
 
     if args.report:
         report_path = Path(args.report)

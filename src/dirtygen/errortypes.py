@@ -1,13 +1,14 @@
 """The twenty error types, each declared once.
 
 One ErrorType record per type holds everything the pipeline needs to know
-about it: its planning stage and rate population, which attributes it can
-target, its params (their grammar entries in config.py) and the checks that
-relate them to the schema, how the planner picks
-its targets, how the injector dirties them, and how verify_error proves that
-the dirty side violates the type's defining property while the clean side
-satisfies it. config, errorplan, inject and cli look types up in ERROR_TYPES
-rather than testing names, so a new type, or a fix to one, is one record.
+about it but its planning stage (taxonomy.ERROR_STAGES): its rate
+population, which attributes it can target, its params (their grammar
+entries in config.py) and the checks that relate them to the schema, how
+the planner picks its targets, how the injector dirties them, and how
+verify_error proves that the dirty side violates the type's defining
+property while the clean side satisfies it. config, errorplan, inject and
+cli look types up in ERROR_TYPES rather than testing names, so a new type
+is one record and one stage, and a fix to one is one record.
 
 The stage is the planning stage, which fixes claim order and population; it
 can differ from the paper's conceptual scope (irrelevant_observation is "one
@@ -38,7 +39,7 @@ from .datagen import clean_cell_value, generate_record, may_be_null, value_in_do
 from .domains import resolve, weighted_index
 from .exceptions import ConfigError, GenerationError
 from .rng import NORMAL_Z_BOUND, Stream, derive_stream
-from .taxonomy import ABSENT, STAGE_CELL, STAGE_COLUMN, STAGE_INSERTION, STAGE_ROW, round_half_away
+from .taxonomy import ABSENT, ERROR_STAGES, STAGE_CELL, STAGE_COLUMN, STAGE_INSERTION, STAGE_ROW, round_half_away
 
 _RETRY_LIMIT = 1000
 _DONOR_ATTEMPTS = 128
@@ -80,8 +81,7 @@ class ErrorType:
       `(attr, params)`: parse_config calls them with the run's own config.
     """
 
-    name: str
-    stage: int  # planning stage: fixes claim order, plan scope and the primary log line
+    name: str  # a key of taxonomy.ERROR_STAGES
     inject: Callable
     verify: Callable
     verify_marker: Callable | None = None
@@ -100,6 +100,11 @@ class ErrorType:
     # (attr, params) -> the largest magnitude an injected value can take;
     # parse_config rejects a spec whose bound on one of its targets is not finite
     bound: Callable | None = None
+
+    @property
+    def stage(self) -> int:
+        """The planning stage: fixes claim order, plan scope and the primary log line."""
+        return ERROR_STAGES[self.name]
 
     @property
     def scope(self) -> str:
@@ -858,50 +863,50 @@ def _parse_inconsistency_about(params: dict, where: str, config) -> None:
 
 _RECORDS = (
     ErrorType(
-        "missing_value", STAGE_CELL, lambda *_: None, _nulled, applicable=_always,
+        "missing_value", lambda *_: None, _nulled, applicable=_always,
     ),
     ErrorType(
-        "syntax_violation", STAGE_CELL,
+        "syntax_violation",
         _syntax_violation,
         _violates_pattern,
         applicable=lambda attr, config: attr.effective_pattern() is not None,
     ),
     ErrorType(
-        "interval_violation", STAGE_CELL, _interval_violation, _outside_interval,
+        "interval_violation", _interval_violation, _outside_interval,
         applicable=lambda attr, config: attr.interval is not None,
         bound=_interval_bound,
     ),
     ErrorType(
-        "set_violation", STAGE_CELL, _set_violation,
+        "set_violation", _set_violation,
         _outside_set,
         applicable=lambda attr, config: attr.admissible_set is not None,
     ),
     ErrorType(
-        "misspelling", STAGE_CELL,
+        "misspelling",
         lambda clean, attr, stream, *_: misspell(clean, stream),
         _misspelled,
         applicable=lambda attr, config: attr.datatype == "string",
     ),
     ErrorType(
-        "inadequate_value_to_attribute_context", STAGE_CELL, _inadequate_value, _from_other_domain,
+        "inadequate_value_to_attribute_context", _inadequate_value, _from_other_domain,
         applicable=lambda attr, config: bool(_other_attributes(attr, config.schema, distinct_source=True)),
     ),
     ErrorType(
-        "value_items_beyond_attribute_context", STAGE_CELL, _items_beyond, _has_extra_items,
+        "value_items_beyond_attribute_context", _items_beyond, _has_extra_items,
         applicable=lambda attr, config: attr.datatype == "string" and len(config.schema) >= 2,
     ),
     ErrorType(
-        "meaningless_value", STAGE_CELL,
+        "meaningless_value",
         lambda clean, attr, stream, config, *_: _meaningless(config, stream, clean),
         _is_meaningless,
         applicable=_always,
     ),
     ErrorType(
-        "erroneous_entry", STAGE_CELL, _erroneous_entry, _plausible_but_wrong,
+        "erroneous_entry", _erroneous_entry, _plausible_but_wrong,
         applicable=_has_alternative,
     ),
     ErrorType(
-        "uniqueness_value_violation", STAGE_COLUMN,
+        "uniqueness_value_violation",
         _copy_donor,
         _duplicated,
         applicable=lambda attr, config: attr.unique and config.tuple_count >= 2,
@@ -909,25 +914,25 @@ _RECORDS = (
         claims_donor=True,
     ),
     ErrorType(
-        "synonyms_existence", STAGE_COLUMN, _synonym, _is_synonym,
+        "synonyms_existence", _synonym, _is_synonym,
         applicable=lambda attr, config: bool(attr.synonyms),
         eligible=_has_synonym,
     ),
     ErrorType(
-        "outlier", STAGE_COLUMN, _outlier, _is_outlier,
+        "outlier", _outlier, _is_outlier,
         applicable=_distribution_sourced,
         params=OUTLIER_PARAMS,
         bound=_outlier_bound,
     ),
     ErrorType(
-        "missing_attribute", STAGE_COLUMN, lambda *_: ABSENT, _key_removed,
+        "missing_attribute", lambda *_: ABSENT, _key_removed,
         per_tuple=True,
         applicable=_always,
         single_target=True,
         needs_value=False,
     ),
     ErrorType(
-        "bias", STAGE_COLUMN, _bias, _is_biased,
+        "bias", _bias, _is_biased,
         per_tuple=True,
         params=BIAS_PARAMS,
         parse=_parse_bias,
@@ -937,27 +942,27 @@ _RECORDS = (
         bound=_bias_bound,
     ),
     ErrorType(
-        "noise", STAGE_COLUMN, _noise, _is_noise,
+        "noise", _noise, _is_noise,
         applicable=_distribution_sourced,
         params=NOISE_PARAMS,
         bound=_noise_bound,
     ),
     ErrorType(
-        "semi_empty_tuple", STAGE_ROW, _semi_empty, _nulled, _is_semi_empty,
+        "semi_empty_tuple", _semi_empty, _nulled, _is_semi_empty,
         per_tuple=True,
         params=SEMI_EMPTY_PARAMS,
         parse=_parse_semi_empty,
         eligible=_can_empty,
     ),
     ErrorType(
-        "inconsistency_among_attribute_values", STAGE_ROW,
+        "inconsistency_among_attribute_values",
         _break_rule, _breaks_rule_cell, _breaks_a_rule,
         per_tuple=True,
         parse=_parse_inconsistency_among,
         eligible=_choose_rule,
     ),
     ErrorType(
-        "irrelevant_observation", STAGE_INSERTION,
+        "irrelevant_observation",
         _irrelevant_row, _out_of_domain, _all_out_of_domain,
         per_tuple=True,
         params=OFFDOMAIN_PARAMS,
@@ -965,14 +970,14 @@ _RECORDS = (
         draws_source=False,
     ),
     ErrorType(
-        "redundancy_about_entity", STAGE_INSERTION,
+        "redundancy_about_entity",
         _near_duplicate, _misspelled_copy, _duplicates_a_tuple,
         per_tuple=True,
         params=REDUNDANCY_PARAMS,
         parse=_parse_redundancy,
     ),
     ErrorType(
-        "inconsistency_about_entity", STAGE_INSERTION,
+        "inconsistency_about_entity",
         _conflicting_copy, _in_domain, _conflicts_with_a_tuple,
         per_tuple=True,
         parse=_parse_inconsistency_about,
@@ -981,6 +986,3 @@ _RECORDS = (
 
 ERROR_TYPES: dict[str, ErrorType] = {record.name: record for record in _RECORDS}
 ALL_ERROR_TYPES = tuple(ERROR_TYPES)
-INSERTION_TYPES = tuple(
-    name for name, record in ERROR_TYPES.items() if record.stage == STAGE_INSERTION
-)

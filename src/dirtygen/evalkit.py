@@ -20,10 +20,9 @@ from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from typing import Iterable
 
-from .errortypes import INSERTION_TYPES
 from .exceptions import EvaluationError
 from .output import same_json
-from .taxonomy import ABSENT
+from .taxonomy import ABSENT, INSERTION_TYPES
 
 _ENDED = object()  # fills the rows of a dataset that ended before the others
 _NO_CELLS: dict[str, str] = {}
@@ -112,9 +111,8 @@ def score(
 
     The three datasets are read once, in lockstep, so they may be lists or
     one-shot iterators; only the log is held, indexed by dirty row. Each row
-    of `dirty` is taken before the `repaired` row at the same index, the
-    order output.read_dirty_and_repaired needs for its identical-line
-    shortcut. A repaired row with the same keys and values as its dirty row
+    is taken from `clean`, then `dirty`, then `repaired`, the order
+    output.read_aligned needs for its identical-line shortcut. A repaired row with the same keys and values as its dirty row
     has no flagged cell; the cells of other rows are compared one by one. The
     attributes scored are those of the first clean record; a later clean
     record with other keys is an EvaluationError as soon as it is read.
@@ -140,7 +138,7 @@ def score(
     keys = None
     n = dirty_count = repaired_count = 0
     dirty_has_deleted = False
-    # dirty before repaired: see the docstring.
+    # clean, dirty, repaired: see the docstring.
     rows = zip_longest(clean, dirty, repaired, fillvalue=_ENDED)
     for row_index, (clean_row, dirty_row, repaired_row) in enumerate(rows):
         if clean_row is not _ENDED:

@@ -12,7 +12,6 @@ test suite to confirm every logged error is real.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .config import GeneratorConfig
@@ -20,26 +19,9 @@ from .datagen import generate_record
 from .errorplan import ErrorPlan, PlanEntry
 from .errortypes import ERROR_TYPES
 from .exceptions import GenerationError
-from .output import same_json
+from .output import ErrorLogEntry, same_json
 from .rng import derive_stream
 from .taxonomy import ABSENT, STAGE_INSERTION
-
-
-@dataclass(slots=True)
-class ErrorLogEntry:
-    """Provenance of one injected error.
-
-    clean_tuple_index is None exactly for inserted tuples, which have no
-    clean counterpart. Values use ABSENT for "no value at all" (shown as '-'
-    in the log file), which is distinct from an explicit null.
-    """
-
-    dirty_tuple_index: int
-    clean_tuple_index: int | None
-    attribute: str | None
-    error_type: str
-    clean_value: object
-    dirty_value: object
 
 
 def _apply_base_entry(
@@ -162,13 +144,16 @@ def verify_error(
     and clean_dataset (all clean records), both lists. Each such check is one
     pass over a dataset in C; an entity check diffs whole records only for
     the clean tuples that match the dirty record on one of its first few
-    attributes. An entry on an attribute its type does not apply to is
-    False; a type whose spec is missing from the config is checked with its
-    default params. The logged values must equal the records' under
-    output.same_json, so a logged 1.0 or true does not match a recorded 1.
+    attributes. An entry on an attribute the schema does not have, or its
+    type does not apply to, is False; a type whose spec is missing from the
+    config is checked with its default params. The logged values must equal
+    the records' under output.same_json, so a logged 1.0 or true does not
+    match a recorded 1.
     """
     etype = ERROR_TYPES.get(entry.error_type)
     if etype is None:
+        return False
+    if entry.attribute is not None and entry.attribute not in config.attr_positions:
         return False
     spec = config.spec_by_target.get((etype.name, entry.attribute))
     params = etype.defaults if spec is None else spec.params
@@ -194,8 +179,6 @@ def verify_error(
         return etype.marker and etype.verify_marker(
             clean_record, dirty_record, config, params, clean_dataset
         )
-    if entry.attribute not in config.attr_positions:
-        return False
     attr = config.attribute(entry.attribute)
     if etype.applicable is not None and not etype.applicable(attr, config):
         return False  # parse_config rejects such a spec, so no generated entry has one

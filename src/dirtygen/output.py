@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .exceptions import DatasetFormatError
-from .taxonomy import ABSENT, split_count
+from .taxonomy import ABSENT, ERROR_STAGES, split_count
 
 LOG_FORMAT_VERSION = "dirtygen-log-v1"
 _LOG_COLUMNS = "dirty_index,clean_index,attribute,error_type,clean_value,dirty_value"
@@ -211,39 +211,39 @@ def read_dataset(
             yield _check_row(obj, path, index + 1, allow_deleted)
 
 
-def read_dirty_and_repaired(
-    dirty_path: str | Path, repaired_path: str | Path
-) -> tuple[Iterator[dict], Iterator[dict | None]]:
-    """The dirty and the repaired dataset as two row streams, to be read in
-    lockstep, a dirty row before the repaired row at the same index (as
-    evalkit.score reads them).
+def read_aligned(
+    clean: str | Path, dirty: str | Path, *repaired: str | Path
+) -> tuple[Iterator[dict | None], ...]:
+    """The clean, the dirty and each repaired dataset as one row stream per
+    file, to be read in lockstep: row i of each file before row i of the
+    next (as evalkit.score reads them). Only repaired files may hold deleted
+    rows (null lines).
 
-    When both files are ndjson, a repaired line byte-identical to the dirty
-    line just read yields that dirty record itself and is not decoded:
-    identical text decodes to identical values. Read out of step, every
-    repaired line is decoded.
+    When all files are ndjson, a line byte-identical to the previous file's
+    line at the same index yields that file's record itself and is not
+    decoded: identical text decodes to identical values. So the dirty rows
+    an error left alone are the clean records, and a repair's untouched
+    rows, or a later repair's rows a stage left alone, are the records of
+    the file before. Read out of step, every line is decoded.
     """
-    dirty_path, repaired_path = Path(dirty_path), Path(repaired_path)
-    if _infer_mode(dirty_path, None) != "ndjson" or _infer_mode(repaired_path, None) != "ndjson":
-        return read_dataset(dirty_path), read_dataset(repaired_path, allow_deleted=True)
-    # The dirty row read last: its line number, text and record.
-    last_lineno, last_line, last_record = 0, "", None
+    paths = [Path(p) for p in (clean, dirty, *repaired)]
+    if any(_infer_mode(path, None) != "ndjson" for path in paths):
+        return tuple(read_dataset(path, allow_deleted=i >= 2) for i, path in enumerate(paths))
+    # last[i + 1] is the row file i read last: its line number, text and
+    # record; last[0] matches no line, so the clean file decodes every line.
+    last = [[0, "", None] for _ in range(len(paths) + 1)]
 
-    def dirty_rows() -> Iterator[dict]:
-        nonlocal last_lineno, last_line, last_record
-        for lineno, line in _numbered_lines(dirty_path):
-            last_record = _decode_line(line, dirty_path, lineno, False)
-            last_lineno, last_line = lineno, line
-            yield last_record
-
-    def repaired_rows() -> Iterator[dict | None]:
-        for lineno, line in _numbered_lines(repaired_path):
-            if lineno == last_lineno and line == last_line:
-                yield last_record
+    def rows(i: int) -> Iterator[dict | None]:
+        path, previous, mine = paths[i], last[i], last[i + 1]
+        for lineno, line in _numbered_lines(path):
+            if lineno == previous[0] and line == previous[1]:
+                record = previous[2]
             else:
-                yield _decode_line(line, repaired_path, lineno, True)
+                record = _decode_line(line, path, lineno, i >= 2)
+            mine[:] = lineno, line, record
+            yield record
 
-    return dirty_rows(), repaired_rows()
+    return tuple(rows(i) for i in range(len(paths)))
 
 
 def _numbered_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -294,6 +294,23 @@ def _decode_log_value(text: str):
     return _strict_loads(text)
 
 
+@dataclass(slots=True)
+class ErrorLogEntry:
+    """Provenance of one injected error.
+
+    clean_tuple_index is None exactly for inserted tuples, which have no
+    clean counterpart. Values use ABSENT for "no value at all" (shown as '-'
+    in the log file), which is distinct from an explicit null.
+    """
+
+    dirty_tuple_index: int
+    clean_tuple_index: int | None
+    attribute: str | None
+    error_type: str
+    clean_value: object
+    dirty_value: object
+
+
 class ErrorLogWriter:
     """Incremental error-log writer; the header goes out on construction."""
 
@@ -304,7 +321,7 @@ class ErrorLogWriter:
             f"\tcolumns={_LOG_COLUMNS}\n"
         )
 
-    def write(self, entry) -> None:
+    def write(self, entry: ErrorLogEntry) -> None:
         fields = (
             str(entry.dirty_tuple_index),
             "-" if entry.clean_tuple_index is None else str(entry.clean_tuple_index),
@@ -316,11 +333,8 @@ class ErrorLogWriter:
         self._fh.write("\t".join(fields) + "\n")
 
 
-def read_error_log(path: str | Path) -> list:
+def read_error_log(path: str | Path) -> list[ErrorLogEntry]:
     """Parse an error log back into ErrorLogEntry objects."""
-    from .errortypes import ERROR_TYPES  # late imports: both depend on this module
-    from .inject import ErrorLogEntry
-
     path = Path(path)
     entries = []
     lines = _numbered_lines(path)
@@ -335,7 +349,7 @@ def read_error_log(path: str | Path) -> list:
                 f"{path}: line {lineno}: expected 6 tab-separated fields, got {len(fields)}"
             )
         dirty_idx, clean_idx, attribute, error_type, clean_val, dirty_val = fields
-        if error_type not in ERROR_TYPES:
+        if error_type not in ERROR_STAGES:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: unknown error type {error_type!r}"
             )

@@ -25,9 +25,10 @@ import pytest
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, score, verify_error
 from dirtygen.cli import main as cli_main
 from dirtygen.datagen import generate_clean_dataset, may_be_null, value_in_domain
-from dirtygen.errortypes import ALL_ERROR_TYPES, INSERTION_TYPES
+from dirtygen.errortypes import ALL_ERROR_TYPES
 from dirtygen.inject import ErrorLogEntry, realized_counts
 from dirtygen.output import encode_record, read_dataset
+from dirtygen.taxonomy import INSERTION_TYPES
 
 from checker import check_dataset
 from confgen import random_config

@@ -226,6 +226,31 @@ def test_evaluate_perfect_repair(tmp_path, capsys):
     assert data["overall"]["repair_f1"] == 1.0
 
 
+def _dirtygen_modules(code: str) -> list[str]:
+    """The dirtygen modules loaded by a fresh interpreter that runs code."""
+    code += "\nprint(json.dumps(sorted(m for m in sys.modules if m == 'dirtygen' or m.startswith('dirtygen.'))))"
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_evaluate_imports_only_the_scoring_modules(tmp_path, capsys):
+    # A process that only scores compiles none of the generator; the public
+    # names load on first use.
+    config = write_config(tmp_path, errors=ERRORS, tuple_count=20)
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    argv = ["evaluate", "--log", str(out / "errors.log"), "--report", str(tmp_path / "report.json")]
+    argv += [f"--{which}={out / 'dirty.ndjson' if which == 'repaired' else out / f'{which}.ndjson'}"
+             for which in ("clean", "dirty", "repaired")]
+    assert _dirtygen_modules("import dirtygen") == ["dirtygen"]
+    assert _dirtygen_modules(f"from dirtygen.cli import main\nassert main({argv!r}) == 0") == [
+        "dirtygen", "dirtygen.cli", "dirtygen.evalkit", "dirtygen.exceptions", "dirtygen.output",
+        "dirtygen.taxonomy",
+    ]
+    assert json.loads((tmp_path / "report.json").read_text())["counts"]["false_negatives"] > 0
+
+
 def test_evaluate_noop_repair_zero_recall(tmp_path):
     config = write_config(tmp_path, errors=ERRORS, tuple_count=100)
     out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """The examples in README.md and docs/config-reference.md run as documented."""
 
+import importlib
 import json
 import re
 from pathlib import Path
@@ -122,3 +123,10 @@ def test_public_api_names_resolve():
     exec("from dirtygen import *", namespace)
     for name in dirtygen.__all__:
         assert namespace[name] is getattr(dirtygen, name)
+        # The names load on first use, each from the module that defines it.
+        module = importlib.import_module(f"dirtygen.{dirtygen._EXPORTS[name]}")
+        assert namespace[name] is getattr(module, name)
+        assert getattr(namespace[name], "__module__", module.__name__) == module.__name__
+    assert set(dirtygen.__all__) <= set(dir(dirtygen))
+    with pytest.raises(AttributeError, match="^module 'dirtygen' has no attribute 'nosuch'$"):
+        dirtygen.nosuch

@@ -4,12 +4,30 @@ import pytest
 
 from dirtygen import parse_config, plan_errors
 from dirtygen.errorplan import format_plan
+from dirtygen.errortypes import ERROR_TYPES
+from dirtygen.taxonomy import ERROR_STAGES, INSERTION_TYPES
 
 from conftest import make_config_text
 
 
 def parse_with_errors(errors, **overrides):
     return parse_config(make_config_text(errors=errors, **overrides))
+
+
+def test_each_type_keeps_its_planning_stage_and_order():
+    pinned = [
+        ("missing_value", 4), ("syntax_violation", 4), ("interval_violation", 4),
+        ("set_violation", 4), ("misspelling", 4), ("inadequate_value_to_attribute_context", 4),
+        ("value_items_beyond_attribute_context", 4), ("meaningless_value", 4),
+        ("erroneous_entry", 4), ("uniqueness_value_violation", 3), ("synonyms_existence", 3),
+        ("outlier", 3), ("missing_attribute", 3), ("bias", 3), ("noise", 3),
+        ("semi_empty_tuple", 2), ("inconsistency_among_attribute_values", 2),
+        ("irrelevant_observation", 1), ("redundancy_about_entity", 1),
+        ("inconsistency_about_entity", 1),
+    ]
+    assert list(ERROR_STAGES.items()) == pinned
+    assert [(name, etype.stage) for name, etype in ERROR_TYPES.items()] == pinned
+    assert INSERTION_TYPES == ("irrelevant_observation", "redundancy_about_entity", "inconsistency_about_entity")
 
 
 def test_population_cell_level_counts_cells():

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from dirtygen import EvaluationError, apply_plan, parse_config, plan_errors, score
 from dirtygen.datagen import generate_clean_dataset
-from dirtygen.errortypes import INSERTION_TYPES
 from dirtygen.evalkit import MetricSet, RepairMetrics, _metric_set, _same_record
 from dirtygen.inject import ErrorLogEntry
 from dirtygen.output import encode_record
-from dirtygen.taxonomy import ABSENT
+from dirtygen.taxonomy import ABSENT, INSERTION_TYPES
 
 from conftest import make_config_text
 from confgen import random_config

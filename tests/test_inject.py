@@ -10,6 +10,7 @@ from dirtygen.datagen import clean_cell_value, generate_clean_dataset
 from dirtygen.errortypes import ERROR_TYPES, _interval_violation, apply_edit, edit_distance_one, misspell
 from dirtygen.inject import realized_counts
 from dirtygen.rng import derive_stream
+from dirtygen.taxonomy import INSERTION_TYPES
 
 from conftest import make_config_text
 from replay import replay
@@ -533,6 +534,24 @@ def test_verify_error_refuses_an_attribute_its_type_does_not_apply_to(base_confi
         assert type(verdict) is bool, (attr.name, verdict)
         if etype.applicable is not None and not etype.applicable(attr, base_config):
             assert verdict is False, attr.name
+
+
+@pytest.mark.parametrize("error_type", sorted(ERROR_TYPES))
+@pytest.mark.parametrize("logged_clean", [1, ABSENT])
+def test_verify_error_refuses_an_attribute_not_in_the_schema(base_config, error_type, logged_clean):
+    # A log may name an attribute the schema does not have, on a base row or
+    # an inserted one: the verdict is False, never an error.
+    from dirtygen.inject import ErrorLogEntry
+
+    clean = list(generate_clean_dataset(base_config))
+    inserted = error_type in INSERTION_TYPES
+    row = len(clean) if inserted else 0
+    entry = ErrorLogEntry(row, None if inserted else 0, "nosuch", error_type, logged_clean, ABSENT)
+    verdict = verify_error(
+        entry, None if inserted else clean[0], clean[0], base_config,
+        dirty_dataset=[*clean, clean[0]], clean_dataset=clean,
+    )
+    assert verdict is False
 
 
 @pytest.mark.parametrize(

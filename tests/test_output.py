@@ -18,15 +18,15 @@ from dirtygen import (
     score,
 )
 from dirtygen import output as output_module
-from dirtygen.inject import ErrorLogEntry
 from dirtygen.output import (
     DatasetWriter,
+    ErrorLogEntry,
     ErrorLogWriter,
     OutputSpec,
     _check_row,
     _strict_loads,
     encode_record,
-    read_dirty_and_repaired,
+    read_aligned,
 )
 
 
@@ -388,33 +388,30 @@ def test_ndjson_fast_path_reads_as_the_full_decode(tmp_path, line, allow_deleted
 
 
 def test_repaired_lines_identical_to_dirty_are_the_dirty_records(tmp_path):
+    clean = tmp_path / "clean.ndjson"
     dirty = tmp_path / "dirty.ndjson"
     repaired = tmp_path / "repaired.ndjson"
+    clean.write_text('{"a":0}\n{"a":0}\n{"a":0}\n', encoding="utf-8")
     dirty.write_text('{"a":1}\n{"a":2}\n{"a":3}\n', encoding="utf-8")
     repaired.write_text('{"a":1}\n{"a":2.0}\nnull\n', encoding="utf-8")
-    dirty_rows, repaired_rows = read_dirty_and_repaired(dirty, repaired)
+    _, dirty_rows, repaired_rows = read_aligned(clean, dirty, repaired)
     pairs = list(zip(dirty_rows, repaired_rows))
     assert pairs == [({"a": 1}, {"a": 1}), ({"a": 2}, {"a": 2.0}), ({"a": 3}, None)]
     assert pairs[0][1] is pairs[0][0]
     assert type(pairs[1][1]["a"]) is float
     # Read out of step, every line is decoded on its own.
-    dirty_rows, repaired_rows = read_dirty_and_repaired(dirty, repaired)
+    _, dirty_rows, repaired_rows = read_aligned(clean, dirty, repaired)
     assert list(repaired_rows) == [{"a": 1}, {"a": 2.0}, None]
     assert list(dirty_rows) == [{"a": 1}, {"a": 2}, {"a": 3}]
     # A malformed repaired line is reported against the repaired file.
     repaired.write_text('{"a":1}\n{"a":\n', encoding="utf-8")
-    dirty_rows, repaired_rows = read_dirty_and_repaired(dirty, repaired)
+    _, dirty_rows, repaired_rows = read_aligned(clean, dirty, repaired)
     with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(repaired))}: line 2: "):
         list(zip(dirty_rows, repaired_rows))
 
 
-def test_score_reads_dirty_before_repaired(tmp_path, monkeypatch):
-    # The identical-line shortcut holds only when each dirty row is read
-    # before the repaired row at its index, as score reads them.
-    dirty = tmp_path / "dirty.ndjson"
-    repaired = tmp_path / "repaired.ndjson"
-    dirty.write_text('{"a":1}\n{"a":2}\n{"a":3}\n', encoding="utf-8")
-    repaired.write_text('{"a":1}\n{"a":1}\n{"a":3}\n', encoding="utf-8")
+def _count_decodes(monkeypatch) -> list:
+    """The (file name, line number) of each line the readers decode from now on."""
     decoded = []
     decode = output_module._decode_line
 
@@ -423,14 +420,96 @@ def test_score_reads_dirty_before_repaired(tmp_path, monkeypatch):
         return decode(line, path, lineno, allow_deleted)
 
     monkeypatch.setattr(output_module, "_decode_line", counting)
-    clean = [{"a": 1}, {"a": 1}, {"a": 3}]
+    return decoded
+
+
+def test_score_reads_dirty_before_repaired(tmp_path, monkeypatch):
+    # The identical-line shortcut holds only when each dirty row is read
+    # before the repaired row at its index, as score reads them.
+    clean = tmp_path / "clean.ndjson"
+    dirty = tmp_path / "dirty.ndjson"
+    repaired = tmp_path / "repaired.ndjson"
+    # No clean line is byte-identical to its dirty line: each is decoded.
+    clean.write_text('{"a": 1}\n{"a": 1}\n{"a": 3}\n', encoding="utf-8")
+    dirty.write_text('{"a":1}\n{"a":2}\n{"a":3}\n', encoding="utf-8")
+    repaired.write_text('{"a":1}\n{"a":1}\n{"a":3}\n', encoding="utf-8")
+    decoded = _count_decodes(monkeypatch)
     log = [ErrorLogEntry(1, 1, "a", "erroneous_entry", 1, 2)]
-    metrics = score(clean, *read_dirty_and_repaired(dirty, repaired), log)
-    assert decoded == [
+    metrics = score(*read_aligned(clean, dirty, repaired), log)
+    assert [d for d in decoded if d[0] != "clean.ndjson"] == [
         ("dirty.ndjson", 1), ("dirty.ndjson", 2), ("repaired.ndjson", 2), ("dirty.ndjson", 3)
     ]
     assert metrics.counts["correct_repairs"] == 1
     assert metrics.counts["flagged"] == 1
+
+
+def test_dirty_lines_identical_to_clean_are_the_clean_records(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("clean.ndjson", "dirty.ndjson", "repaired.ndjson", "second.ndjson")]
+    contents = [
+        '{"a":1}\n{"a":2}\n{"a":3}\n',
+        '{"a":1}\n{"a":5}\n{"a":3}\n',
+        '{"a":1}\n{"a":2}\nnull\n',
+        '{"a":1}\n{"a":2}\nnull\n',
+    ]
+    for path, text in zip(paths, contents):
+        path.write_text(text, encoding="utf-8")
+    decoded = _count_decodes(monkeypatch)
+    rows = list(zip(*read_aligned(*paths)))
+    # Only the clean file and the lines that differ from the file before are decoded.
+    assert decoded == [
+        ("clean.ndjson", 1), ("clean.ndjson", 2), ("dirty.ndjson", 2), ("repaired.ndjson", 2),
+        ("clean.ndjson", 3), ("repaired.ndjson", 3),
+    ]
+    assert rows == [({"a": 1},) * 4, ({"a": 2}, {"a": 5}, {"a": 2}, {"a": 2}), ({"a": 3}, {"a": 3}, None, None)]
+    assert all(record is rows[0][0] for record in rows[0])
+    assert rows[1][3] is rows[1][2] and rows[2][1] is rows[2][0]
+
+
+# The lines of an aligned file: a record, the same record with spaces (equal
+# values, other bytes), a deleted row, or a malformed line.
+_RECORD = st.fixed_dictionaries({"a": st.integers(0, 2)}, optional={"b": st.sampled_from([0, 0.0, -0.0, True])})
+_LINE = (
+    _RECORD.map(encode_record)
+    | _RECORD.map(json.dumps)
+    | st.sampled_from(["null", '{"a":', "[1]", ""])
+)
+
+
+@st.composite
+def _aligned_files(draw):
+    """Three files as lists of lines: each line is drawn afresh or copied
+    from the previous file's line at its index, and lengths may differ."""
+    files = [draw(st.lists(_LINE, max_size=6))]
+    for _ in range(2):
+        previous = files[-1]
+        lines = [
+            draw(st.sampled_from([line, draw(_LINE)])) for line in previous
+        ] + draw(st.lists(_LINE, max_size=2))
+        files.append(lines[: draw(st.integers(0, len(lines)))])
+    return files
+
+
+def _score_or_error(clean, dirty, repaired, log):
+    try:
+        return score(clean, dirty, repaired, log).to_dict()
+    except DirtygenError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=_aligned_files(), logged=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(["a", "b"])), max_size=3))
+def test_aligned_reader_scores_as_independent_readers(files, logged):
+    log = [ErrorLogEntry(row, row, attribute, "missing_value", 0, None) for row, attribute in logged]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{name}.ndjson" for name in ("clean", "dirty", "repaired")]
+        for path, lines in zip(paths, files):
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        # Independent streams read in score's order, as evaluate read them
+        # before the aligned reader: the same result, or the same first error.
+        expected = _score_or_error(
+            read_dataset(paths[0]), read_dataset(paths[1]), read_dataset(paths[2], allow_deleted=True), log
+        )
+        assert _score_or_error(*read_aligned(*paths), log) == expected
 
 
 # Pieces of the readers' formats, of JSON and of bad UTF-8, so that drawn
@@ -447,7 +526,10 @@ _BYTES = st.lists(
 _READERS = {
     "ndjson": lambda a, b: list(read_dataset(a, "ndjson", allow_deleted=True)),
     "json_array": lambda a, b: list(read_dataset(a, "json_array")),
-    "dirty_and_repaired": lambda a, b: list(zip_longest(*read_dirty_and_repaired(a, b))),
+    # a repaired file after a dirty one that is also the clean file
+    "dirty_and_repaired": lambda a, b: list(zip_longest(*read_aligned(a, a, b))),
+    # two repair stages after a clean and a dirty file
+    "aligned": lambda a, b: list(zip_longest(*read_aligned(a, b, a, b))),
     "error_log": lambda a, b: read_error_log(a),
     "config": lambda a, b: load_config(a),
 }
