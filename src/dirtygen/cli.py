@@ -93,7 +93,6 @@ def cmd_generate(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     out = config.output
-    out.directory.mkdir(parents=True, exist_ok=True)
     clean_writer = DatasetWriter(out, "clean", config.tuple_count)
     dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
     counts: Counter = Counter()

@@ -2,13 +2,14 @@
 
 A run is described by one JSON document with sections `schema`,
 `dependencies`, `errors`, `generation`, and `output`. Its grammar is declared
-once, below: every key of every section, of each value-source kind and of
-each error type's params is one Field entry with its JSON type, its default
-and its bound, and ErrorType.params (errortypes.py) holds such entries. One
-walker enforces the grammar and raises every shape, type and bound
-ConfigError; the hand-written checks that follow only relate several keys
-(constraint interactions, domains, dependencies, uniqueness, sequences,
-feasibility, and the attribute names an error spec refers to).
+once: every key of every section and of each value-source kind is one Field
+entry below, with its JSON type, its default and its bound, and each error
+type's params are such entries written in the type's own record
+(ErrorType.params, errortypes.py). One walker enforces the grammar and
+raises every shape, type and bound ConfigError; the hand-written checks
+that follow only relate several keys (constraint interactions, domains,
+dependencies, uniqueness, sequences, feasibility, and the attribute names an
+error spec refers to).
 
 parse_config turns the document into a fully validated GeneratorConfig:
 every lexicon is loaded, every constraint cross-checked, every error spec
@@ -270,22 +271,22 @@ def _one_of(*values: str) -> tuple:
     return values.__contains__, f"must be one of {', '.join(values)}"
 
 
-_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
-_POSITIVE = (lambda v: v > 0, "must be > 0")
+NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_EMPTY = (bool, "must not be empty")
 
 SOURCE = Tagged("kind", "source kind", {
     "lexicon": {"name": Field("string"), "path": Field("string")},
     "numeric": Tagged("distribution", "distribution", {
         "uniform": {"min": Field("number", REQUIRED), "max": Field("number", REQUIRED)},
-        "normal": {"mean": Field("number", REQUIRED), "stddev": Field("number", REQUIRED, *_POSITIVE)},
+        "normal": {"mean": Field("number", REQUIRED), "stddev": Field("number", REQUIRED, *POSITIVE)},
     }),
     "template": {"template": Field("string", REQUIRED, *_NON_EMPTY)},
     "sequence": {"start": Field("number", 0), "step": Field("number", 1)},
     "set": {
         "values": Field("list", REQUIRED, *_NON_EMPTY),
         "weights": Field("list", None, lambda ws: sum(ws) > 0, "must have a positive sum",
-                         Field("number", REQUIRED, *_NON_NEGATIVE)),
+                         Field("number", REQUIRED, *NON_NEGATIVE)),
     },
 })
 # The datatypes each source kind's values can take, unless an admissible_set
@@ -324,31 +325,14 @@ ERROR_SPEC = {
     "params": Field("object", {}),  # walked by the error type's own params section
 }
 
-# The params of the error types that take any (ErrorType.params).
-OUTLIER_PARAMS = {"k": Field("number", 5.0, *_POSITIVE)}
-NOISE_PARAMS = {"alpha": Field("number", 0.05, *_POSITIVE)}
-SEMI_EMPTY_PARAMS = {"empty_fraction": Field("number", 0.7, lambda f: 0 < f < 1, "must be in (0, 1)")}
-REDUNDANCY_PARAMS = {
-    "near_duplicate": Field("boolean", True),
-    "perturbed_attributes": Field("integer", 1, *_NON_NEGATIVE),
-}
-OFFDOMAIN_PARAMS = {"offdomain": Field("object", None, items=Field(SOURCE))}
-BIAS_PARAMS = {
-    "group_attribute": Field("string", REQUIRED),
-    "group_value": Field("any", REQUIRED),  # typed as the group attribute's datatype
-    "target_attribute": Field("string", REQUIRED),
-    "shift": Field("number", None, bool, "must not be zero"),  # default: the target's stddev
-    "skewed_weights": Field("object", None, items=Field("number", REQUIRED, *_NON_NEGATIVE)),
-}
-
 MAX_SHARDS = 10_000
 MAX_WIDTH = 10_000  # attributes after column replication
 SCALING = {
-    "column_replication": Field("integer", 0, *_NON_NEGATIVE),  # bounded by MAX_WIDTH
+    "column_replication": Field("integer", 0, *NON_NEGATIVE),  # bounded by MAX_WIDTH
     "shard_count": Field("integer", 1, lambda n: 1 <= n <= MAX_SHARDS, f"must be in [1, {MAX_SHARDS}]"),
 }
 GENERATION = {
-    "tuple_count": Field("integer", REQUIRED, *_NON_NEGATIVE),
+    "tuple_count": Field("integer", REQUIRED, *NON_NEGATIVE),
     "seed": Field("integer", 0, lambda s: 0 <= s < 1 << 64, "must be an unsigned 64-bit integer"),
     "scaling": Field(SCALING, {}),
 }

@@ -152,7 +152,9 @@ def generate_clean_dataset(config: GeneratorConfig) -> Iterator[dict]:
 
 
 def value_in_domain(attr: AttributeSpec, value, config: GeneratorConfig) -> bool:
-    """Could the clean generator have produced this value for this attribute?"""
+    """Could the clean generator have produced this value for this attribute?
+    A null is a member where the attribute is declared nullable, and where it
+    may be null through its determinants (a dependent is null where they are)."""
     if value is None:
-        return attr.nullable_in_clean
+        return attr.nullable_in_clean or may_be_null(attr, config)
     return attr.domain.contains(value)

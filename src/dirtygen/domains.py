@@ -85,11 +85,6 @@ def weighted_choice(weights: tuple[float, ...]) -> Callable[[float], int]:
     return lambda u: min(bisect_right(sums, u * total), last)
 
 
-def weighted_index(stream, weights: tuple[float, ...]) -> int:
-    """Index i drawn with probability weights[i] / sum(weights)."""
-    return weighted_choice(weights)(stream.random())
-
-
 def finite(values: tuple, weights: tuple[float, ...] | None = None) -> Domain:
     """The domain listed by values; draws pick by weight when weights are given."""
     n = len(values)

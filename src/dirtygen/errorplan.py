@@ -18,7 +18,7 @@ from .config import ErrorSpec, GeneratorConfig
 from .datagen import clean_cell_value, may_be_null
 from .errortypes import ERROR_TYPES, ErrorType
 from .exceptions import PlanError
-from .rng import IndexPermutation, Stream, address_key
+from .rng import IndexPermutation, address_key, derive_stream
 from .taxonomy import STAGE_INSERTION, split_count
 
 
@@ -101,7 +101,7 @@ def plan_errors(config: GeneratorConfig) -> ErrorPlan:
     for index, spec in staged:
         etype = ERROR_TYPES[spec.error_type]
         if etype.stage == STAGE_INSERTION:
-            stream = Stream(address_key(config.seed, f"plan:{etype.name}"))
+            stream = derive_stream(config.seed, f"plan:{etype.name}")
             for _ in range(spec.count):
                 # n >= 1 whenever count >= 1
                 source = stream.randrange(n) if etype.draws_source else None

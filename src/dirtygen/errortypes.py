@@ -2,13 +2,15 @@
 
 One ErrorType record per type holds everything the pipeline needs to know
 about it but its planning stage (taxonomy.ERROR_STAGES): its rate
-population, which attributes it can target, its params (their grammar
-entries in config.py) and the checks that relate them to the schema, how
-the planner picks its targets, how the injector dirties them, and how
-verify_error proves that the dirty side violates the type's defining
-property while the clean side satisfies it. config, errorplan, inject and
-cli look types up in ERROR_TYPES rather than testing names, so a new type
-is one record and one stage, and a fix to one is one record.
+population, which attributes it can target, its params (their config
+grammar entries, written in the record) and the checks that relate them to
+the schema, how the planner picks its targets, how the injector dirties
+them, and how verify_error proves that the dirty side violates the type's
+defining property while the clean side satisfies it. What the stage says
+the record does not repeat: a row or insertion type's rate counts tuples
+because of its stage. config, errorplan, inject and cli look types up in
+ERROR_TYPES rather than testing names, so a new type is one record and one
+stage, and a fix to one is one record.
 
 The stage is the planning stage, which fixes claim order and population; it
 can differ from the paper's conceptual scope (irrelevant_observation is "one
@@ -24,30 +26,18 @@ from itertools import compress, repeat
 from operator import eq
 from typing import Callable, Iterator
 
-from .config import (
-    BIAS_PARAMS,
-    NOISE_PARAMS,
-    OFFDOMAIN_PARAMS,
-    OUTLIER_PARAMS,
-    REDUNDANCY_PARAMS,
-    REQUIRED,
-    SEMI_EMPTY_PARAMS,
-    AttributeSpec,
-    build_source,
-)
+from .config import NON_NEGATIVE, POSITIVE, REQUIRED, SOURCE, AttributeSpec, Field, build_source
 from .datagen import clean_cell_value, generate_record, may_be_null, value_in_domain
-from .domains import resolve, weighted_index
+from .domains import resolve, weighted_choice
 from .exceptions import ConfigError, GenerationError
 from .rng import NORMAL_Z_BOUND, Stream, derive_stream
 from .taxonomy import ABSENT, ERROR_STAGES, STAGE_CELL, STAGE_COLUMN, STAGE_INSERTION, STAGE_ROW, round_half_away
+from .templates import CLASSES
 
 _RETRY_LIMIT = 1000
 _DONOR_ATTEMPTS = 128
-_MEANINGLESS_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789#?%"
-
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
-_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_DIGITS = "0123456789"
+_LOWER, _UPPER, _DIGITS = CLASSES["a"], CLASSES["A"], CLASSES["#"]
+_MEANINGLESS_ALPHABET = _LOWER + _DIGITS + "#?%"
 
 EDIT_OPERATIONS = ("substitute", "insert", "delete", "transpose")
 
@@ -61,7 +51,10 @@ _SCOPES = {
 
 @dataclass(frozen=True, eq=False)  # one record per type: identity is equality
 class ErrorType:
-    """What one error type means, for every step of the pipeline.
+    """What one error type means, for every step of the pipeline. Its
+    stage, scope and marker derive from its name's ERROR_STAGES entry, and
+    per_tuple from the marker and counts_tuples; params holds its config
+    grammar.
 
     The callables take arguments that depend on the stage:
 
@@ -85,7 +78,7 @@ class ErrorType:
     inject: Callable
     verify: Callable
     verify_marker: Callable | None = None
-    per_tuple: bool = False  # the rate counts tuples, not target cells (ErrorSpec.population)
+    counts_tuples: bool = False  # a column type whose rate counts tuples; see per_tuple
     applicable: Callable | None = None  # (attr, config) -> bool; None: takes no target attributes
     single_target: bool = False
     params: dict = field(default_factory=dict)  # key -> its Field of the config grammar
@@ -115,6 +108,12 @@ class ErrorType:
         """Row and insertion types log a marker entry (attribute None) first;
         the marker, not the cell entries, is what their counts count."""
         return self.stage in (STAGE_ROW, STAGE_INSERTION)
+
+    @property
+    def per_tuple(self) -> bool:
+        """The rate counts tuples, not target cells (ErrorSpec.population): by
+        its stage for a row or insertion type, else by counts_tuples."""
+        return self.marker or self.counts_tuples
 
     @cached_property
     def defaults(self) -> dict:
@@ -524,10 +523,9 @@ def _bias(clean, attr, stream, config, params, entry):
     weights = params.get("skewed_weights")
     if weights is None:
         return clean + params["shift"]
-    values = list(weights)
-    weight_list = tuple(weights[v] for v in values)
+    values, choose = list(weights), weighted_choice(tuple(weights.values()))
     for _ in range(_RETRY_LIMIT):
-        value = values[weighted_index(stream, weight_list)]
+        value = values[choose(stream.random())]
         if value != clean:
             return value
     raise GenerationError("bias redraw never left the clean value")
@@ -649,11 +647,9 @@ def _choose_rule(config, spec, row, attribute, claims) -> dict | None:
     violable = _breakable_rules(config)
     stream = derive_stream(config.seed, "plan:inconsistency_among_attribute_values", row)
     rule_index = violable[stream.randrange(len(violable))]
-    rule = config.dependencies[rule_index]
-    memo: dict = {}
-    if clean_cell_value(config, row, rule.determinant, memo) is None:
-        return None
-    if clean_cell_value(config, row, rule.dependent, memo) is None:
+    # The mapping is total and never null, so the dependent is null exactly
+    # where its determinant is.
+    if clean_cell_value(config, row, config.dependencies[rule_index].determinant) is None:
         return None
     return {"rule_index": rule_index}
 
@@ -921,20 +917,26 @@ _RECORDS = (
     ErrorType(
         "outlier", _outlier, _is_outlier,
         applicable=_distribution_sourced,
-        params=OUTLIER_PARAMS,
+        params={"k": Field("number", 5.0, *POSITIVE)},
         bound=_outlier_bound,
     ),
     ErrorType(
         "missing_attribute", lambda *_: ABSENT, _key_removed,
-        per_tuple=True,
+        counts_tuples=True,
         applicable=_always,
         single_target=True,
         needs_value=False,
     ),
     ErrorType(
         "bias", _bias, _is_biased,
-        per_tuple=True,
-        params=BIAS_PARAMS,
+        counts_tuples=True,
+        params={
+            "group_attribute": Field("string", REQUIRED),
+            "group_value": Field("any", REQUIRED),  # typed as the group attribute's datatype
+            "target_attribute": Field("string", REQUIRED),
+            "shift": Field("number", None, bool, "must not be zero"),  # default: the target's stddev
+            "skewed_weights": Field("object", None, items=Field("number", REQUIRED, *NON_NEGATIVE)),
+        },
         parse=_parse_bias,
         targets=lambda spec: (spec.params["target_attribute"],),
         eligible=_in_group,
@@ -944,42 +946,40 @@ _RECORDS = (
     ErrorType(
         "noise", _noise, _is_noise,
         applicable=_distribution_sourced,
-        params=NOISE_PARAMS,
+        params={"alpha": Field("number", 0.05, *POSITIVE)},
         bound=_noise_bound,
     ),
     ErrorType(
         "semi_empty_tuple", _semi_empty, _nulled, _is_semi_empty,
-        per_tuple=True,
-        params=SEMI_EMPTY_PARAMS,
+        params={"empty_fraction": Field("number", 0.7, lambda f: 0 < f < 1, "must be in (0, 1)")},
         parse=_parse_semi_empty,
         eligible=_can_empty,
     ),
     ErrorType(
         "inconsistency_among_attribute_values",
         _break_rule, _breaks_rule_cell, _breaks_a_rule,
-        per_tuple=True,
         parse=_parse_inconsistency_among,
         eligible=_choose_rule,
     ),
     ErrorType(
         "irrelevant_observation",
         _irrelevant_row, _out_of_domain, _all_out_of_domain,
-        per_tuple=True,
-        params=OFFDOMAIN_PARAMS,
+        params={"offdomain": Field("object", None, items=Field(SOURCE))},
         parse=_parse_offdomain,
         draws_source=False,
     ),
     ErrorType(
         "redundancy_about_entity",
         _near_duplicate, _misspelled_copy, _duplicates_a_tuple,
-        per_tuple=True,
-        params=REDUNDANCY_PARAMS,
+        params={
+            "near_duplicate": Field("boolean", True),
+            "perturbed_attributes": Field("integer", 1, *NON_NEGATIVE),
+        },
         parse=_parse_redundancy,
     ),
     ErrorType(
         "inconsistency_about_entity",
         _conflicting_copy, _in_domain, _conflicts_with_a_tuple,
-        per_tuple=True,
         parse=_parse_inconsistency_about,
     ),
 )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, score, verify_error
+from dirtygen import ABSENT, apply_plan, load_config, parse_config, plan_errors, score, verify_error
 from dirtygen.cli import main as cli_main
 from dirtygen.datagen import generate_clean_dataset, may_be_null, value_in_domain
 from dirtygen.errortypes import ALL_ERROR_TYPES
@@ -482,20 +482,24 @@ _GOLDEN_DIGESTS = {
 }
 
 
+def _golden_config_path(name: str, tmp_path: Path) -> Path:
+    if name == "demo":
+        return Path(__file__).resolve().parent.parent / "sample_configs" / "demo.json"
+    doc = {
+        "dense": _golden_dense_doc,
+        "params": _golden_params_doc,
+        "sources": _golden_sources_doc,
+        "sources_1k": _golden_sources_1k_doc,
+    }[name]()
+    config_path = tmp_path / f"{name}.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    return config_path
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN_DIGESTS))
 @pytest.mark.acceptance("C3 reproducibility (pinned golden digests)")
 def test_c3_golden_digests(name, tmp_path):
-    if name == "demo":
-        config_path = Path(__file__).resolve().parent.parent / "sample_configs" / "demo.json"
-    else:
-        doc = {
-            "dense": _golden_dense_doc,
-            "params": _golden_params_doc,
-            "sources": _golden_sources_doc,
-            "sources_1k": _golden_sources_1k_doc,
-        }[name]()
-        config_path = tmp_path / f"{name}.json"
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
+    config_path = _golden_config_path(name, tmp_path)
     out = tmp_path / "out"
     assert cli_main(["generate", "--config", str(config_path), "--out", str(out)]) == 0
     digests = {
@@ -507,6 +511,18 @@ def test_c3_golden_digests(name, tmp_path):
         f"{name}: output bytes moved. A moved digest is a change of the output "
         f"format; a change that moves it must declare it as one and re-pin here."
     )
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_DIGESTS))
+def test_golden_clean_values_are_members(name, tmp_path):
+    # value_in_domain answers "could the clean generator write this?", and the
+    # generator wrote every clean value, nulls included: the sources goldens'
+    # zone and zonecode are null wherever their nullable determinant city is.
+    config = load_config(_golden_config_path(name, tmp_path))
+    for record in generate_clean_dataset(config):
+        for attr in config.schema:
+            value = record[attr.name]
+            assert value_in_domain(attr, value, config), (name, attr.name, value)
 
 
 # ---------------------------------------------------------------------------

@@ -30,31 +30,63 @@ def test_each_type_keeps_its_planning_stage_and_order():
     assert INSERTION_TYPES == ("irrelevant_observation", "redundancy_about_entity", "inconsistency_about_entity")
 
 
-def test_population_cell_level_counts_cells():
-    config = parse_with_errors(
-        [{"type": "missing_value", "rate": 0.1, "attributes": ["city", "age"]}],
-        tuple_count=500,
-    )
-    assert config.errors[0].population == 1000
-    assert config.errors[0].count == 100
+# Two targets for every type that takes them (missing_attribute takes one,
+# bias names its target in params); the extra attributes give each type a
+# second applicable attribute.
+_POPULATION_TARGETS = {
+    "missing_value": ["city", "age"],
+    "syntax_violation": ["code", "ref"],
+    "interval_violation": ["age", "height"],
+    "set_violation": ["grade", "level"],
+    "misspelling": ["first_name", "city"],
+    "inadequate_value_to_attribute_context": ["first_name", "city"],
+    "value_items_beyond_attribute_context": ["first_name", "city"],
+    "meaningless_value": ["first_name", "age"],
+    "erroneous_entry": ["first_name", "city"],
+    "uniqueness_value_violation": ["id", "code"],
+    "synonyms_existence": ["city", "grade"],
+    "outlier": ["age", "score"],
+    "missing_attribute": ["city"],
+    "noise": ["score", "height"],
+}
+_POPULATION_ATTRIBUTES = [
+    {"name": "code", "datatype": "string", "source": {"kind": "template", "template": "AA-###"}, "unique": True},
+    {"name": "ref", "datatype": "string", "source": {"kind": "template", "template": "#a"}},
+    {"name": "grade", "datatype": "string", "source": {"kind": "set", "values": ["A", "B", "C"]},
+     "admissible_set": ["A", "B", "C"], "synonyms": {"A": ["a"], "B": ["b"], "C": ["c"]}},
+    {"name": "level", "datatype": "integer", "source": {"kind": "set", "values": [1, 2, 3]},
+     "admissible_set": [1, 2, 3]},
+    {"name": "height", "datatype": "float",
+     "source": {"kind": "numeric", "distribution": "uniform", "min": 1.4, "max": 2.1}, "interval": [1.4, 2.1]},
+]
+# Tuples for the seven types whose rate counts tuples, target cells (two
+# targets x tuples) for the rest; written out, not read from the registry.
+_POPULATION_PER_TUPLES = {
+    "missing_value": 2, "syntax_violation": 2, "interval_violation": 2, "set_violation": 2,
+    "misspelling": 2, "inadequate_value_to_attribute_context": 2,
+    "value_items_beyond_attribute_context": 2, "meaningless_value": 2, "erroneous_entry": 2,
+    "uniqueness_value_violation": 2, "synonyms_existence": 2, "outlier": 2, "noise": 2,
+    "missing_attribute": 1, "bias": 1, "semi_empty_tuple": 1,
+    "inconsistency_among_attribute_values": 1, "irrelevant_observation": 1,
+    "redundancy_about_entity": 1, "inconsistency_about_entity": 1,
+}
 
 
-def test_population_insertions_count_tuples():
-    config = parse_with_errors(
-        [{"type": "redundancy_about_entity", "rate": 0.02}], tuple_count=1000
-    )
-    assert config.errors[0].population == 1000
-    assert config.errors[0].count == 20
+@pytest.mark.parametrize("error_type", ERROR_TYPES)
+def test_population_counts_tuples_or_target_cells(error_type):
+    spec = {"type": error_type, "rate": 0.1}
+    if error_type in _POPULATION_TARGETS:
+        spec["attributes"] = _POPULATION_TARGETS[error_type]
+    if error_type == "bias":
+        spec["params"] = {"group_attribute": "city", "group_value": "Berlin", "target_attribute": "score"}
+    schema = json.loads(make_config_text())["schema"] + _POPULATION_ATTRIBUTES
+    config = parse_with_errors([spec], schema=schema, tuple_count=100)
+    (parsed,) = config.errors
+    assert parsed.population == 100 * _POPULATION_PER_TUPLES[error_type]
+    assert parsed.count == parsed.population // 10
     plan = plan_errors(config)
-    assert plan.inserted_count == 20
-
-
-def test_population_uniqueness_single_attribute():
-    config = parse_with_errors(
-        [{"type": "uniqueness_value_violation", "rate": 0.1, "attributes": ["id"]}],
-        tuple_count=100,
-    )
-    assert config.errors[0].population == 100
+    assert len(plan.entries) == parsed.count
+    assert plan.inserted_count == (parsed.count if error_type in INSERTION_TYPES else 0)
 
 
 def test_zero_rates_empty_plan():
