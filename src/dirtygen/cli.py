@@ -10,8 +10,8 @@ Human-readable output goes to stdout, machine artifacts to files, error
 messages to stderr. The commands only do the work: main alone turns an error
 into its message and exit code, by the _FAILURES table.
 
-Only the scoring modules load with this one; generate and validate load the
-generator when they run, and call it through the package namespace.
+Only the output modules load with this one; each command loads the rest of
+what it runs when it runs, and calls it through the package namespace.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from pathlib import Path
 import dirtygen as dg
 
 from . import __version__
-from .evalkit import score
 from .exceptions import ConfigError, DirtygenError, EvaluationError, GenerationError
 from .output import DatasetWriter, ErrorLogWriter, read_aligned, read_error_log, write_manifest
 
@@ -79,8 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    from .datagen import clean_column_blocks
     from .errorplan import format_plan
-    from .inject import realized_counts
+    from .inject import inject_insertions, inject_row, realized_counts
+    from .output import encode_record, encode_rows
 
     started = time.monotonic()
     config = dg.load_config(args.config, seed_override=args.seed, output_dir_override=args.out)
@@ -96,24 +97,32 @@ def cmd_generate(args) -> int:
     clean_writer = DatasetWriter(out, "clean", config.tuple_count)
     dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
     counts: Counter = Counter()
-    last_clean = [None, None]  # the latest clean record and its encoded line
-
-    def clean_and_tee():
-        for record in dg.generate_clean_dataset(config):
-            last_clean[:] = record, clean_writer.write(record)
-            yield record
+    names, row_entries = config.attribute_names, plan.row_entries
 
     with open(out.log_path, "w", encoding="utf-8", newline="\n") as log_file:
         log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
-        for dirty_record, entries in dg.inject_stream(clean_and_tee(), plan, config):
-            # inject_stream passes an untouched row through as the clean
-            # dict itself, with no log entries: its line is already encoded.
-            untouched = not entries and dirty_record is last_clean[0]
-            dirty_writer.write(dirty_record, last_clean[1] if untouched else None)
-            if entries:  # most rows have none, and build nothing
-                for entry in entries:
-                    log_writer.write(entry)
-                counts.update(realized_counts(entries))
+
+        def log(entries):
+            for entry in entries:
+                log_writer.write(entry)
+            counts.update(realized_counts(entries))
+
+        # Block by block: an untouched dirty row is its clean line, and only
+        # a planned row is built as a record, injected and encoded again.
+        for lo, columns in clean_column_blocks(config):
+            lines = encode_rows(names, columns)
+            clean_writer.write_lines(lines)
+            planned = list(filter(row_entries.__contains__, range(lo, lo + len(lines))))
+            dirty_lines = list(lines) if planned else lines
+            for row in planned:
+                clean = dict(zip(names, [column[row - lo] for column in columns]))
+                dirty, entries = inject_row(clean, row_entries[row], row, config)
+                dirty_lines[row - lo] = encode_record(dirty)
+                log(entries)
+            dirty_writer.write_lines(dirty_lines)
+        for record, entries in inject_insertions(plan, config):
+            dirty_writer.write(record)
+            log(entries)
     clean_paths = clean_writer.close()
     dirty_paths = dirty_writer.close()
 
@@ -166,7 +175,7 @@ def cmd_evaluate(args) -> int:
     # score reads the three datasets as it goes, so format and I/O errors in
     # them surface from inside it, before any report is written.
     log = read_error_log(args.log)
-    metrics = score(*read_aligned(args.clean, args.dirty, args.repaired), log)
+    metrics = dg.score(*read_aligned(args.clean, args.dirty, args.repaired), log)
 
     if args.report:
         report_path = Path(args.report)

@@ -157,11 +157,14 @@ class ErrorSpec:
     params: dict = field(default_factory=dict)
 
     def signature(self) -> dict:
+        """The hashed form; the type's record says how its params enter it."""
+        from .errortypes import ERROR_TYPES  # the registry imports this module
+
         return {
             "type": self.error_type,
             "rate": self.rate,
             "attributes": list(self.target_attributes),
-            "params": self.params,
+            "params": ERROR_TYPES[self.error_type].signature(self.params),
         }
 
 
@@ -956,7 +959,7 @@ def compute_config_hash(config: GeneratorConfig) -> str:
     canonical = {
         "schema": [a.signature() for a in config.schema],
         "dependencies": [r.signature() for r in config.dependencies],
-        "errors": [_error_signature(s) for s in config.errors],
+        "errors": [s.signature() for s in config.errors],
         "generation": {
             "tuple_count": config.tuple_count,
             "seed": config.seed,
@@ -967,17 +970,3 @@ def compute_config_hash(config: GeneratorConfig) -> str:
     }
     encoded = json.dumps(canonical, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def _error_signature(spec: ErrorSpec) -> dict:
-    sig = spec.signature()
-    params = {}
-    for key, value in sig["params"].items():
-        if key == "offdomain" and isinstance(value, dict):
-            params[key] = {name: source_signature(carrier.source) for name, carrier in value.items()}
-        elif key == "skewed_weights" and isinstance(value, dict):
-            params[key] = {json.dumps(k, ensure_ascii=False): w for k, w in value.items()}
-        else:
-            params[key] = value
-    sig["params"] = params
-    return sig

@@ -123,28 +123,34 @@ def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, 
     return value
 
 
-def _records(config: GeneratorConfig, block: TupleBlock) -> list[dict]:
-    """The clean records of a block, keys in schema order, zipped from one
-    column per attribute; a dependent maps its determinant's column."""
+def _columns(config: GeneratorConfig, block: TupleBlock) -> list[list]:
+    """The clean columns of a block in schema order, one per attribute; a
+    dependent maps its determinant's column."""
     columns = {}
     for attr in map(config.attribute, config.eval_order):
         rule = attr.dependency
         columns[attr.name] = attr.column(block if rule is None else columns[rule.determinant])
-    names = config.attribute_names
-    return [dict(zip(names, row)) for row in zip(*[columns[name] for name in names])]
+    return [columns[name] for name in config.attribute_names]
 
 
 def generate_record(config: GeneratorConfig, tuple_index: int) -> dict:
     """One clean record, keys in schema order."""
-    (record,) = _records(config, _one_tuple(config, tuple_index))
-    return record
+    columns = _columns(config, _one_tuple(config, tuple_index))
+    return dict(zip(config.attribute_names, [column[0] for column in columns]))
+
+
+def clean_column_blocks(config: GeneratorConfig) -> Iterator[tuple[int, list[list]]]:
+    """The first tuple index and the clean columns of each block of tuples,
+    in index order, for all tuple_count tuples; memory does not grow with N."""
+    for lo in range(0, config.tuple_count, BLOCK_TUPLES):
+        yield lo, _columns(config, TupleBlock(lo, min(lo + BLOCK_TUPLES, config.tuple_count)))
 
 
 def generate_clean_dataset(config: GeneratorConfig) -> Iterator[dict]:
-    """All tuple_count records in index order, built from the columns of one
-    block of tuples at a time; memory does not grow with N."""
-    for lo in range(0, config.tuple_count, BLOCK_TUPLES):
-        yield from _records(config, TupleBlock(lo, min(lo + BLOCK_TUPLES, config.tuple_count)))
+    """All tuple_count records in index order, zipped from clean_column_blocks."""
+    names = config.attribute_names
+    for _, columns in clean_column_blocks(config):
+        yield from [dict(zip(names, row)) for row in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------

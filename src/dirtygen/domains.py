@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 from .exceptions import ConfigError, GenerationError
@@ -269,6 +268,8 @@ def _normal_domain(attr) -> Domain:
 
 def _normal_grid(attr, size: int) -> Callable:
     """k -> the quantile at point (k + 0.5) / size of the interval's probability mass."""
+    from statistics import NormalDist  # it loads fractions and decimal: only unique normals pay
+
     dist = NormalDist(attr.source["mean"], attr.source["stddev"])
     p_lo, p_hi = 0.0, 1.0
     if attr.interval is not None:

@@ -19,6 +19,7 @@ row" in the paper but is planned as an insertion).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,7 +27,7 @@ from itertools import compress, repeat
 from operator import eq
 from typing import Callable, Iterator
 
-from .config import NON_NEGATIVE, POSITIVE, REQUIRED, SOURCE, AttributeSpec, Field, build_source
+from .config import NON_NEGATIVE, POSITIVE, REQUIRED, SOURCE, AttributeSpec, Field, build_source, source_signature
 from .datagen import clean_cell_value, generate_record, may_be_null, value_in_domain
 from .domains import resolve, weighted_choice
 from .exceptions import ConfigError, GenerationError
@@ -83,6 +84,7 @@ class ErrorType:
     single_target: bool = False
     params: dict = field(default_factory=dict)  # key -> its Field of the config grammar
     parse: Callable | None = None  # (params, where, config): checks against the config, completes params
+    signature: Callable = lambda params: params  # parsed params -> their hashed form, as JSON
     targets: Callable = lambda spec: spec.target_attributes
     needs_value: bool = True  # the planner skips cells whose clean value is null
     eligible: Callable | None = None
@@ -857,6 +859,12 @@ def _parse_inconsistency_about(params: dict, where: str, config) -> None:
 # ---------------------------------------------------------------------------
 # The registry, in declaration order
 
+
+def _hashed(key: str, form: Callable) -> Callable:
+    """The signature of a type whose parsed params[key], where given, is hashed in its form."""
+    return lambda params: params if key not in params else params | {key: form(params[key])}
+
+
 _RECORDS = (
     ErrorType(
         "missing_value", lambda *_: None, _nulled, applicable=_always,
@@ -938,6 +946,7 @@ _RECORDS = (
             "skewed_weights": Field("object", None, items=Field("number", REQUIRED, *NON_NEGATIVE)),
         },
         parse=_parse_bias,
+        signature=_hashed("skewed_weights", lambda w: {json.dumps(k, ensure_ascii=False): v for k, v in w.items()}),
         targets=lambda spec: (spec.params["target_attribute"],),
         eligible=_in_group,
         shortfall=_bias_shortfall,
@@ -966,6 +975,7 @@ _RECORDS = (
         _irrelevant_row, _out_of_domain, _all_out_of_domain,
         params={"offdomain": Field("object", None, items=Field(SOURCE))},
         parse=_parse_offdomain,
+        signature=_hashed("offdomain", lambda carriers: {n: source_signature(c.source) for n, c in carriers.items()}),
         draws_source=False,
     ),
     ErrorType(

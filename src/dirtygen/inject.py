@@ -72,37 +72,45 @@ def _build_insertion(
     return record, logs
 
 
+def inject_row(
+    clean: dict, entries: list[PlanEntry], row: int, config: GeneratorConfig
+) -> tuple[dict, list[ErrorLogEntry]]:
+    """The dirty record of one planned base row and its log entries; a row
+    type's entry applies first, then the cells' in schema order."""
+    dirty = dict(clean)
+    logs: list[ErrorLogEntry] = []
+    positions = config.attr_positions
+    for entry in sorted(entries, key=lambda e: -1 if e.attribute is None else positions[e.attribute]):
+        logs.extend(_apply_base_entry(entry, dirty, clean, row, config))
+    return dirty, logs
+
+
+def inject_insertions(plan: ErrorPlan, config: GeneratorConfig) -> Iterator[tuple[dict, list[ErrorLogEntry]]]:
+    """The inserted records with their log entries, in plan order; they take
+    dirty indices base_count, base_count + 1, ..."""
+    for offset, entry in enumerate(plan.insertions):
+        yield _build_insertion(config, entry, plan.base_count + offset)
+
+
 def inject_stream(
     clean_records: Iterable[dict], plan: ErrorPlan, config: GeneratorConfig
 ) -> Iterator[tuple[dict, list[ErrorLogEntry]]]:
     """Stream dirty records with their log entries; insertions come last.
 
     Base tuples keep their clean index as both file position and dirty
-    index; inserted tuples take indices base_count, base_count + 1, ... in
-    plan order. No buffering beyond the current record is needed.
+    index; an untouched one passes through as the clean record itself. No
+    buffering beyond the current record is needed.
     """
     count = 0
     for row, clean in enumerate(clean_records):
         count += 1
         entries = plan.row_entries.get(row)
-        if not entries:
-            yield clean, []
-            continue
-        dirty = dict(clean)
-        logs: list[ErrorLogEntry] = []
-        ordered = sorted(
-            entries,
-            key=lambda e: -1 if e.attribute is None else config.attr_positions[e.attribute],
-        )
-        for entry in ordered:
-            logs.extend(_apply_base_entry(entry, dirty, clean, row, config))
-        yield dirty, logs
+        yield inject_row(clean, entries, row, config) if entries else (clean, [])
     if count != plan.base_count:
         raise GenerationError(
             f"clean stream yielded {count} records, plan expects {plan.base_count}"
         )
-    for offset, entry in enumerate(plan.insertions):
-        yield _build_insertion(config, entry, plan.base_count + offset)
+    yield from inject_insertions(plan, config)
 
 
 def apply_plan(

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
+from math import isfinite
 from pathlib import Path
 from typing import Iterator
 
@@ -97,6 +99,39 @@ def encode_record(record: dict) -> str:
     return _encode(record)
 
 
+# What the encoder writes for a str, an int that is not a bool, and a finite
+# float: a value of one of these types needs no encoder built for it.
+_PLAIN = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
+
+
+def _encode_value(value) -> str:
+    """_encode(value), by its type's _PLAIN rule where one applies."""
+    rule = _PLAIN.get(type(value))
+    if rule is not None and (rule is not float.__repr__ or isfinite(value)):
+        return rule(value)
+    return "null" if value is None else _encode(value)
+
+
+def _encode_column(column: list) -> list[str]:
+    """The _encode_value of each value: a column of one _PLAIN type, nulls
+    aside, takes that type's rule, mapped in C where it holds no null; a
+    mixed column goes value by value."""
+    kinds = set(map(type, column)) - {type(None)}
+    rule = _PLAIN.get(kinds.pop()) if len(kinds) == 1 else None
+    # filter(None, ...) drops the nulls, and zeros, which are finite anyway
+    if rule is None or rule is float.__repr__ and not all(map(isfinite, filter(None, column))):
+        return list(map(_encode_value, column))
+    return list(map(rule, column)) if None not in column else ["null" if v is None else rule(v) for v in column]
+
+
+def encode_rows(names, columns: list[list]) -> list[str]:
+    """Line i is encode_record(dict(zip(names, row i of the columns))),
+    formatted from the encoded columns through one template of the keys."""
+    template = "{" + ",".join(encode_basestring(name) + ":%s" for name in names) + "}"
+    assert template.count("%") == len(columns), "names are identifiers, so hold no %"
+    return [template % row for row in zip(*map(_encode_column, columns))]
+
+
 class DatasetWriter:
     """Streaming writer that partitions records into contiguous-range shards."""
 
@@ -125,28 +160,29 @@ class DatasetWriter:
         self._file.close()
         self._file = None
 
-    def write(self, record: dict | None, line: str | None = None) -> str:
-        """Write one record; None writes a JSON null line (a deleted row).
-        Pass line when the record's encoding is already at hand; returns it."""
-        if self._total >= self._expected:
-            raise DatasetFormatError(
-                f"writer received more than the declared {self._expected} records"
-            )
-        if self._file is None:
-            self._open_next()
-        while self._written_in_shard >= self._shard_sizes[self._shard]:
-            self._close_current()
-            self._shard += 1
-            self._open_next()
-        if line is None:
-            line = "null" if record is None else encode_record(record)
-        if self.spec.mode == "ndjson":
-            self._file.write(line + "\n")
-        else:
-            self._file.write(("\n" if self._written_in_shard == 0 else ",\n") + line)
-        self._written_in_shard += 1
-        self._total += 1
-        return line
+    def write(self, record: dict | None) -> None:
+        """Write one record; None writes a JSON null line (a deleted row)."""
+        self.write_lines(["null" if record is None else encode_record(record)])
+
+    def write_lines(self, lines: list[str]) -> None:
+        """Write a block of encoded records, in order across the shards."""
+        if self._total + len(lines) > self._expected:
+            raise DatasetFormatError(f"writer received more than the declared {self._expected} records")
+        while lines:
+            if self._file is None:
+                self._open_next()
+            room = self._shard_sizes[self._shard] - self._written_in_shard
+            if room <= 0:
+                self._close_current()
+                self._shard += 1
+                continue
+            part, lines = lines[:room], lines[room:]
+            if self.spec.mode == "ndjson":
+                self._file.write("\n".join(part) + "\n")
+            else:
+                self._file.write(("\n" if self._written_in_shard == 0 else ",\n") + ",\n".join(part))
+            self._written_in_shard += len(part)
+            self._total += len(part)
 
     def close(self) -> list[Path]:
         if self._file is not None:
@@ -283,9 +319,7 @@ def _check_row(obj, path: Path, position: int, allow_deleted: bool):
 
 
 def _encode_log_value(value) -> str:
-    if value is ABSENT:
-        return "-"
-    return _encode(value)
+    return "-" if value is ABSENT else _encode_value(value)
 
 
 def _decode_log_value(text: str):

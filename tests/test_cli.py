@@ -235,8 +235,9 @@ def _dirtygen_modules(code: str) -> list[str]:
 
 
 def test_evaluate_imports_only_the_scoring_modules(tmp_path, capsys):
-    # A process that only scores compiles none of the generator; the public
-    # names load on first use.
+    # A process that only scores compiles none of the generator, and one that
+    # validates or generates loads no scoring code and no statistics (which
+    # only a unique normal attribute needs); the public names load on first use.
     config = write_config(tmp_path, errors=ERRORS, tuple_count=20)
     out = tmp_path / "o"
     assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
@@ -249,6 +250,10 @@ def test_evaluate_imports_only_the_scoring_modules(tmp_path, capsys):
         "dirtygen.taxonomy",
     ]
     assert json.loads((tmp_path / "report.json").read_text())["counts"]["false_negatives"] > 0
+    for argv in (["validate", "--config", str(config)], ["generate", "--config", str(config), "--out", str(out)]):
+        code = f"from dirtygen.cli import main\nassert main({argv!r}) == 0\nassert 'statistics' not in sys.modules"
+        loaded = _dirtygen_modules(code)
+        assert "dirtygen.errortypes" in loaded and "dirtygen.evalkit" not in loaded, argv
 
 
 def test_evaluate_noop_repair_zero_recall(tmp_path):
@@ -328,6 +333,16 @@ def test_sharded_generation(tmp_path):
     assert len(clean_shards) == 3 and len(dirty_shards) == 3
     total = sum(len(p.read_text().splitlines()) for p in clean_shards)
     assert total == 100
+    # The shards, in order, are the one-shard run's files byte for byte; the
+    # logs differ only in their header, which holds the config hash.
+    doc["generation"]["scaling"]["shard_count"] = 1
+    single = tmp_path / "single"
+    single.mkdir()
+    assert main(["generate", "--config", str(write_config(single, text=json.dumps(doc))), "--out", str(single)]) == 0
+    for which, shards in (("clean", clean_shards), ("dirty", dirty_shards)):
+        assert b"".join(p.read_bytes() for p in shards) == (single / f"{which}.ndjson").read_bytes(), which
+    logs = [(d / "errors.log").read_text(encoding="utf-8").split("\n", 1) for d in (out, single)]
+    assert logs[0][0] != logs[1][0] and logs[0][1] == logs[1][1]
 
 
 def _offdomain_config(directory: Path) -> Path:

@@ -26,6 +26,7 @@ from dirtygen.output import (
     _check_row,
     _strict_loads,
     encode_record,
+    encode_rows,
     read_aligned,
 )
 
@@ -340,6 +341,106 @@ def test_log_value_encoding_round_trip(value):
     encoded = _encode_log_value(value)
     assert "\t" not in encoded and "\n" not in encoded
     assert _decode_log_value(encoded) == value
+
+
+# The values the column encoder must write as encode_record does: text with
+# non-ASCII characters, quotes, backslashes and control characters, ints
+# beyond 64 bits, bools, the float edge cases, nulls and nested values.
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1e16, 5e-324, -1.7976931348623157e308, 0.1])
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS,
+    st.text(max_size=8),
+    st.text(alphabet='"\\\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600 /', max_size=8),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# One strategy per column: of one type, or mixed (any JSON value).
+_COLUMN_KINDS = [
+    st.text(),
+    st.text(alphabet='"\\\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600 /'),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _EDGE_FLOATS,
+    _JSON_VALUES,
+]
+
+
+@st.composite
+def _named_columns(draw):
+    rows = draw(st.integers(0, 6))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+                          min_size=1, max_size=4, unique=True))
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from(_COLUMN_KINDS))
+        values = st.none() | kind if draw(st.booleans()) else kind  # nulls aside
+        columns.append(draw(st.lists(values, min_size=rows, max_size=rows)))
+    return names, columns
+
+
+@given(_named_columns())
+@settings(max_examples=400, deadline=None)
+def test_encode_rows_equals_encode_record_by_row(named_columns):
+    names, columns = named_columns
+    assert encode_rows(names, columns) == [encode_record(dict(zip(names, row))) for row in zip(*columns)]
+    # The log writes single values by the same rule.
+    for column in columns:
+        assert [output_module._encode_log_value(v) for v in column] == list(map(output_module._encode, column))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("column", [[1.5, "bad"], [None, "bad"], ["bad"], [2, "bad"], ["x", "bad"], [["bad"]]])
+def test_encode_rows_refuses_what_encode_record_refuses(bad, column):
+    column = [bad if v == "bad" else [bad] if v == ["bad"] else v for v in column]
+    with pytest.raises(ValueError) as expected:
+        [encode_record({"a": v}) for v in column]
+    with pytest.raises(ValueError) as got:
+        encode_rows(["a"], [column])
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError) as logged:
+        [output_module._encode_log_value(v) for v in column]
+    assert str(logged.value) == str(expected.value)
+
+
+@given(
+    count=st.integers(0, 10),
+    shards=st.integers(1, 4),
+    mode=st.sampled_from(["ndjson", "json_array"]),
+    cuts=st.lists(st.integers(0, 10), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_write_lines_in_any_blocks_writes_what_write_does(tmp_path_factory, count, shards, mode, cuts):
+    # Blocks split anywhere, empty ones too, across shard boundaries and
+    # with fewer records than shards, write the bytes of per-record writes.
+    records = [None if i % 4 == 3 else {"i": i, "s": "\u00e9\"" * (i % 3)} for i in range(count)]
+    directory = tmp_path_factory.mktemp("blocks")
+    expected = write_records(records, OutputSpec(directory / "records", mode, shards), "d")
+    writer = DatasetWriter(OutputSpec(directory / "blocks", mode, shards), "d", count)
+    lines = ["null" if r is None else encode_record(r) for r in records]
+    bounds = [0, *sorted(min(c, count) for c in cuts), count]
+    for lo, hi in zip(bounds, bounds[1:]):
+        writer.write_lines(lines[lo:hi])
+    paths = writer.close()
+    assert [p.name for p in paths] == [p.name for p in expected]
+    assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in expected]
+
+
+def test_write_lines_refuses_a_block_past_the_declared_count(tmp_path):
+    writer = DatasetWriter(spec_for(tmp_path), "clean", 2)
+    writer.write_lines(['{"a":1}'])
+    with pytest.raises(DatasetFormatError, match="more than the declared 2"):
+        writer.write_lines(['{"a":2}', '{"a":3}'])
+    writer.write_lines(['{"a":2}'])  # the refused block wrote nothing
+    assert writer.close()[0].read_text(encoding="utf-8") == '{"a":1}\n{"a":2}\n'
 
 
 def test_writer_count_mismatch_detected(tmp_path):
