@@ -38,7 +38,6 @@ _EXPORTS = {
     "derive_stream": "rng",
     "generate_clean_dataset": "datagen",
     "generate_record": "datagen",
-    "inject_stream": "inject",
     "load_config": "config",
     "load_lexicon": "config",
     "parse_config": "config",
@@ -47,6 +46,7 @@ _EXPORTS = {
     "read_error_log": "output",
     "score": "evalkit",
     "verify_error": "inject",
+    "write_run": "inject",
 }
 
 __all__ = list(_EXPORTS)

@@ -17,17 +17,14 @@ what it runs when it runs, and calls it through the package namespace.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from collections import Counter
 from pathlib import Path
 
 import dirtygen as dg
 
 from . import __version__
 from .exceptions import ConfigError, DirtygenError, EvaluationError, GenerationError
-from .output import DatasetWriter, ErrorLogWriter, read_aligned, read_error_log, write_manifest
+from .output import read_aligned, read_error_log, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -78,12 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    from .datagen import clean_column_blocks
     from .errorplan import format_plan
-    from .inject import inject_insertions, inject_row, realized_counts
-    from .output import encode_record, encode_rows
 
-    started = time.monotonic()
     config = dg.load_config(args.config, seed_override=args.seed, output_dir_override=args.out)
     plan = dg.plan_errors(config)
     if args.emit_plan:
@@ -93,62 +86,16 @@ def cmd_generate(args) -> int:
     for warning in plan.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
+    manifest = dg.write_run(config, plan)
     out = config.output
-    clean_writer = DatasetWriter(out, "clean", config.tuple_count)
-    dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
-    counts: Counter = Counter()
-    names, row_entries = config.attribute_names, plan.row_entries
-
-    with open(out.log_path, "w", encoding="utf-8", newline="\n") as log_file:
-        log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
-
-        def log(entries):
-            for entry in entries:
-                log_writer.write(entry)
-            counts.update(realized_counts(entries))
-
-        # Block by block: an untouched dirty row is its clean line, and only
-        # a planned row is built as a record, injected and encoded again.
-        for lo, columns in clean_column_blocks(config):
-            lines = encode_rows(names, columns)
-            clean_writer.write_lines(lines)
-            planned = list(filter(row_entries.__contains__, range(lo, lo + len(lines))))
-            dirty_lines = list(lines) if planned else lines
-            for row in planned:
-                clean = dict(zip(names, [column[row - lo] for column in columns]))
-                dirty, entries = inject_row(clean, row_entries[row], row, config)
-                dirty_lines[row - lo] = encode_record(dirty)
-                log(entries)
-            dirty_writer.write_lines(dirty_lines)
-        for record, entries in inject_insertions(plan, config):
-            dirty_writer.write(record)
-            log(entries)
-    clean_paths = clean_writer.close()
-    dirty_paths = dirty_writer.close()
-
-    manifest = {
-        "tool": "dirtygen",
-        "version": __version__,
-        "config_hash": config.config_hash,
-        "seed": config.seed,
-        "tuple_count": config.tuple_count,
-        "inserted_count": plan.inserted_count,
-        "dirty_count": config.tuple_count + plan.inserted_count,
-        "error_counts": dict(sorted(counts.items())),
-        "duration_seconds": round(time.monotonic() - started, 3),
-    }
-    write_manifest(out, manifest)
-
-    print(f"clean:    {', '.join(str(p) for p in clean_paths)} ({config.tuple_count} records)")
-    print(
-        f"dirty:    {', '.join(str(p) for p in dirty_paths)} "
-        f"({config.tuple_count + plan.inserted_count} records)"
-    )
+    for which, count in (("clean", manifest["tuple_count"]), ("dirty", manifest["dirty_count"])):
+        print(f"{which + ':':<9} {', '.join(map(str, out.dataset_paths(which)))} ({count} records)")
     print(f"log:      {out.log_path}")
     print(f"manifest: {out.manifest_path}")
+    counts = manifest["error_counts"]
     if counts:
         print("realized error counts:")
-        for error_type, amount in sorted(counts.items()):
+        for error_type, amount in counts.items():
             print(f"  {error_type:<40} {amount}")
     else:
         print("realized error counts: none (empty plan)")
@@ -178,11 +125,7 @@ def cmd_evaluate(args) -> int:
     metrics = dg.score(*read_aligned(args.clean, args.dirty, args.repaired), log)
 
     if args.report:
-        report_path = Path(args.report)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(args.report), metrics.to_dict())
 
     overall = metrics.overall
     print(f"{'metric':<24} {'value':>8}")

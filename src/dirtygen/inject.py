@@ -1,4 +1,5 @@
-"""Error injection: apply a plan to the clean stream and log every change.
+"""Error injection: apply a plan to the clean blocks, log every change, and
+write a run's files.
 
 Each injector rewrites its target so that the dirty value verifiably violates
 the defining property of its error type while the clean value satisfies it;
@@ -11,25 +12,24 @@ test suite to confirm every logged error is real.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from typing import Iterable, Iterator
 
+from . import __version__
 from .config import GeneratorConfig
-from .datagen import generate_record
+from .datagen import clean_column_blocks, generate_record
 from .errorplan import ErrorPlan, PlanEntry
 from .errortypes import ERROR_TYPES
 from .exceptions import GenerationError
-from .output import ErrorLogEntry, same_json
+from .output import DatasetWriter, ErrorLogEntry, ErrorLogWriter, encode_record, encode_rows, same_json
+from .output import write_json
 from .rng import derive_stream
 from .taxonomy import ABSENT, STAGE_INSERTION
 
 
 def _apply_base_entry(
-    entry: PlanEntry,
-    dirty: dict,
-    clean: dict,
-    row: int,
-    config: GeneratorConfig,
+    entry: PlanEntry, dirty: dict, clean: dict, row: int, config: GeneratorConfig
 ) -> list[ErrorLogEntry]:
     etype = ERROR_TYPES[entry.error_type]
     attribute = entry.attribute
@@ -57,21 +57,6 @@ def _apply_base_entry(
     return logs
 
 
-def _build_insertion(
-    config: GeneratorConfig, entry: PlanEntry, dirty_index: int
-) -> tuple[dict, list[ErrorLogEntry]]:
-    etype = ERROR_TYPES[entry.error_type]
-    stream = derive_stream(config.seed, f"inject:{etype.name}", dirty_index)
-    source = None if entry.row is None else generate_record(config, entry.row)
-    params = config.errors[entry.spec_index].params
-    record = etype.inject(source, config, stream, params, entry, dirty_index)
-    logs = [ErrorLogEntry(dirty_index, None, None, etype.name, ABSENT, ABSENT)]
-    for name in config.attribute_names:
-        clean_value = ABSENT if source is None else source[name]
-        logs.append(ErrorLogEntry(dirty_index, None, name, etype.name, clean_value, record[name]))
-    return record, logs
-
-
 def inject_row(
     clean: dict, entries: list[PlanEntry], row: int, config: GeneratorConfig
 ) -> tuple[dict, list[ErrorLogEntry]]:
@@ -88,48 +73,92 @@ def inject_row(
 def inject_insertions(plan: ErrorPlan, config: GeneratorConfig) -> Iterator[tuple[dict, list[ErrorLogEntry]]]:
     """The inserted records with their log entries, in plan order; they take
     dirty indices base_count, base_count + 1, ..."""
-    for offset, entry in enumerate(plan.insertions):
-        yield _build_insertion(config, entry, plan.base_count + offset)
+    for dirty_index, entry in enumerate(plan.insertions, plan.base_count):
+        etype = ERROR_TYPES[entry.error_type]
+        stream = derive_stream(config.seed, f"inject:{etype.name}", dirty_index)
+        source = None if entry.row is None else generate_record(config, entry.row)
+        params = config.errors[entry.spec_index].params
+        record = etype.inject(source, config, stream, params, entry, dirty_index)
+        logs = [ErrorLogEntry(dirty_index, None, None, etype.name, ABSENT, ABSENT)]
+        for name in config.attribute_names:
+            clean_value = ABSENT if source is None else source[name]
+            logs.append(ErrorLogEntry(dirty_index, None, name, etype.name, clean_value, record[name]))
+        yield record, logs
 
 
-def inject_stream(
-    clean_records: Iterable[dict], plan: ErrorPlan, config: GeneratorConfig
-) -> Iterator[tuple[dict, list[ErrorLogEntry]]]:
-    """Stream dirty records with their log entries; insertions come last.
-
-    Base tuples keep their clean index as both file position and dirty
-    index; an untouched one passes through as the clean record itself. No
-    buffering beyond the current record is needed.
-    """
-    count = 0
-    for row, clean in enumerate(clean_records):
-        count += 1
-        entries = plan.row_entries.get(row)
-        yield inject_row(clean, entries, row, config) if entries else (clean, [])
-    if count != plan.base_count:
-        raise GenerationError(
-            f"clean stream yielded {count} records, plan expects {plan.base_count}"
-        )
-    yield from inject_insertions(plan, config)
+def dirty_blocks(
+    config: GeneratorConfig, plan: ErrorPlan
+) -> Iterator[tuple[int, list[list], dict[int, dict], list[ErrorLogEntry]]]:
+    """For each clean_column_blocks block: its first tuple index, its clean
+    columns, the dirty record of each planned row in it (by tuple index) and
+    their log entries. An untouched row's dirty record is its clean one."""
+    names, row_entries = config.attribute_names, plan.row_entries
+    for lo, columns in clean_column_blocks(config):
+        dirty, logs = {}, []
+        for row in filter(row_entries.__contains__, range(lo, lo + len(columns[0]))):
+            clean = dict(zip(names, [column[row - lo] for column in columns]))
+            dirty[row], entries = inject_row(clean, row_entries[row], row, config)
+            logs += entries
+        yield lo, columns, dirty, logs
 
 
-def apply_plan(
-    clean_records: Iterable[dict], plan: ErrorPlan, config: GeneratorConfig
-) -> tuple[list[dict], list[ErrorLogEntry]]:
-    """Materialized convenience wrapper around inject_stream."""
-    records: list[dict] = []
-    log: list[ErrorLogEntry] = []
-    for record, entries in inject_stream(clean_records, plan, config):
-        records.append(record)
-        log.extend(entries)
-    return records, log
+def apply_plan(plan: ErrorPlan, config: GeneratorConfig) -> tuple[list[dict], list[dict], list[ErrorLogEntry]]:
+    """The clean records, the dirty records and the log of a plan, in memory;
+    an untouched dirty record is its clean record, and insertions come last."""
+    clean, dirty, log = [], [], []
+    for lo, columns, touched, entries in dirty_blocks(config, plan):
+        records = [dict(zip(config.attribute_names, row)) for row in zip(*columns)]
+        clean += records
+        dirty += [touched.get(row, record) for row, record in enumerate(records, lo)]
+        log += entries
+    for record, entries in inject_insertions(plan, config):
+        dirty.append(record)
+        log += entries
+    return clean, dirty, log
+
+
+def write_run(config: GeneratorConfig, plan: ErrorPlan) -> dict:
+    """Write a run's clean and dirty datasets, error log and manifest into
+    config.output, block by block, and return the manifest."""
+    started = time.monotonic()
+    out, names = config.output, config.attribute_names
+    clean_writer = DatasetWriter(out, "clean", config.tuple_count)
+    dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
+    counts: Counter = Counter()
+    with open(out.log_path, "w", encoding="utf-8", newline="\n") as log_file:
+        log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
+
+        def log(entries):
+            for entry in entries:
+                log_writer.write(entry)
+            counts.update(realized_counts(entries))
+
+        for lo, columns, dirty, entries in dirty_blocks(config, plan):
+            lines = encode_rows(names, columns)
+            clean_writer.write_lines(lines)
+            # Written, so lines can become the dirty block: each planned row encoded again.
+            for row, record in dirty.items():
+                lines[row - lo] = encode_record(record)
+            dirty_writer.write_lines(lines)
+            log(entries)
+        for record, entries in inject_insertions(plan, config):
+            dirty_writer.write(record)
+            log(entries)
+    clean_writer.close()
+    dirty_writer.close()
+    manifest = {
+        "tool": "dirtygen", "version": __version__, "config_hash": config.config_hash, "seed": config.seed,
+        "tuple_count": config.tuple_count, "inserted_count": plan.inserted_count,
+        "dirty_count": config.tuple_count + plan.inserted_count, "error_counts": dict(sorted(counts.items())),
+        "duration_seconds": round(time.monotonic() - started, 3),
+    }
+    write_json(out.manifest_path, manifest)
+    return manifest
 
 
 def realized_counts(entries: Iterable[ErrorLogEntry]) -> Counter:
     """Errors realized per type: markers for row/insertion scopes, cells otherwise."""
-    return Counter(
-        e.error_type for e in entries if (e.attribute is None) == ERROR_TYPES[e.error_type].marker
-    )
+    return Counter(e.error_type for e in entries if (e.attribute is None) == ERROR_TYPES[e.error_type].marker)
 
 
 # ---------------------------------------------------------------------------

@@ -185,12 +185,9 @@ class DatasetWriter:
             self._total += len(part)
 
     def close(self) -> list[Path]:
-        if self._file is not None:
-            self._close_current()
-            self._shard += 1
-        # Emit empty files for any shards that received no records.
         while self._shard < len(self.paths):
-            self._open_next()
+            if self._file is None:  # a shard that received no records is written empty
+                self._open_next()
             self._close_current()
             self._shard += 1
         if self._total != self._expected:
@@ -403,10 +400,9 @@ def read_error_log(path: str | Path) -> list[ErrorLogEntry]:
     return entries
 
 
-def write_manifest(spec: OutputSpec, manifest: dict) -> Path:
-    spec.directory.mkdir(parents=True, exist_ok=True)
-    path = spec.manifest_path
+def write_json(path: Path, doc: dict) -> None:
+    """A run manifest or a metrics report: indented JSON, keys sorted."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
-    return path

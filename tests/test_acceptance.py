@@ -111,9 +111,8 @@ def _c1_config(error_type: str):
 def test_c1_every_error_type_generates_and_verifies(error_type):
     started = time.monotonic()
     config = _c1_config(error_type)
-    clean = list(generate_clean_dataset(config))
     plan = plan_errors(config)
-    dirty, log = apply_plan(clean, plan, config)
+    clean, dirty, log = apply_plan(plan, config)
 
     target = config.errors[0].count
     realized = realized_counts(log).get(error_type, 0)
@@ -156,9 +155,8 @@ def property_runs():
     for i in range(100):
         rng = random.Random(41_000 + i)
         config = parse_config(random_config(rng))
-        clean = list(generate_clean_dataset(config))
         plan = plan_errors(config)
-        dirty, log = apply_plan(clean, plan, config)
+        clean, dirty, log = apply_plan(plan, config)
         runs.append((config, clean, dirty, log, plan))
     return runs
 
@@ -305,8 +303,7 @@ def test_c3_unrelated_spec_leaves_placements_unchanged():
             "generation": {"tuple_count": 400, "seed": 7},
         }
         config = parse_config(json.dumps(doc))
-        clean = list(generate_clean_dataset(config))
-        _, log = apply_plan(clean, plan_errors(config), config)
+        *_, log = apply_plan(plan_errors(config), config)
         return log
 
     log_a = run(base_errors)
@@ -665,8 +662,7 @@ def test_c7_evaluation_sanity():
         "generation": {"tuple_count": 200, "seed": 5},
     }
     config = parse_config(json.dumps(doc))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     inserted = len(dirty) - len(clean)
 
     perfect = score(clean, dirty, [dict(r) for r in clean] + [None] * inserted, log)

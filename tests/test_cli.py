@@ -111,7 +111,6 @@ def test_generate_overflowing_config_exit_1_writes_nothing(tmp_path, capsys):
 def test_generate_dirty_lines_of_touched_rows_are_their_own(tmp_path):
     # Untouched rows reuse the clean row's encoding; a touched row never may.
     from dirtygen import apply_plan, load_config, plan_errors
-    from dirtygen.datagen import generate_clean_dataset
     from dirtygen.output import encode_record
 
     path = write_config(tmp_path, errors=ERRORS, tuple_count=300)
@@ -119,8 +118,7 @@ def test_generate_dirty_lines_of_touched_rows_are_their_own(tmp_path):
     assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
     config = load_config(path)
     plan = plan_errors(config)
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan, config)
+    clean, dirty, log = apply_plan(plan, config)
     clean_lines = (out / "clean.ndjson").read_text(encoding="utf-8").splitlines()
     dirty_lines = (out / "dirty.ndjson").read_text(encoding="utf-8").splitlines()
     touched = {entry.dirty_tuple_index for entry in log}

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors
-from dirtygen.datagen import generate_clean_dataset, value_in_domain
+from dirtygen.datagen import value_in_domain
 from dirtygen.errortypes import (
     _conflicts_with_a_tuple,
     _duplicated,
@@ -98,8 +98,7 @@ ENTITY_ERRORS = [
 @pytest.mark.parametrize("seed", [3, 61])
 def test_generated_datasets_give_the_full_scan_verdicts(seed):
     config = parse_config(make_config_text(errors=ENTITY_ERRORS, tuple_count=80, seed=seed))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     assert len(dirty) > len(clean)
     assert any(e.dirty_value is ABSENT for e in log)
     assert_same_verdicts(config, clean, dirty)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirtygen import EvaluationError, apply_plan, parse_config, plan_errors, score
-from dirtygen.datagen import generate_clean_dataset
 from dirtygen.evalkit import MetricSet, RepairMetrics, _metric_set, _same_record
 from dirtygen.inject import ErrorLogEntry
 from dirtygen.output import encode_record
@@ -22,8 +21,7 @@ def build_run(errors=None, tuple_count=100):
         {"type": "redundancy_about_entity", "rate": 0.03},
     ]
     config = parse_config(make_config_text(errors=errors, tuple_count=tuple_count))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     return config, clean, dirty, log
 
 
@@ -479,8 +477,7 @@ def _both_ways(clean, dirty, repaired, log):
 @pytest.mark.parametrize("k", range(40))
 def test_streaming_score_matches_the_list_reference(k):
     config = parse_config(random_config(random.Random(52_000 + k)))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     repaired = seeded_repair(clean, dirty, log, random.Random(k))
     expected = reference_score(clean, dirty, repaired, log)
     for metrics in _both_ways(clean, dirty, repaired, log):

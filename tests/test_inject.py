@@ -166,8 +166,7 @@ def test_outlier_formula():
     )
     config = parse_config(text)
     plan = plan_errors(config)
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan, config)
+    clean, dirty, log = apply_plan(plan, config)
     for entry in log:
         assert abs(entry.dirty_value - 50.0) >= 50.0
 
@@ -219,8 +218,7 @@ def test_syntax_violation_breaks_pattern():
         "generation": {"tuple_count": 100, "seed": 13},
     }
     config = parse_config(json.dumps(doc))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     import re
 
     pat = re.compile(r"[A-Z]{2}-[0-9]{4}")
@@ -237,8 +235,7 @@ def test_synonym_replacement_forced_single_choice():
             attr["synonyms"] = {"Berlin": ["BER"]}
     doc["errors"] = [{"type": "synonyms_existence", "rate": 0.1, "attributes": ["city"]}]
     config = parse_config(json.dumps(doc))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     for entry in log:
         assert entry.clean_value == "Berlin"
         assert entry.dirty_value == "BER"
@@ -249,8 +246,7 @@ def test_inconsistency_mapping_oracle():
     errors = [{"type": "inconsistency_among_attribute_values", "rate": 0.2}]
     config = parse_config(make_config_text(errors=errors))
     rule = config.dependencies[0]
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     cells = [e for e in log if e.attribute is not None]
     assert len(cells) == 20
     for entry in cells:
@@ -263,8 +259,7 @@ def test_inconsistency_mapping_oracle():
 def test_semi_empty_null_counts():
     errors = [{"type": "semi_empty_tuple", "rate": 0.1, "params": {"empty_fraction": 0.7}}]
     config = parse_config(make_config_text(errors=errors))  # 6 attributes
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     markers = [e for e in log if e.attribute is None]
     assert len(markers) == 10
     for marker in markers:
@@ -286,8 +281,7 @@ def test_semi_empty_ten_attribute_record():
         "generation": {"tuple_count": 50, "seed": 4},
     }
     config = parse_config(json.dumps(doc))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     for marker in (e for e in log if e.attribute is None):
         row = dirty[marker.dirty_tuple_index]
         assert sum(1 for v in row.values() if v is None) == 7
@@ -303,8 +297,7 @@ def test_semi_empty_two_attribute_boundary():
         "generation": {"tuple_count": 50, "seed": 3},
     }
     config = parse_config(json.dumps(doc))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     markers = [e for e in log if e.attribute is None]
     assert len(markers) == 10
     for marker in markers:
@@ -316,8 +309,7 @@ def test_semi_empty_two_attribute_boundary():
 def test_missing_attribute_removes_key():
     errors = [{"type": "missing_attribute", "rate": 0.1, "attributes": ["city"]}]
     config = parse_config(make_config_text(errors=errors))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     assert len(log) == 10
     for entry in log:
         assert entry.dirty_value is ABSENT
@@ -328,8 +320,7 @@ def test_missing_attribute_removes_key():
 def test_uniqueness_violation_duplicates_donor():
     errors = [{"type": "uniqueness_value_violation", "rate": 0.1, "attributes": ["id"]}]
     config = parse_config(make_config_text(errors=errors))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     assert len(log) == 10
     for entry in log:
         column = [r.get("id") for r in dirty]
@@ -345,8 +336,7 @@ def test_redundancy_exact_duplicate_mode():
         }
     ]
     config = parse_config(make_config_text(errors=errors))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     markers = [e for e in log if e.attribute is None]
     assert len(markers) == 5
     assert len(dirty) == 105
@@ -358,8 +348,7 @@ def test_redundancy_exact_duplicate_mode():
 def test_redundancy_near_duplicate_perturbs_one_attribute():
     errors = [{"type": "redundancy_about_entity", "rate": 0.05}]
     config = parse_config(make_config_text(errors=errors))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     markers = [e for e in log if e.attribute is None]
     for marker in markers:
         satellites = [
@@ -375,8 +364,7 @@ def test_redundancy_near_duplicate_perturbs_one_attribute():
 def test_irrelevant_observation_outside_every_domain():
     errors = [{"type": "irrelevant_observation", "rate": 0.05}]
     config = parse_config(make_config_text(errors=errors))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     from dirtygen.datagen import value_in_domain
 
     markers = [e for e in log if e.attribute is None]
@@ -422,8 +410,7 @@ def test_bias_shift_is_exactly_one_sigma():
         }
     ]
     config = parse_config(make_config_text(errors=errors, tuple_count=200))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     assert log, "expected at least one bias target"
     for entry in log:
         assert clean[entry.clean_tuple_index]["city"] == "Berlin"
@@ -434,8 +421,7 @@ def test_bias_shift_is_exactly_one_sigma():
 def test_value_items_beyond_appends_token():
     errors = [{"type": "value_items_beyond_attribute_context", "rate": 0.1, "attributes": ["first_name"]}]
     config = parse_config(make_config_text(errors=errors))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     for entry in log:
         assert entry.dirty_value.startswith(entry.clean_value + " ")
 
@@ -445,19 +431,29 @@ def test_value_items_beyond_appends_token():
 
 
 def test_empty_plan_identity(base_config):
-    clean = list(generate_clean_dataset(base_config))
     plan = plan_errors(base_config)
-    dirty, log = apply_plan(clean, plan, base_config)
+    clean, dirty, log = apply_plan(plan, base_config)
     assert dirty == clean
     assert log == []
+
+
+def test_apply_plan_clean_is_the_clean_dataset_and_untouched_rows_are_its_records():
+    # 300 tuples: two blocks, the second one partial.
+    errors = [{"type": "missing_value", "rate": 0.1, "attributes": ["city"]}]
+    config = parse_config(make_config_text(errors=errors, tuple_count=300))
+    clean, dirty, log = apply_plan(plan_errors(config), config)
+    assert clean == list(generate_clean_dataset(config))
+    touched = {entry.dirty_tuple_index for entry in log}
+    assert len(touched) == 30 and len(dirty) == len(clean)
+    for row, (clean_record, dirty_record) in enumerate(zip(clean, dirty)):
+        assert (dirty_record is clean_record) == (row not in touched), row
 
 
 def test_single_entry_single_diff():
     doc = json.loads(make_config_text(tuple_count=10))
     doc["errors"] = [{"type": "missing_value", "rate": 0.1, "attributes": ["city"]}]
     config = parse_config(json.dumps(doc))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     assert len(log) == 1
     diffs = [
         (i, a)
@@ -469,15 +465,13 @@ def test_single_entry_single_diff():
 
 
 def test_log_replay_reproduces_dirty(config_with_errors):
-    clean = list(generate_clean_dataset(config_with_errors))
-    dirty, log = apply_plan(clean, plan_errors(config_with_errors), config_with_errors)
+    clean, dirty, log = apply_plan(plan_errors(config_with_errors), config_with_errors)
     rebuilt = replay(clean, log, config_with_errors.attribute_names)
     assert rebuilt == dirty
 
 
 def test_realized_counts_match_targets(config_with_errors):
-    clean = list(generate_clean_dataset(config_with_errors))
-    _, log = apply_plan(clean, plan_errors(config_with_errors), config_with_errors)
+    *_, log = apply_plan(plan_errors(config_with_errors), config_with_errors)
     counts = realized_counts(log)
     for spec in config_with_errors.errors:
         assert counts.get(spec.error_type, 0) == spec.count
@@ -597,8 +591,7 @@ def test_verifier_passes_on_every_entry_of_a_mixed_run():
         {"type": "inadequate_value_to_attribute_context", "rate": 0.03, "attributes": ["age"]},
     ]
     config = parse_config(make_config_text(errors=errors, tuple_count=300))
-    clean = list(generate_clean_dataset(config))
-    dirty, log = apply_plan(clean, plan_errors(config), config)
+    clean, dirty, log = apply_plan(plan_errors(config), config)
     assert log
     for entry in log:
         clean_record = (
@@ -615,8 +608,7 @@ def test_verifier_passes_on_every_entry_of_a_mixed_run():
 
 
 def test_ground_truth_consistency_base_rows(config_with_errors):
-    clean = list(generate_clean_dataset(config_with_errors))
-    dirty, log = apply_plan(clean, plan_errors(config_with_errors), config_with_errors)
+    clean, dirty, log = apply_plan(plan_errors(config_with_errors), config_with_errors)
     logged = {
         (e.dirty_tuple_index, e.attribute)
         for e in log
@@ -656,10 +648,9 @@ def test_semi_empty_with_nulls_categorical_bias_and_float_interval_verify():
         "generation": {"tuple_count": 200, "seed": 3},
     }
     config = parse_config(json.dumps(doc))
-    clean = list(generate_clean_dataset(config))
     plan = plan_errors(config)
     assert plan.warnings == ()
-    dirty, log = apply_plan(clean, plan, config)
+    clean, dirty, log = apply_plan(plan, config)
     assert realized_counts(log) == {"semi_empty_tuple": 20, "bias": 40, "interval_violation": 20}
     assert any(None in record.values() for record in clean)
     for entry in log:
