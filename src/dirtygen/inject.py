@@ -23,7 +23,7 @@ from .errorplan import ErrorPlan, PlanEntry
 from .errortypes import ERROR_TYPES
 from .exceptions import GenerationError
 from .output import DatasetWriter, ErrorLogEntry, ErrorLogWriter, encode_record, encode_rows, same_json
-from .output import write_json
+from .output import publish, staging_path, write_json
 from .rng import derive_stream
 from .taxonomy import ABSENT, STAGE_INSERTION
 
@@ -119,40 +119,52 @@ def apply_plan(plan: ErrorPlan, config: GeneratorConfig) -> tuple[list[dict], li
 
 def write_run(config: GeneratorConfig, plan: ErrorPlan) -> dict:
     """Write a run's clean and dirty datasets, error log and manifest into
-    config.output, block by block, and return the manifest."""
+    config.output, block by block, and return the manifest. Each file is
+    written under its output.staging_path, and all are published once all
+    have closed: a failed run leaves none behind, and an earlier run's files
+    as they were."""
     started = time.monotonic()
     out, names = config.output, config.attribute_names
     clean_writer = DatasetWriter(out, "clean", config.tuple_count)
     dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
+    paths = [*clean_writer.paths, *dirty_writer.paths, out.log_path, out.manifest_path]
     counts: Counter = Counter()
-    with open(out.log_path, "w", encoding="utf-8", newline="\n") as log_file:
-        log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
+    try:
+        with open(staging_path(out.log_path), "w", encoding="utf-8", newline="\n") as log_file:
+            log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
 
-        def log(entries):
-            for entry in entries:
-                log_writer.write(entry)
-            counts.update(realized_counts(entries))
+            def log(entries):
+                for entry in entries:
+                    log_writer.write(entry)
+                counts.update(realized_counts(entries))
 
-        for lo, columns, dirty, entries in dirty_blocks(config, plan):
-            lines = encode_rows(names, columns)
-            clean_writer.write_lines(lines)
-            # Written, so lines can become the dirty block: each planned row encoded again.
-            for row, record in dirty.items():
-                lines[row - lo] = encode_record(record)
-            dirty_writer.write_lines(lines)
-            log(entries)
-        for record, entries in inject_insertions(plan, config):
-            dirty_writer.write(record)
-            log(entries)
-    clean_writer.close()
-    dirty_writer.close()
-    manifest = {
-        "tool": "dirtygen", "version": __version__, "config_hash": config.config_hash, "seed": config.seed,
-        "tuple_count": config.tuple_count, "inserted_count": plan.inserted_count,
-        "dirty_count": config.tuple_count + plan.inserted_count, "error_counts": dict(sorted(counts.items())),
-        "duration_seconds": round(time.monotonic() - started, 3),
-    }
-    write_json(out.manifest_path, manifest)
+            for lo, columns, dirty, entries in dirty_blocks(config, plan):
+                lines = encode_rows(names, columns)
+                clean_writer.write_lines(lines)
+                # Written, so lines can become the dirty block: each planned row encoded again.
+                for row, record in dirty.items():
+                    lines[row - lo] = encode_record(record)
+                dirty_writer.write_lines(lines)
+                log(entries)
+            for record, entries in inject_insertions(plan, config):
+                dirty_writer.write(record)
+                log(entries)
+        clean_writer.close()
+        dirty_writer.close()
+        manifest = {
+            "tool": "dirtygen", "version": __version__, "config_hash": config.config_hash, "seed": config.seed,
+            "tuple_count": config.tuple_count, "inserted_count": plan.inserted_count,
+            "dirty_count": config.tuple_count + plan.inserted_count, "error_counts": dict(sorted(counts.items())),
+            "duration_seconds": round(time.monotonic() - started, 3),
+        }
+        write_json(staging_path(out.manifest_path), manifest)
+        publish(paths)
+    except BaseException:
+        clean_writer.discard()
+        dirty_writer.discard()
+        for path in paths:
+            staging_path(path).unlink(missing_ok=True)
+        raise
     return manifest
 
 

@@ -16,6 +16,7 @@ all" (distinct from JSON null).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from math import isfinite
@@ -132,8 +133,21 @@ def encode_rows(names, columns: list[list]) -> list[str]:
     return [template % row for row in zip(*map(_encode_column, columns))]
 
 
+def staging_path(path: Path) -> Path:
+    """Where a run writes the output file `path` until all of them are done."""
+    return path.with_name(f".{path.name}.partial")
+
+
+def publish(paths: list[Path]) -> list[Path]:
+    """Move each staged file into place under its own name."""
+    for path in paths:
+        os.replace(staging_path(path), path)
+    return paths
+
+
 class DatasetWriter:
-    """Streaming writer that partitions records into contiguous-range shards."""
+    """Streaming writer that partitions records into contiguous-range shards,
+    each written under the staging_path of its name in paths until publish."""
 
     def __init__(self, spec: OutputSpec, which: str, total_count: int):
         self.spec = spec
@@ -147,7 +161,7 @@ class DatasetWriter:
         spec.directory.mkdir(parents=True, exist_ok=True)
 
     def _open_next(self):
-        self._file = open(self.paths[self._shard], "w", encoding="utf-8", newline="\n")
+        self._file = open(staging_path(self.paths[self._shard]), "w", encoding="utf-8", newline="\n")
         if self.spec.mode == "json_array":
             self._file.write("[")
         self._written_in_shard = 0
@@ -195,6 +209,12 @@ class DatasetWriter:
                 f"writer closed after {self._total} records, expected {self._expected}"
             )
         return self.paths
+
+    def discard(self) -> None:
+        """Close the open shard, unfinished; the caller removes the staged files."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
 
 def _infer_mode(path: Path, mode: str | None) -> str:

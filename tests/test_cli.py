@@ -1,12 +1,15 @@
+import gc
 import hashlib
 import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from dirtygen import GenerationError
 from dirtygen.cli import main
 from dirtygen.output import OutputSpec, read_dataset
 
@@ -305,6 +308,49 @@ def test_manifest_reproducible_except_duration(tmp_path):
     manifest_a.pop("duration_seconds")
     manifest_b.pop("duration_seconds")
     assert manifest_a == manifest_b
+
+
+def _fail_from_row(monkeypatch, limit: int) -> None:
+    """Make injection raise on the first planned row at or past limit."""
+    import dirtygen.inject
+
+    inject_row = dirtygen.inject.inject_row
+
+    def failing(clean, entries, row, config):
+        if row >= limit:
+            raise GenerationError(f"injector failed at row {row}")
+        return inject_row(clean, entries, row, config)
+
+    monkeypatch.setattr(dirtygen.inject, "inject_row", failing)
+
+
+@pytest.mark.parametrize("shard_count", [1, 3])
+def test_failed_generate_leaves_no_outputs(tmp_path, monkeypatch, capsys, shard_count):
+    # The failure comes after whole blocks and shards were written: none of
+    # them, no log, no manifest and no temporary file remains, and every file
+    # was closed (an unclosed one warns in development mode).
+    doc = json.loads(make_config_text(errors=ERRORS, tuple_count=600))
+    doc["generation"]["scaling"] = {"shard_count": shard_count}
+    config = write_config(tmp_path, text=json.dumps(doc))
+    out = tmp_path / "out"
+    _fail_from_row(monkeypatch, 400)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith("generation error: injector failed at row 4")
+    assert sorted(out.iterdir()) == []
+
+
+def test_failed_rerun_keeps_the_earlier_run(tmp_path, monkeypatch):
+    config = write_config(tmp_path, errors=ERRORS, tuple_count=600)
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+    _fail_from_row(monkeypatch, 400)
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
 
 
 def test_console_entry_point_runs(tmp_path):

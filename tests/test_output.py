@@ -27,6 +27,7 @@ from dirtygen.output import (
     _strict_loads,
     encode_record,
     encode_rows,
+    publish,
     read_aligned,
 )
 
@@ -36,12 +37,12 @@ def spec_for(tmp_path, **kwargs):
 
 
 def write_records(records, spec, which):
-    """The records through one DatasetWriter; returns its paths."""
+    """The records through one DatasetWriter; returns its published paths."""
     records = list(records)
     writer = DatasetWriter(spec, which, len(records))
     for record in records:
         writer.write(record)
-    return writer.close()
+    return publish(writer.close())
 
 
 def write_log(entries, spec, *, seed, config_hash):
@@ -429,7 +430,7 @@ def test_write_lines_in_any_blocks_writes_what_write_does(tmp_path_factory, coun
     bounds = [0, *sorted(min(c, count) for c in cuts), count]
     for lo, hi in zip(bounds, bounds[1:]):
         writer.write_lines(lines[lo:hi])
-    paths = writer.close()
+    paths = publish(writer.close())
     assert [p.name for p in paths] == [p.name for p in expected]
     assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in expected]
 
@@ -440,7 +441,7 @@ def test_write_lines_refuses_a_block_past_the_declared_count(tmp_path):
     with pytest.raises(DatasetFormatError, match="more than the declared 2"):
         writer.write_lines(['{"a":2}', '{"a":3}'])
     writer.write_lines(['{"a":2}'])  # the refused block wrote nothing
-    assert writer.close()[0].read_text(encoding="utf-8") == '{"a":1}\n{"a":2}\n'
+    assert publish(writer.close())[0].read_text(encoding="utf-8") == '{"a":1}\n{"a":2}\n'
 
 
 def test_writer_count_mismatch_detected(tmp_path):
