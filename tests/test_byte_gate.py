@@ -24,16 +24,13 @@ import io
 import json
 import random
 import re
-import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))  # confgen, when run as a script
-
-from confgen import random_config  # noqa: E402
-from dirtygen.cli import main as cli_main  # noqa: E402
+from confgen import random_config
+from dirtygen.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().parent / "byte_gate.jsonl"
