@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -47,7 +46,6 @@ from .taxonomy import STAGE_CELL, STAGE_COLUMN, STAGE_ROW, round_half_away, spli
 from .templates import template_regex
 
 BUNDLED_LEXICONS = ("first_names", "last_names", "cities", "streets", "words")
-LEXICON_DIR_ENV = "DIRTYGEN_LEXICON_DIR"
 
 # ---------------------------------------------------------------------------
 # Domain model
@@ -202,22 +200,11 @@ def load_lexicon(name_or_path: str, *, base_dir: Path | None = None) -> list[str
 
     Bundled names resolve to packaged word lists; anything else is treated as
     a file path (relative paths resolve against base_dir, then the working
-    directory). The DIRTYGEN_LEXICON_DIR environment variable points at a
-    directory whose <name>.txt files override the bundled lists.
+    directory).
     """
-    text = None
-    override_dir = os.environ.get(LEXICON_DIR_ENV)
-    if override_dir and name_or_path in BUNDLED_LEXICONS:
-        candidate = Path(override_dir) / f"{name_or_path}.txt"
-        if candidate.is_file():
-            text = candidate.read_text(encoding="utf-8")
-    if text is None and name_or_path in BUNDLED_LEXICONS:
-        text = (
-            resources.files("dirtygen")
-            .joinpath("lexicons", f"{name_or_path}.txt")
-            .read_text(encoding="utf-8")
-        )
-    if text is None:
+    if name_or_path in BUNDLED_LEXICONS:
+        text = resources.files("dirtygen").joinpath("lexicons", f"{name_or_path}.txt").read_text(encoding="utf-8")
+    else:
         path = Path(name_or_path)
         if not path.is_absolute() and base_dir is not None and (base_dir / path).is_file():
             path = base_dir / path

@@ -16,8 +16,9 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .exceptions import ConfigError, GenerationError
+from .output import canonical_json
 from .rng import NORMAL_Z_BOUND, TWO53_INV, gaussian
-from .taxonomy import round_half_away
+from .taxonomy import ABSENT, round_half_away
 from .templates import template_attempts, template_decode, template_regex, template_size
 
 MAX_MEMBERS = 10_000  # members() lists domains up to this size
@@ -85,14 +86,18 @@ def weighted_choice(weights: tuple[float, ...]) -> Callable[[float], int]:
 
 
 def finite(values: tuple, weights: tuple[float, ...] | None = None) -> Domain:
-    """The domain listed by values; draws pick by weight when weights are given."""
+    """The domain listed by values; draws pick by weight when weights are given.
+    A member is a value of the same canonical JSON as one listed, so 1.0 and
+    true are not members of [1, 2, 3]."""
     n = len(values)
     if weights is None:
         attempts = lambda _, words: [values[(w * n) >> 64] for w in words[0]]  # noqa: E731
     else:
         choose = weighted_choice(weights)
         attempts = lambda _, words: [values[choose((w >> 11) * TWO53_INV)] for w in words[0]]  # noqa: E731
-    return Domain(n, 1, attempts, values.__contains__, values.__getitem__, n, values)
+    keys = frozenset(map(canonical_json, values))
+    contains = lambda value: value is not ABSENT and canonical_json(value) in keys  # noqa: E731
+    return Domain(n, 1, attempts, contains, values.__getitem__, n, values)
 
 
 def resolve(attr, tuple_count: int, values: tuple | None = None) -> Domain:

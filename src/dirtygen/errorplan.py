@@ -51,44 +51,34 @@ class PlanEntry:
 @dataclass
 class ErrorPlan:
     entries: tuple[PlanEntry, ...]
-    base_count: int
-    inserted_count: int
-    row_entries: dict = field(repr=False)  # base row -> [PlanEntry]
+    row_entries: dict = field(repr=False)  # base row -> [PlanEntry], in walk order
     insertions: tuple[PlanEntry, ...]  # dirty index N + position
     warnings: tuple[str, ...] = ()
 
 
 class _Claims:
-    """Row and cell claims; cells are keyed as row * width + attr position.
+    """What the walk has taken: each base row's entries, which become the
+    plan's row_entries, and the attributes that uniqueness donors hold in
+    each row. An attribute of None stands for the whole row."""
 
-    An attribute of None stands for the whole row.
-    """
-
-    def __init__(self, config: GeneratorConfig):
-        self._width = len(config.schema)
-        self._positions = config.attr_positions
-        self.rows: set[int] = set()
-        self.cells: set[int] = set()
+    def __init__(self):
+        self.row_entries: dict[int, list[PlanEntry]] = {}
+        self._donated: dict[int, list[str]] = {}
 
     def free(self, row: int, attribute: str | None) -> bool:
-        if row in self.rows:
-            return False
-        base = row * self._width
-        if attribute is not None:
-            return base + self._positions[attribute] not in self.cells
-        return not any(base + p in self.cells for p in range(self._width))
+        taken = [entry.attribute for entry in self.row_entries.get(row, ())] + self._donated.get(row, [])
+        return not taken if attribute is None else None not in taken and attribute not in taken
 
-    def claim(self, row: int, attribute: str | None) -> None:
-        if attribute is None:
-            self.rows.add(row)
-        else:
-            self.cells.add(row * self._width + self._positions[attribute])
+    def claim(self, entry: PlanEntry) -> None:
+        self.row_entries.setdefault(entry.row, []).append(entry)
+        if entry.donor is not None:
+            self._donated.setdefault(entry.donor, []).append(entry.attribute)
 
 
 def plan_errors(config: GeneratorConfig) -> ErrorPlan:
     """Turn the error specs into a collision-free, exact-count target plan."""
     n = config.tuple_count
-    claims = _Claims(config)
+    claims = _Claims()
     entries: list[PlanEntry] = []
     insertions: list[PlanEntry] = []
     warnings: list[str] = []
@@ -113,16 +103,9 @@ def plan_errors(config: GeneratorConfig) -> ErrorPlan:
         for attribute, share in zip(targets, split_count(spec.count, len(targets))):
             _place(config, index, spec, etype, attribute, share, claims, entries, warnings)
 
-    row_entries: dict[int, list[PlanEntry]] = {}
-    for entry in entries:
-        if entry.scope != "insertion":
-            row_entries.setdefault(entry.row, []).append(entry)
-
     return ErrorPlan(
         entries=tuple(entries),
-        base_count=n,
-        inserted_count=len(insertions),
-        row_entries=row_entries,
+        row_entries=claims.row_entries,
         insertions=tuple(insertions),
         warnings=tuple(warnings),
     )
@@ -165,9 +148,7 @@ def _place(
             if extras is None:
                 continue
         entry = PlanEntry(etype.name, etype.scope, index, row, attribute, **extras)
-        claims.claim(row, attribute)
-        if entry.donor is not None:
-            claims.claim(entry.donor, attribute)
+        claims.claim(entry)
         entries.append(entry)
         placed += 1
     if placed < count:

@@ -249,12 +249,10 @@ def _break_pattern(text: str, pattern, stream: Stream) -> str:
 
 
 def _in_some_domain(text: str, config) -> bool:
-    """Does some attribute's effective pattern or listed domain take the text?"""
+    """Does some attribute's effective pattern or domain take the text?"""
     for attr in config.schema:
         pattern = attr.effective_pattern()
-        if pattern is not None and pattern.fullmatch(text):
-            return True
-        if attr.domain.values is not None and text in attr.domain.values:
+        if pattern is not None and pattern.fullmatch(text) or attr.domain.contains(text):
             return True
     return False
 
@@ -606,7 +604,9 @@ def _non_null_cells(config, row: int) -> int:
 
 
 def _can_empty(config, spec, row, attribute, claims) -> dict | None:
-    nullable = any(may_be_null(a, config) for a in config.schema)
+    # Whether some attribute may_be_null, without walking each chain: every
+    # chain's root is in the schema, and dependents declare no null_rate.
+    nullable = any(attr.null_rate > 0 for attr in config.schema)
     if nullable and _non_null_cells(config, row) < 2:
         return None
     return {}
@@ -683,7 +683,7 @@ def _breaks_rule_cell(clean, dirty, attr, config, params, clean_record, dirty_re
     """The dependent's dirty value is another of its rule's images, and the rule is broken."""
     return (
         attr.dependency is not None
-        and dirty_record.get(attr.name, ABSENT) in attr.domain.values
+        and attr.domain.contains(dirty_record.get(attr.name, ABSENT))
         and _rule_violated(attr.dependency, clean_record, dirty_record)
     )
 

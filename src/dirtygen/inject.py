@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Iterable, Iterator
+from contextlib import suppress
+from itertools import takewhile
+from typing import Iterator
 
 from . import __version__
 from .config import GeneratorConfig
@@ -72,8 +74,8 @@ def inject_row(
 
 def inject_insertions(plan: ErrorPlan, config: GeneratorConfig) -> Iterator[tuple[dict, list[ErrorLogEntry]]]:
     """The inserted records with their log entries, in plan order; they take
-    dirty indices base_count, base_count + 1, ..."""
-    for dirty_index, entry in enumerate(plan.insertions, plan.base_count):
+    dirty indices tuple_count, tuple_count + 1, ..."""
+    for dirty_index, entry in enumerate(plan.insertions, config.tuple_count):
         etype = ERROR_TYPES[entry.error_type]
         stream = derive_stream(config.seed, f"inject:{etype.name}", dirty_index)
         source = None if entry.row is None else generate_record(config, entry.row)
@@ -121,23 +123,17 @@ def write_run(config: GeneratorConfig, plan: ErrorPlan) -> dict:
     """Write a run's clean and dirty datasets, error log and manifest into
     config.output, block by block, and return the manifest. Each file is
     written under its output.staging_path, and all are published once all
-    have closed: a failed run leaves none behind, and an earlier run's files
-    as they were."""
+    have closed: a failed run leaves none behind, leaves an earlier run's
+    files as they were, and removes the directories it made if empty."""
     started = time.monotonic()
-    out, names = config.output, config.attribute_names
+    out, names, inserted = config.output, config.attribute_names, len(plan.insertions)
+    made = list(takewhile(lambda directory: not directory.exists(), [out.directory, *out.directory.parents]))
     clean_writer = DatasetWriter(out, "clean", config.tuple_count)
-    dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + plan.inserted_count)
+    dirty_writer = DatasetWriter(out, "dirty", config.tuple_count + inserted)
     paths = [*clean_writer.paths, *dirty_writer.paths, out.log_path, out.manifest_path]
-    counts: Counter = Counter()
     try:
         with open(staging_path(out.log_path), "w", encoding="utf-8", newline="\n") as log_file:
-            log_writer = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash)
-
-            def log(entries):
-                for entry in entries:
-                    log_writer.write(entry)
-                counts.update(realized_counts(entries))
-
+            log = ErrorLogWriter(log_file, seed=config.seed, config_hash=config.config_hash).write
             for lo, columns, dirty, entries in dirty_blocks(config, plan):
                 lines = encode_rows(names, columns)
                 clean_writer.write_lines(lines)
@@ -145,16 +141,20 @@ def write_run(config: GeneratorConfig, plan: ErrorPlan) -> dict:
                 for row, record in dirty.items():
                     lines[row - lo] = encode_record(record)
                 dirty_writer.write_lines(lines)
-                log(entries)
+                for entry in entries:
+                    log(entry)
             for record, entries in inject_insertions(plan, config):
                 dirty_writer.write(record)
-                log(entries)
+                for entry in entries:
+                    log(entry)
         clean_writer.close()
         dirty_writer.close()
+        # Each entry wrote exactly one counted log line: its marker, or its one cell.
+        counts = Counter(entry.error_type for entry in plan.entries)
         manifest = {
             "tool": "dirtygen", "version": __version__, "config_hash": config.config_hash, "seed": config.seed,
-            "tuple_count": config.tuple_count, "inserted_count": plan.inserted_count,
-            "dirty_count": config.tuple_count + plan.inserted_count, "error_counts": dict(sorted(counts.items())),
+            "tuple_count": config.tuple_count, "inserted_count": inserted,
+            "dirty_count": config.tuple_count + inserted, "error_counts": dict(sorted(counts.items())),
             "duration_seconds": round(time.monotonic() - started, 3),
         }
         write_json(staging_path(out.manifest_path), manifest)
@@ -164,13 +164,11 @@ def write_run(config: GeneratorConfig, plan: ErrorPlan) -> dict:
         dirty_writer.discard()
         for path in paths:
             staging_path(path).unlink(missing_ok=True)
+        for directory in made:  # deepest first
+            with suppress(OSError):
+                directory.rmdir()
         raise
     return manifest
-
-
-def realized_counts(entries: Iterable[ErrorLogEntry]) -> Counter:
-    """Errors realized per type: markers for row/insertion scopes, cells otherwise."""
-    return Counter(e.error_type for e in entries if (e.attribute is None) == ERROR_TYPES[e.error_type].marker)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,16 @@ _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=
 _encode_any = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
+def canonical_json(value) -> str:
+    """A value's canonical JSON encoding, the one same_json compares, so a
+    set of them answers membership by same_json. A value nested too deeply
+    to encode is a DatasetFormatError."""
+    try:
+        return _encode_any(value)
+    except RecursionError:
+        raise DatasetFormatError("a value nests arrays or objects too deeply to compare") from None
+
+
 def same_json(a, b) -> bool:
     """Whether two values have the same canonical JSON encoding: the one
     equality of logged and dataset values, so 1, 1.0 and true are three
@@ -90,7 +100,7 @@ def same_json(a, b) -> bool:
                 return repr(a) == repr(b)  # the encoder writes a float's repr
             if kind is not dict and kind is not list:
                 return True
-        return _encode_any(a) == _encode_any(b)
+        return canonical_json(a) == canonical_json(b)
     except RecursionError:  # the readers decode values a few frames less deep
         raise DatasetFormatError("a value nests arrays or objects too deeply to compare") from None
 

@@ -1,4 +1,5 @@
-"""Log-replay oracle: rebuild the dirty dataset from clean data plus the log.
+"""Log-replay oracle: rebuild the dirty dataset from clean data plus the log,
+and count its errors.
 
 Independent of the injection path; only interprets the documented log
 semantics. Cell entries overwrite values (ABSENT dirty value deletes the
@@ -8,7 +9,20 @@ count.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from dirtygen import ABSENT
+from dirtygen.taxonomy import ERROR_STAGES, STAGE_INSERTION, STAGE_ROW
+
+
+def realized_counts(log_entries) -> Counter:
+    """Errors per type by the logging rules: an insertion or whole-row type
+    writes one marker line per error, any other type one cell line."""
+    return Counter(
+        entry.error_type
+        for entry in log_entries
+        if (entry.attribute is None) == (ERROR_STAGES[entry.error_type] in (STAGE_INSERTION, STAGE_ROW))
+    )
 
 
 def replay(clean_records: list[dict], log_entries, attribute_names) -> list[dict]:

@@ -26,13 +26,13 @@ from dirtygen import ABSENT, apply_plan, load_config, parse_config, plan_errors,
 from dirtygen.cli import main as cli_main
 from dirtygen.datagen import generate_clean_dataset, may_be_null, value_in_domain
 from dirtygen.errortypes import ALL_ERROR_TYPES
-from dirtygen.inject import ErrorLogEntry, realized_counts
+from dirtygen.inject import ErrorLogEntry
 from dirtygen.output import encode_record, read_dataset
 from dirtygen.taxonomy import INSERTION_TYPES
 
 from checker import check_dataset
 from confgen import random_config
-from replay import replay
+from replay import realized_counts, replay
 from test_output import write_records
 
 # ---------------------------------------------------------------------------

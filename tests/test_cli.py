@@ -340,7 +340,19 @@ def test_failed_generate_leaves_no_outputs(tmp_path, monkeypatch, capsys, shard_
         gc.collect()
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.startswith("generation error: injector failed at row 4")
-    assert sorted(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_failed_generate_removes_the_directories_it_made(tmp_path, monkeypatch):
+    # Every missing parent of the output directory goes too, deepest first;
+    # a directory that was there before the run stays.
+    config = write_config(tmp_path, errors=ERRORS, tuple_count=600)
+    _fail_from_row(monkeypatch, 400)
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "a" / "b" / "out")]) == 2
+    assert not (tmp_path / "a").exists()
+    (tmp_path / "kept").mkdir()
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "kept" / "b" / "out")]) == 2
+    assert sorted(tmp_path.joinpath("kept").iterdir()) == []
 
 
 def test_failed_rerun_keeps_the_earlier_run(tmp_path, monkeypatch):

@@ -227,13 +227,12 @@ def test_hash_changes_with_seed_and_schema():
     assert compute_config_hash(base) == base.config_hash
 
 
-def test_config_hash_is_pinned(tmp_path, monkeypatch):
+def test_config_hash_is_pinned(tmp_path):
     # One document over every source kind and every signature rule: a
     # lexicon by bundled name and one by relative path, a set with and one
     # without weights, default sequence terms, a dependency mapping,
     # offdomain carriers of four kinds and skewed bias weights. A change
     # to how any of them is hashed changes this digest.
-    monkeypatch.delenv("DIRTYGEN_LEXICON_DIR", raising=False)
     (tmp_path / "colors.txt").write_text("red\ngreen\n blue\nred\n", encoding="utf-8")
     doc = {
         "schema": [
@@ -363,12 +362,6 @@ def test_empty_lexicon_file(tmp_path):
     path.write_text(" \n\n", encoding="utf-8")
     with pytest.raises(LexiconError, match="empty"):
         load_lexicon(str(path))
-
-
-def test_lexicon_env_override(tmp_path, monkeypatch):
-    (tmp_path / "cities.txt").write_text("OnlyTown\n", encoding="utf-8")
-    monkeypatch.setenv("DIRTYGEN_LEXICON_DIR", str(tmp_path))
-    assert load_lexicon("cities") == ["OnlyTown"]
 
 
 def test_unknown_section_keys_rejected():

@@ -295,7 +295,10 @@ def _chain_doc(length: int, dependents_first: bool) -> dict:
     return {
         "schema": schema,
         "dependencies": rules,
-        "errors": [{"type": "inconsistency_among_attribute_values", "rate": 0.1}],
+        "errors": [
+            {"type": "inconsistency_among_attribute_values", "rate": 0.1},
+            {"type": "semi_empty_tuple", "rate": 0.1},
+        ],
         "generation": {"tuple_count": 20, "seed": 5},
     }
 

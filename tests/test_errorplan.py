@@ -1,12 +1,17 @@
 import json
+import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirtygen import parse_config, plan_errors
-from dirtygen.errorplan import format_plan
+from dirtygen.errorplan import PlanEntry, _Claims, format_plan
 from dirtygen.errortypes import ERROR_TYPES
 from dirtygen.taxonomy import ERROR_STAGES, INSERTION_TYPES
 
+from confgen import random_config
 from conftest import make_config_text
 
 
@@ -86,7 +91,7 @@ def test_population_counts_tuples_or_target_cells(error_type):
     assert parsed.count == parsed.population // 10
     plan = plan_errors(config)
     assert len(plan.entries) == parsed.count
-    assert plan.inserted_count == (parsed.count if error_type in INSERTION_TYPES else 0)
+    assert len(plan.insertions) == (parsed.count if error_type in INSERTION_TYPES else 0)
 
 
 def test_zero_rates_empty_plan():
@@ -95,7 +100,7 @@ def test_zero_rates_empty_plan():
     )
     plan = plan_errors(config)
     assert plan.entries == ()
-    assert plan.inserted_count == 0
+    assert plan.insertions == ()
 
 
 def test_rate_one_covers_every_tuple():
@@ -197,6 +202,44 @@ def test_donor_cells_are_protected_from_later_claims():
     for entry in plan.entries:
         if entry.error_type == "missing_value":
             assert entry.row not in protected
+
+
+_ATTRIBUTES = (None, "a", "b", "c")  # None: the whole row
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from(_ATTRIBUTES), st.none() | st.integers(0, 4)),
+        max_size=12,
+    )
+)
+def test_claims_answer_as_a_set_of_cells(drawn):
+    # The reference holds what the planner once kept: whole-row claims and
+    # (row, attribute) cell claims, a donor's cell claimed with its entry's.
+    claims, rows, cells = _Claims(), set(), set()
+    for row, attribute, donor in drawn:
+        claims.claim(PlanEntry("x", "cell", 0, row, attribute, donor=donor))
+        for taken in (row,) if donor is None else (row, donor):
+            if attribute is None:
+                rows.add(taken)
+            else:
+                cells.add((taken, attribute))
+        for r, a in product(range(5), _ATTRIBUTES):
+            row_free = r not in rows and all((r, b) not in cells for b in _ATTRIBUTES[1:])
+            expected = row_free if a is None else r not in rows and (r, a) not in cells
+            assert claims.free(r, a) is expected, (r, a)
+
+
+def test_row_entries_are_the_base_entries_by_row_in_plan_order():
+    for seed in range(40):
+        plan = plan_errors(parse_config(random_config(random.Random(seed))))
+        by_row = {}
+        for entry in plan.entries:
+            if entry.scope != "insertion":
+                by_row.setdefault(entry.row, []).append(entry)
+        assert plan.row_entries == by_row, seed
+        assert list(plan.row_entries) == list(by_row), seed
 
 
 def test_bias_shortfall_is_a_warning_not_an_error():

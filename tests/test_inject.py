@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, verify_error
 from dirtygen.datagen import clean_cell_value, generate_clean_dataset
 from dirtygen.errortypes import ERROR_TYPES, _interval_violation, apply_edit, edit_distance_one, misspell
-from dirtygen.inject import realized_counts
+from dirtygen.inject import write_run
+from dirtygen.output import ErrorLogEntry, read_error_log
 from dirtygen.rng import derive_stream
 from dirtygen.taxonomy import INSERTION_TYPES
 
+from confgen import random_config
 from conftest import make_config_text
-from replay import replay
+from replay import realized_counts, replay
 
 
 class FakeStream:
@@ -157,6 +160,31 @@ def test_erroneous_entry_with_two_member_set():
     for i in range(20):
         stream = derive_stream(5, "test-erroneous", i)
         assert ERROR_TYPES["erroneous_entry"].inject("A", attr, stream, config, {}, None) == "B"
+
+
+def test_listed_domain_membership_is_type_strict():
+    # true and 1.0 equal 1 under ==, but neither is a member of the integer
+    # set [1, 2, 3]: an erroneous_entry to either is not one, and 2 is. The
+    # same holds for a dependent's images, here 1 and 2.
+    doc = {
+        "schema": [
+            {"name": "n", "datatype": "integer", "source": {"kind": "set", "values": [1, 2, 3]}},
+            {"name": "g", "datatype": "string", "source": {"kind": "set", "values": ["A", "B"]}},
+            {"name": "d", "datatype": "integer"},
+        ],
+        "dependencies": [{"determinant": "g", "dependent": "d", "mapping": {"A": 1, "B": 2}}],
+        "generation": {"tuple_count": 10, "seed": 1},
+    }
+    config = parse_config(json.dumps(doc))
+    domain = config.attribute("n").domain
+    assert [domain.contains(v) for v in (1, 2, 3, True, 1.0, 2.0, "1", None, ABSENT)] == [True] * 3 + [False] * 6
+    clean = {"n": 3, "g": "A", "d": 1}
+    cases = [("n", "erroneous_entry", 3), ("d", "inconsistency_among_attribute_values", 1)]
+    for (name, error_type, clean_value), (dirty_value, verdict) in product(cases, ((True, False), (2.0, False), (2, True))):
+        entry = ErrorLogEntry(0, 0, name, error_type, clean_value, dirty_value)
+        dirty = dict(clean, **{name: dirty_value})
+        verified = verify_error(entry, clean, dirty, config, dirty_dataset=[dirty], clean_dataset=[clean])
+        assert verified is verdict, (name, dirty_value)
 
 
 def test_outlier_formula():
@@ -475,6 +503,16 @@ def test_realized_counts_match_targets(config_with_errors):
     counts = realized_counts(log)
     for spec in config_with_errors.errors:
         assert counts.get(spec.error_type, 0) == spec.count
+
+
+def test_manifest_counts_are_the_logged_errors(tmp_path):
+    # write_run counts the plan's entries; the log oracle counts the lines
+    # of the log it wrote, by the documented logging rules.
+    for seed in range(120):
+        out = tmp_path / str(seed)
+        config = parse_config(random_config(random.Random(seed)), output_dir_override=out)
+        manifest = write_run(config, plan_errors(config))
+        assert manifest["error_counts"] == realized_counts(read_error_log(out / "errors.log")), seed
 
 
 def test_verify_error_examples(base_config):
