@@ -25,6 +25,8 @@ MAX_MEMBERS = 10_000  # members() lists domains up to this size
 
 _FLOAT_GRID_BITS = 53  # unique float values are drawn from a 2^53 grid
 _RESAMPLE_LIMIT = 1000
+# The exact types of each datatype's values: a bool, though an int, is none of them.
+_DATATYPES = {"string": (str,), "integer": (int,), "float": (int, float)}
 
 
 class Domain(NamedTuple):
@@ -38,7 +40,7 @@ class Domain(NamedTuple):
     # clean generator to the streams of a block of tuples.
     words: int
     attempts: Callable
-    contains: Callable  # non-null value -> could the clean generator emit it?
+    contains: Callable  # non-null value -> could the clean generator emit it? See resolve.
     at: Callable | None = None  # k -> the k-th member; None where nothing indexes it
     span: int | None = None  # members members() lists: size, or a sequence's first tuple_count
     values: tuple | None = None  # a finite domain's members, in order
@@ -105,7 +107,12 @@ def resolve(attr, tuple_count: int, values: tuple | None = None) -> Domain:
 
     values, when given, lists the members. An attribute standing in for a
     bare source (an offdomain carrier) takes a set's or a lexicon's values as
-    they are.
+    they are; it only draws.
+
+    A listed domain keys its typed, constraint-satisfying members. Any other
+    domain's member has the attribute's datatype, passes attr.satisfies and
+    passes its source kind's own test: the progression, the template's regex,
+    the uniform range or the normal bound.
     """
     src = attr.source
     kind = src["kind"]
@@ -118,12 +125,15 @@ def resolve(attr, tuple_count: int, values: tuple | None = None) -> Domain:
             domain = domain._replace(by_index=_sequence_at(attr))
         return domain
     if kind == "sequence":
-        return _sequence_domain(attr, tuple_count)
-    if kind == "template":
-        return _template_domain(attr)
-    if src["distribution"] == "normal":
-        return _normal_domain(attr)
-    return _uniform_domain(attr)
+        domain = _sequence_domain(attr, tuple_count)
+    elif kind == "template":
+        domain = _template_domain(attr)
+    elif src["distribution"] == "normal":
+        domain = _normal_domain(attr)
+    else:
+        domain = _uniform_domain(attr)
+    types, own, satisfies = _DATATYPES[attr.datatype], domain.contains, attr.satisfies
+    return domain._replace(contains=lambda value: type(value) in types and own(value) and satisfies(value))
 
 
 def _sequence_terms(attr) -> tuple:
@@ -144,9 +154,7 @@ def _sequence_domain(attr, tuple_count: int) -> Domain:
     span = max(tuple_count, 2)
     exact = isinstance(start, int) and isinstance(step, int)
 
-    def contains(value) -> bool:  # any member, also beyond tuple_count
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
+    def contains(value) -> bool:  # any number of the progression, also beyond tuple_count
         if step == 0:
             return value == start
         if exact and (isinstance(value, int) or value.is_integer()):
@@ -164,35 +172,16 @@ def _sequence_domain(attr, tuple_count: int) -> Domain:
 
 def _template_domain(attr) -> Domain:
     template = attr.source["template"]
-    size, regex, satisfies = template_size(template), template_regex(template), attr.satisfies
-
-    def contains(value) -> bool:
-        return isinstance(value, str) and regex.fullmatch(value) is not None and satisfies(value)
-
+    size, regex = template_size(template), template_regex(template)
     return Domain(
         size,
         *template_attempts(template),
-        contains,
+        lambda value: regex.fullmatch(value) is not None,
         lambda k: template_decode(template, k),
         size,
         accept=attr.satisfies if attr.compiled_pattern is not None else None,
         name=attr.name,
     )
-
-
-def _numeric_contains(attr, low=None, high=None) -> Callable:
-    integer, satisfies = attr.datatype == "integer", attr.satisfies
-
-    def contains(value) -> bool:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        if integer and not isinstance(value, int):
-            return False
-        if low is not None and not low <= value <= high:
-            return False
-        return satisfies(value)
-
-    return contains
 
 
 def _uniform_domain(attr) -> Domain:
@@ -230,7 +219,7 @@ def _uniform_domain(attr) -> Domain:
         size,
         1,
         attempts,
-        _numeric_contains(attr, low, high),
+        lambda value: low <= value <= high,
         at,
         size,
         accept=attr.satisfies if attr.compiled_pattern is not None else None,
@@ -251,6 +240,8 @@ def _normal_domain(attr) -> Domain:
             for w1, w2 in zip(*words)
         ]
 
+    # Rounding to an integer can add half a unit to NORMAL_Z_BOUND stddevs.
+    bound = abs(float(mean)) + NORMAL_Z_BOUND * float(stddev) + (0.5 if attr.datatype == "integer" else 0.0)
     size = at = None
     if attr.datatype != "integer":
         size = 1 << _FLOAT_GRID_BITS
@@ -260,14 +251,14 @@ def _normal_domain(attr) -> Domain:
         size,
         2,
         attempts,
-        _numeric_contains(attr),
+        lambda value: abs(value) <= bound,
         at,
         size,
         accept=attr.satisfies if attr.compiled_pattern is not None or attr.interval is not None else None,
         name=attr.name,
         mean=mean,
         stddev=stddev,
-        bound=abs(float(mean)) + NORMAL_Z_BOUND * float(stddev),
+        bound=bound,
     )
 
 

@@ -31,6 +31,7 @@ from .config import NON_NEGATIVE, POSITIVE, REQUIRED, SOURCE, AttributeSpec, Fie
 from .datagen import clean_cell_value, generate_record, may_be_null, value_in_domain
 from .domains import resolve, weighted_choice
 from .exceptions import ConfigError, GenerationError
+from .output import same_json
 from .rng import NORMAL_Z_BOUND, Stream, derive_stream
 from .taxonomy import ABSENT, ERROR_STAGES, STAGE_CELL, STAGE_COLUMN, STAGE_INSERTION, STAGE_ROW, round_half_away
 from .templates import CLASSES
@@ -457,7 +458,8 @@ def _copy_donor(clean, attr, stream, config, params, entry):
 def _duplicated(clean, dirty, attr, config, params, clean_record, dirty_record, dirty_dataset):
     if dirty == clean:
         return False
-    return sum(_matches(dirty_dataset, attr.name, dirty)) >= 2
+    equal = compress(dirty_dataset, _matches(dirty_dataset, attr.name, dirty))
+    return sum(same_json(record.get(attr.name, ABSENT), dirty) for record in equal) >= 2
 
 
 def _synonym(clean, attr, stream, *_):
@@ -768,13 +770,9 @@ def _near_duplicate(source, config, stream, params, entry, dirty_index) -> dict:
     return record
 
 
-def _misspelled_copy(clean, dirty, *_) -> bool:
-    return isinstance(clean, str) and edit_distance_one(str(clean), str(dirty))
-
-
 def _matches(dataset: list[dict], name: str, value) -> Iterator[bool]:
-    """Whether each record's `name` value equals `value`, ABSENT for a missing
-    key; the whole column is compared in C."""
+    """Whether each record's `name` value == `value`, ABSENT for a missing
+    key, compared in C: every same_json match, and maybe more."""
     return map(eq, map(dict.get, dataset, repeat(name), repeat(ABSENT)), repeat(value))
 
 
@@ -796,7 +794,7 @@ def _differing(dirty_record: dict, config, clean_dataset: list[dict], limit: int
     for row in candidates:
         source = clean_dataset[row]
         diffs = [
-            name for name in names if source.get(name, ABSENT) != dirty_record.get(name, ABSENT)
+            name for name in names if not same_json(source.get(name, ABSENT), dirty_record.get(name, ABSENT))
         ]
         if len(diffs) <= limit:
             yield source, diffs
@@ -980,7 +978,7 @@ _RECORDS = (
     ),
     ErrorType(
         "redundancy_about_entity",
-        _near_duplicate, _misspelled_copy, _duplicates_a_tuple,
+        _near_duplicate, _misspelled, _duplicates_a_tuple,
         params={
             "near_duplicate": Field("boolean", True),
             "perturbed_attributes": Field("integer", 1, *NON_NEGATIVE),

@@ -22,6 +22,22 @@ def _type_ok(value, datatype: str) -> bool:
     return isinstance(value, (int, float))
 
 
+def check_value(attr, value) -> list[str]:
+    """All constraint violations of one non-null value of attr."""
+    if not _type_ok(value, attr.datatype):
+        return [f"{attr.name}: {value!r} is not a {attr.datatype}"]
+    problems = []
+    if attr.pattern is not None and re.fullmatch(attr.pattern, str(value)) is None:
+        problems.append(f"{attr.name}: {value!r} fails pattern {attr.pattern!r}")
+    if attr.interval is not None:
+        lo, hi = attr.interval
+        if not lo <= value <= hi:
+            problems.append(f"{attr.name}: {value!r} outside [{lo}, {hi}]")
+    if attr.admissible_set is not None and value not in attr.admissible_set:
+        problems.append(f"{attr.name}: {value!r} not in admissible set")
+    return problems
+
+
 def check_record(record: dict, config) -> list[str]:
     """All constraint violations in one record; empty list means clean."""
     problems = []
@@ -34,17 +50,7 @@ def check_record(record: dict, config) -> list[str]:
             if not attr.nullable_in_clean:
                 problems.append(f"{attr.name}: null but not nullable")
             continue
-        if not _type_ok(value, attr.datatype):
-            problems.append(f"{attr.name}: {value!r} is not a {attr.datatype}")
-            continue
-        if attr.pattern is not None and re.fullmatch(attr.pattern, str(value)) is None:
-            problems.append(f"{attr.name}: {value!r} fails pattern {attr.pattern!r}")
-        if attr.interval is not None:
-            lo, hi = attr.interval
-            if not lo <= value <= hi:
-                problems.append(f"{attr.name}: {value!r} outside [{lo}, {hi}]")
-        if attr.admissible_set is not None and value not in attr.admissible_set:
-            problems.append(f"{attr.name}: {value!r} not in admissible set")
+        problems += check_value(attr, value)
     for rule in config.dependencies:
         det = record.get(rule.determinant, _MISSING)
         dep = record.get(rule.dependent, _MISSING)

@@ -12,8 +12,10 @@ in the captured sections of a failing run).
 8  portability: strict JSON/NDJSON parsing and round-trip identity
 """
 
+import functools
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -21,6 +23,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirtygen import ABSENT, apply_plan, load_config, parse_config, plan_errors, score, verify_error
 from dirtygen.cli import main as cli_main
@@ -28,11 +32,13 @@ from dirtygen.datagen import generate_clean_dataset, may_be_null, value_in_domai
 from dirtygen.errortypes import ALL_ERROR_TYPES
 from dirtygen.inject import ErrorLogEntry
 from dirtygen.output import encode_record, read_dataset
+from dirtygen.rng import derive_stream
 from dirtygen.taxonomy import INSERTION_TYPES
 
-from checker import check_dataset
+from checker import check_dataset, check_value
 from confgen import random_config
 from replay import realized_counts, replay
+from test_byte_gate import MEMBERSHIP
 from test_output import write_records
 
 # ---------------------------------------------------------------------------
@@ -253,6 +259,47 @@ def test_property_clean_values_in_domain(property_runs):
                     continue
                 assert value_in_domain(attr, value, config), (config.seed, attr.name, value)
                 assert members is None or value in members, (config.seed, attr.name, value)
+
+
+@functools.cache
+def _membership_configs() -> tuple:
+    docs = [json.dumps(_golden_sources_doc()), *map(json.dumps, MEMBERSHIP.values())]
+    docs += [random_config(random.Random(seed)) for seed in range(20)]
+    return tuple(map(parse_config, docs))
+
+
+def _edges(number) -> list:
+    """number, one ulp to each side, and the ints next to it."""
+    down, up = math.nextafter(number, -math.inf), math.nextafter(number, math.inf)
+    return [number, down, up, math.floor(down), math.ceil(up)]
+
+
+def _candidates(attr, seed: int) -> list:
+    """Values membership must judge right: members and their neighbours of
+    other types, and numbers at and beyond every edge."""
+    domain = attr.domain
+    member = domain.draw(derive_stream(seed, "property:candidates", 0, attr.name))
+    values = [member, str(member), True, False, "", math.inf, -math.inf, 1e300, -1e300, 10**400]
+    if isinstance(member, (int, float)) and not isinstance(member, bool):
+        values += [float(member), int(member), -member, *_edges(member)]
+    if attr.interval is not None:
+        values += [edge for end in attr.interval for edge in _edges(end)]
+    if domain.bound is not None:  # a numeric source's reach
+        values += _edges(domain.bound) + _edges(-domain.bound)
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_members_pass_the_independent_checker(data):
+    # Whatever membership takes, the oracle of tests/checker.py takes too:
+    # its type, pattern, interval and admissible-set checks share no code
+    # with domains.resolve.
+    config = data.draw(st.sampled_from(_membership_configs()))
+    attr = data.draw(st.sampled_from(config.schema))
+    value = data.draw(st.sampled_from(_candidates(attr, data.draw(st.integers(0, 2**32)))))
+    if attr.domain.contains(value):
+        assert check_value(attr, value) == [], (config.seed, attr.name, value)
 
 
 # ---------------------------------------------------------------------------

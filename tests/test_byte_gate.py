@@ -5,7 +5,10 @@ One line per config holds the sha256 of every output file (the manifest
 without its `duration_seconds` line), the `validate` stdout, and the sha256
 of the `generate --emit-plan` stdout with the output directory written as
 <out>. The set is sample_configs/demo.json, demo at shard_count 2 and 3 in
-both output modes, and the confgen configs of seeds 0-119.
+both output modes, the confgen configs of seeds 0-119, and MEMBERSHIP: three
+configs whose injectors reject candidates by domain membership (an integer
+sequence under an interval, a normal attribute as the target of other
+attributes' values and of an offdomain source).
 
 A change that moves any of these bytes changes the output format. It must
 say so, and rewrite the file with
@@ -36,16 +39,53 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().parent / "byte_gate.jsonl"
 CONFGEN_SEEDS = range(120)
 SHARDED = [(mode, shards) for mode in ("ndjson", "json_array") for shards in (2, 3)]
+
+
+def _uniform(low, high) -> dict:
+    return {"kind": "numeric", "distribution": "uniform", "min": low, "max": high}
+
+
+_SCORE = {"name": "score", "datatype": "float",
+          "source": {"kind": "numeric", "distribution": "normal", "mean": 50, "stddev": 10}}
+_NAME = {"name": "name", "datatype": "string", "source": {"kind": "lexicon", "name": "first_names"}}
+
+
+def _membership_doc(schema: list, error: dict) -> dict:
+    return {"schema": schema, "errors": [error], "generation": {"tuple_count": 150, "seed": 2024}}
+
+
+MEMBERSHIP = {
+    # Ids 1-150 of a sequence held to [1, 200]: a borrowed 0 or 201-400 is outside it.
+    "membership-sequence-interval": _membership_doc(
+        [{"name": "id", "datatype": "integer", "source": {"kind": "sequence", "start": 1, "step": 1},
+          "interval": [1, 200], "unique": True},
+         {"name": "u", "datatype": "integer", "source": _uniform(0, 400)}],
+        {"type": "inadequate_value_to_attribute_context", "rate": 0.2, "attributes": ["id"]},
+    ),
+    # A normal(50, 10) score borrows from a numeric and a string donor: both land outside it.
+    "membership-normal-donors": _membership_doc(
+        [_SCORE, {"name": "u", "datatype": "float", "source": _uniform(0, 1e6)}, _NAME],
+        {"type": "inadequate_value_to_attribute_context", "rate": 0.2, "attributes": ["score"]},
+    ),
+    # Inserted rows draw the score from 0-1e6, mostly beyond what the normal can reach.
+    "membership-normal-offdomain": _membership_doc(
+        [_SCORE, _NAME],
+        {"type": "irrelevant_observation", "rate": 0.1, "params": {"offdomain": {"score": _uniform(0, 1e6)}}},
+    ),
+}
 NAMES = (
     ["demo"]
     + [f"demo-{mode}-{shards}" for mode, shards in SHARDED]
     + [f"confgen-{seed}" for seed in CONFGEN_SEEDS]
+    + list(MEMBERSHIP)
 )
 
 
 def _config_text(name: str) -> str:
     if name.startswith("confgen-"):
         return random_config(random.Random(int(name.split("-")[1])))
+    if name in MEMBERSHIP:
+        return json.dumps(MEMBERSHIP[name])
     doc = json.loads((ROOT / "sample_configs" / "demo.json").read_text(encoding="utf-8"))
     if name != "demo":
         _, mode, shards = name.split("-")

@@ -1,11 +1,12 @@
 """The dataset-context checks give the verdicts of a full scan.
 
 _duplicates_a_tuple and _conflicts_with_a_tuple compare whole records only
-with candidate clean tuples, and _duplicated counts a column in C. The
-reference functions below are the plain full scans those checks replace:
-every clean tuple diffed on every attribute, every dirty record counted one
-by one. Each check must agree with its reference on generated datasets and
-on hand-made records aimed at the candidate filter's edges.
+with candidate clean tuples, and _duplicated counts a column filtered in C.
+The reference functions below are the plain full scans those checks
+replace: every clean tuple diffed on every attribute, every dirty record
+counted one by one, each value compared by output.same_json. Each check must
+agree with its reference on generated datasets and on hand-made records
+aimed at the candidate filter's edges.
 """
 
 import json
@@ -20,12 +21,13 @@ from dirtygen.errortypes import (
     _duplicates_a_tuple,
     edit_distance_one,
 )
+from dirtygen.output import same_json
 
 from conftest import make_config_text
 
 
 def _diffs(source, dirty_record, names):
-    return [name for name in names if source.get(name, ABSENT) != dirty_record.get(name, ABSENT)]
+    return [name for name in names if not same_json(source.get(name, ABSENT), dirty_record.get(name, ABSENT))]
 
 
 def reference_duplicates(dirty_record, config, params, clean_dataset):
@@ -56,7 +58,7 @@ def reference_conflicts(dirty_record, config, clean_dataset):
 
 
 def reference_duplicated(name, dirty, dirty_dataset):
-    return sum(1 for record in dirty_dataset if record.get(name, ABSENT) == dirty) >= 2
+    return sum(1 for record in dirty_dataset if same_json(record.get(name, ABSENT), dirty)) >= 2
 
 
 def _param_sets(config):
@@ -185,8 +187,9 @@ def test_no_matching_tuple(hand_config):
     _check(hand_config, CLEAN, record, duplicates=False, conflicts=False)
 
 
-def test_equal_numbers_of_other_types_match_as_before(hand_config):
-    # 1 == 1.0 == True under the full scan; the filter keeps that equality.
+def test_equal_numbers_of_other_types_do_not_match(hand_config):
+    # 1 == 1.0 == True, but the scans compare by same_json, as the verifier
+    # does everywhere else: 1.0 and true are other values than 1.
     record = dict(CLEAN[0], id=1.0, age=30.0)
-    _check(hand_config, CLEAN, record, duplicates=True)
-    _check(hand_config, CLEAN, dict(CLEAN[0], id=True), duplicates=True)
+    _check(hand_config, CLEAN, record, duplicates=False, conflicts=False)
+    _check(hand_config, CLEAN, dict(CLEAN[0], id=True), duplicates=False, conflicts=False)

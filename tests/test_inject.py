@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import product
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, verify_error
-from dirtygen.datagen import clean_cell_value, generate_clean_dataset
+from dirtygen.datagen import clean_cell_value, generate_clean_dataset, value_in_domain
 from dirtygen.errortypes import ERROR_TYPES, _interval_violation, apply_edit, edit_distance_one, misspell
 from dirtygen.inject import write_run
 from dirtygen.output import ErrorLogEntry, read_error_log
@@ -15,6 +16,7 @@ from dirtygen.rng import derive_stream
 from dirtygen.taxonomy import INSERTION_TYPES
 
 from confgen import random_config
+from test_byte_gate import MEMBERSHIP
 from conftest import make_config_text
 from replay import realized_counts, replay
 
@@ -185,6 +187,95 @@ def test_listed_domain_membership_is_type_strict():
         dirty = dict(clean, **{name: dirty_value})
         verified = verify_error(entry, clean, dirty, config, dirty_dataset=[dirty], clean_dataset=[clean])
         assert verified is verdict, (name, dirty_value)
+
+
+def _one_attribute_config(attr: dict, tuple_count: int = 50):
+    return parse_config(json.dumps({"schema": [attr], "generation": {"tuple_count": tuple_count, "seed": 1}}))
+
+
+def _verifies(config, error_type: str, name: str, clean_value, dirty_value) -> bool:
+    clean, dirty = {name: clean_value}, {name: dirty_value}
+    entry = ErrorLogEntry(0, 0, name, error_type, clean_value, dirty_value)
+    return verify_error(entry, clean, dirty, config, dirty_dataset=[dirty], clean_dataset=[clean])
+
+
+def test_sequence_membership_keeps_the_interval_and_the_datatype():
+    # 150 continues the sequence but leaves the interval, and 75.0 is a float
+    # on an integer attribute: neither is a value the generator could write.
+    config = _one_attribute_config({"name": "s", "datatype": "integer", "interval": [1, 100],
+                                    "source": {"kind": "sequence", "start": 1, "step": 1}})
+    attr = config.attribute("s")
+    assert [value_in_domain(attr, v, config) for v in (75, 100, 150, 75.0, True)] == [True, True, False, False, False]
+    assert _verifies(config, "erroneous_entry", "s", 1, 75)
+    assert not _verifies(config, "erroneous_entry", "s", 1, 150)
+    assert not _verifies(config, "erroneous_entry", "s", 1, 75.0)
+
+
+def test_normal_membership_is_bounded():
+    # No normal(50, 10) draw reaches 1e300, and none is infinite.
+    config = _one_attribute_config({"name": "n", "datatype": "float",
+                                    "source": {"kind": "numeric", "distribution": "normal", "mean": 50, "stddev": 10}})
+    domain = config.attribute("n").domain
+    assert [domain.contains(v) for v in (50.5, 7, 1e300, -1e308, math.inf, -math.inf, math.nan)] == [True] * 2 + [False] * 5
+    assert _verifies(config, "erroneous_entry", "n", 50.0, 61.5)
+    assert not _verifies(config, "erroneous_entry", "n", 50.0, 1e300)
+
+
+def test_integer_normal_bound_covers_rounding():
+    # With stddev 0.1 the largest draw is 0.857, which rounds to 1: one more
+    # than 9 stddevs, but a value the generator writes.
+    config = _one_attribute_config({"name": "n", "datatype": "integer",
+                                    "source": {"kind": "numeric", "distribution": "normal", "mean": 0, "stddev": 0.1}})
+    domain = config.attribute("n").domain
+    assert domain.attempts(1, [[0], [0]]) == [1]  # the smallest u1 and u2 = 0: z is at its largest
+    assert [domain.contains(v) for v in (1, 0, -1, 2, 1.0)] == [True, True, True, False, False]
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP))
+def test_membership_gate_configs_generate_and_verify(name):
+    # Each injector rejects its candidates by the target's membership, and
+    # before membership checked the interval and the normal bound, two of
+    # them could not find a value at all.
+    config = parse_config(json.dumps(MEMBERSHIP[name]))
+    clean, dirty, log = apply_plan(plan_errors(config), config)
+    assert realized_counts(log) == {spec.error_type: spec.count for spec in config.errors}
+    for entry in log:
+        clean_record = None if entry.clean_tuple_index is None else clean[entry.clean_tuple_index]
+        assert verify_error(
+            entry, clean_record, dirty[entry.dirty_tuple_index], config, dirty_dataset=dirty, clean_dataset=clean
+        ), entry
+
+
+@pytest.mark.parametrize("dirty_id, verdict", [(1, True), (1.0, False), (True, False)])
+def test_uniqueness_violation_needs_the_same_value(base_config, dirty_id, verdict):
+    # Row 1 repeats row 0's id only where it holds the same JSON value.
+    clean = list(generate_clean_dataset(base_config))[:3]
+    dirty = [clean[0], dict(clean[1], id=dirty_id), clean[2]]
+    entry = ErrorLogEntry(1, 1, "id", "uniqueness_value_violation", clean[1]["id"], dirty_id)
+    assert verify_error(entry, clean[1], dirty[1], base_config, dirty_dataset=dirty, clean_dataset=clean) is verdict
+
+
+@pytest.mark.parametrize("copied_id, verdict", [(1, True), (1.0, False)])
+def test_exact_copy_holds_the_same_values(copied_id, verdict):
+    # An exact copy (near_duplicate false) of the tuple with id 1.
+    config = parse_config(make_config_text(errors=[
+        {"type": "redundancy_about_entity", "rate": 0.05, "params": {"near_duplicate": False}}]))
+    clean = list(generate_clean_dataset(config))
+    copy = dict(clean[0], id=copied_id)
+    entry = ErrorLogEntry(len(clean), None, None, "redundancy_about_entity", ABSENT, ABSENT)
+    dirty = [*clean, copy]
+    assert verify_error(entry, None, copy, config, dirty_dataset=dirty, clean_dataset=clean) is verdict
+
+
+@pytest.mark.parametrize("dirty_value, verdict", [("5", True), (5, False)])
+def test_misspelled_copy_is_a_string(base_config, dirty_value, verdict):
+    # A near-duplicate's perturbed cell is one edit from its source's string,
+    # and a string itself.
+    clean = list(generate_clean_dataset(base_config))
+    copy = dict(clean[0], first_name=dirty_value)
+    entry = ErrorLogEntry(len(clean), None, "first_name", "redundancy_about_entity", "56", dirty_value)
+    dirty = [*clean, copy]
+    assert verify_error(entry, None, copy, base_config, dirty_dataset=dirty, clean_dataset=clean) is verdict
 
 
 def test_outlier_formula():
