@@ -569,35 +569,28 @@ def _validate_unique(attr: AttributeSpec, tuple_count: int) -> None:
 
 def _validate_sequence(attr: AttributeSpec, tuple_count: int) -> None:
     """A sequence's first tuple_count values, its clean values, must stay in
-    the float range, the interval, the pattern and the admissible set."""
+    the float range and be members of its domain, which keeps the interval,
+    the pattern and the admissible set."""
     if attr.source is None or attr.source["kind"] != "sequence" or tuple_count == 0:
         return
-    at = attr.domain.by_index
+    at, contains = attr.domain.by_index, attr.domain.contains
     if not _is_finite(at(tuple_count - 1)):  # the values are linear in the tuple index
         _fail(f"attribute '{attr.name}': the sequence leaves the float range within {tuple_count} tuples")
-    if attr.interval is not None:
-        lo, hi = attr.interval
-        if not (lo <= at(0) <= hi and lo <= at(tuple_count - 1) <= hi):
-            _fail(
-                f"attribute '{attr.name}': the sequence leaves the interval "
-                f"[{lo}, {hi}] within {tuple_count} tuples"
-            )
-    pattern = attr.compiled_pattern
-    if pattern is not None:
-        # Stops at the first miss, as the admissible-set check does.
-        miss = next((k for k in range(tuple_count) if not pattern.fullmatch(str(at(k)))), None)
-        if miss is not None:
-            _fail(f"attribute '{attr.name}': sequence value {at(miss)!r} of tuple {miss} does not match the pattern")
-    members = attr.admissible_set
-    if members is not None:
-        # Stops at the first miss: distinct values (step != 0) reach one
-        # within len(members) + 1 tuples.
-        miss = next((k for k in range(tuple_count) if at(k) not in members), None)
-        if miss is not None:
-            _fail(
-                f"attribute '{attr.name}': sequence value {at(miss)!r} of tuple "
-                f"{miss} is outside the admissible_set"
-            )
+    if attr.compiled_pattern is None and attr.admissible_set is None:
+        tuples = (0, tuple_count - 1)  # linear values stay in an interval that holds both ends
+    else:
+        # Stops at the first miss: distinct values (step != 0) leave an
+        # admissible set within len(admissible_set) + 1 tuples.
+        tuples = range(tuple_count)
+    miss = next((k for k in tuples if not contains(at(k))), None)
+    if miss is not None:
+        declared = [f"interval {list(attr.interval)}"] if attr.interval is not None else []
+        declared += [f"pattern {attr.pattern!r}"] if attr.pattern is not None else []
+        declared += ["admissible_set"] if attr.admissible_set is not None else []
+        _fail(
+            f"attribute '{attr.name}': sequence value {at(miss)!r} of tuple {miss} is outside the "
+            + (" and the ".join(declared) or "sequence")
+        )
 
 
 # ---------------------------------------------------------------------------

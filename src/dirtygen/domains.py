@@ -151,19 +151,15 @@ def _sequence_at(attr) -> Callable:
 
 def _sequence_domain(attr, tuple_count: int) -> Domain:
     at, (start, step) = _sequence_at(attr), _sequence_terms(attr)
-    span = max(tuple_count, 2)
-    exact = isinstance(start, int) and isinstance(step, int)
+    span, exact = max(tuple_count, 2), attr.datatype == "integer"
 
-    def contains(value) -> bool:  # any number of the progression, also beyond tuple_count
+    def contains(value) -> bool:  # at(k) for its nearest index k >= 0, also beyond tuple_count
         if step == 0:
             return value == start
-        if exact and (isinstance(value, int) or value.is_integer()):
-            k, rest = divmod(int(value) - start, step)
-            return k >= 0 and rest == 0
-        try:
-            k = (value - start) / step
-            return k >= 0 and abs(k - round(k)) < 1e-9
-        except OverflowError:  # an integer beyond the float range, or an infinite value
+        try:  # an integer sequence's index is exact, a float one's rounded
+            k = (value - start) // step if exact else round((value - start) / step)
+            return k >= 0 and at(k) == value
+        except (OverflowError, ValueError):  # beyond the float range, infinite or nan
             return False
 
     attempts = lambda _, words: [at((w * span) >> 64) for w in words[0]]  # noqa: E731

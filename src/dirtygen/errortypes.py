@@ -28,7 +28,7 @@ from operator import eq
 from typing import Callable, Iterator
 
 from .config import NON_NEGATIVE, POSITIVE, REQUIRED, SOURCE, AttributeSpec, Field, build_source, source_signature
-from .datagen import clean_cell_value, generate_record, may_be_null, value_in_domain
+from .datagen import clean_cell_value, generate_record, value_in_domain
 from .domains import resolve, weighted_choice
 from .exceptions import ConfigError, GenerationError
 from .output import same_json
@@ -356,7 +356,8 @@ def _set_violation(clean, attr, stream, *_):
 
 
 def _outside_set(clean, dirty, attr, *_) -> bool:
-    return clean in attr.admissible_set and dirty not in attr.admissible_set
+    members = attr.admissible_set
+    return any(same_json(clean, m) for m in members) and not any(same_json(dirty, m) for m in members)
 
 
 def _misspelled(clean, dirty, *_) -> bool:
@@ -432,15 +433,12 @@ def _has_alternative(attr, config) -> bool:
 
 
 def _find_donor(config, row: int, attribute: str, claims) -> int | None:
+    # The target is unique, and a unique attribute draws no null: every donor has a value.
     stream = derive_stream(config.seed, "plan:uniqueness_value_violation:donor", row, attribute)
-    nullable = may_be_null(config.attribute(attribute), config)
     for _ in range(min(_DONOR_ATTEMPTS, max(row * 4, 8))):
         donor = stream.randrange(row)
-        if not claims.free(donor, attribute):
-            continue
-        if nullable and clean_cell_value(config, donor, attribute) is None:
-            continue
-        return donor
+        if claims.free(donor, attribute):
+            return donor
     return None
 
 
@@ -547,8 +545,8 @@ def _is_biased(clean, dirty, attr, config, params, clean_record, *_) -> bool:
         return False
     weights = params.get("skewed_weights")
     if weights is None:
-        return dirty == clean + params["shift"]
-    return dirty != clean and dirty in weights
+        return same_json(dirty, clean + params["shift"])
+    return dirty != clean and any(same_json(dirty, value) for value in weights)
 
 
 def _bias_shortfall(spec, index: int, placed: int, count: int) -> str:

@@ -118,7 +118,9 @@ def score(
     record with other keys is an EvaluationError as soon as it is read.
     Shape faults are raised after the pass, in this order: dirty and
     repaired differ in length, dirty is shorter than clean, dirty has a
-    deleted row, the log names an inserted row outside the dirty dataset.
+    deleted row, the log names an inserted row outside the dirty dataset,
+    the log names a cell outside the base rows or the scored attributes;
+    so every logged unit is scored, and `logged` is tp + fn.
     """
     logged_cells: dict[int, dict[str, str]] = {}
     inserted_rows: dict[int, str] = {}
@@ -176,9 +178,8 @@ def score(
         cells = logged_cells.get(row_index, _NO_CELLS)
         if not deleted and _same_record(repaired_row, dirty_row):
             # Nothing flagged: every logged cell of the row is missed.
-            for attribute, logged_type in cells.items():
-                if attribute in keys:
-                    tally[logged_type, "fn"] += 1
+            for logged_type in cells.values():
+                tally[logged_type, "fn"] += 1
             continue
         for attribute in attributes:
             dirty_value = dirty_row.get(attribute, ABSENT)
@@ -209,8 +210,13 @@ def score(
             raise EvaluationError(
                 f"log names inserted row {index}, outside the dirty dataset"
             )
+    for index, cells in logged_cells.items():
+        if not (0 <= index < n and keys >= cells.keys()):
+            raise EvaluationError(
+                f"log names a cell outside the base rows and the scored attributes: "
+                f"row {index}, attributes {sorted(cells)}"
+            )
 
-    logged_total = sum(map(len, logged_cells.values())) + len(inserted_rows)
     unit_total = n * len(attributes) + (dirty_count - n)
     per_type: dict[str, MetricSet] = {}
     for error_type in sorted({t for t, _ in tally if t is not None}):
@@ -226,8 +232,8 @@ def score(
         "true_negatives": unit_total - tp - fp - fn,
         "correct_repairs": ok,
         "flagged": tp + fp,
-        "logged": logged_total,
+        "logged": tp + fn,
         "units": unit_total,
     }
-    overall = _metric_set(tp, fp, fn, ok, tp + fp, logged_total)
+    overall = _metric_set(tp, fp, fn, ok, tp + fp, tp + fn)
     return RepairMetrics(overall=overall, per_error_type=per_type, counts=counts)

@@ -5,10 +5,11 @@ One line per config holds the sha256 of every output file (the manifest
 without its `duration_seconds` line), the `validate` stdout, and the sha256
 of the `generate --emit-plan` stdout with the output directory written as
 <out>. The set is sample_configs/demo.json, demo at shard_count 2 and 3 in
-both output modes, the confgen configs of seeds 0-119, and MEMBERSHIP: three
-configs whose injectors reject candidates by domain membership (an integer
+both output modes, the confgen configs of seeds 0-119, and MEMBERSHIP: four
+configs whose injectors or verifier read domain membership (an integer
 sequence under an interval, a normal attribute as the target of other
-attributes' values and of an offdomain source).
+attributes' values and of an offdomain source, a float sequence whose step
+is far below its magnitude).
 
 A change that moves any of these bytes changes the output format. It must
 say so, and rewrite the file with
@@ -50,8 +51,8 @@ _SCORE = {"name": "score", "datatype": "float",
 _NAME = {"name": "name", "datatype": "string", "source": {"kind": "lexicon", "name": "first_names"}}
 
 
-def _membership_doc(schema: list, error: dict) -> dict:
-    return {"schema": schema, "errors": [error], "generation": {"tuple_count": 150, "seed": 2024}}
+def _membership_doc(schema: list, *errors: dict) -> dict:
+    return {"schema": schema, "errors": list(errors), "generation": {"tuple_count": 150, "seed": 2024}}
 
 
 MEMBERSHIP = {
@@ -71,6 +72,14 @@ MEMBERSHIP = {
     "membership-normal-offdomain": _membership_doc(
         [_SCORE, _NAME],
         {"type": "irrelevant_observation", "rate": 0.1, "params": {"offdomain": {"score": _uniform(0, 1e6)}}},
+    ),
+    # Readings 1e6 + 0.001 k: each is a member only by its nearest index, and a
+    # donor drawn over the same range almost never lands on one.
+    "membership-float-sequence": _membership_doc(
+        [{"name": "t", "datatype": "float", "source": {"kind": "sequence", "start": 1e6, "step": 0.001}},
+         {"name": "u", "datatype": "float", "source": _uniform(1e6, 1e6 + 0.149)}],
+        {"type": "erroneous_entry", "rate": 0.2, "attributes": ["t"]},
+        {"type": "inadequate_value_to_attribute_context", "rate": 0.2, "attributes": ["t"]},
     ),
 }
 NAMES = (

@@ -298,6 +298,32 @@ def test_evaluate_shape_mismatch_exit_2(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_evaluate_log_of_a_larger_run_exit_2(tmp_path, capsys):
+    # Scored against a 20-tuple run, a 100-tuple run's log names cells of
+    # rows the datasets do not have.
+    errors = ERRORS[:2]  # no inserted rows
+    runs = {}
+    for count in (100, 20):
+        runs[count] = tmp_path / f"o{count}"
+        config = write_config(tmp_path, errors=errors, tuple_count=count)
+        assert main(["generate", "--config", str(config), "--out", str(runs[count])]) == 0
+    small = runs[20]
+    capsys.readouterr()
+    code = main(
+        [
+            "evaluate",
+            "--clean", str(small / "clean.ndjson"),
+            "--dirty", str(small / "dirty.ndjson"),
+            "--repaired", str(small / "dirty.ndjson"),
+            "--log", str(runs[100] / "errors.log"),
+            "--report", str(tmp_path / "report.json"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("evaluation error: log names a cell outside the base rows")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_manifest_reproducible_except_duration(tmp_path):
     config = write_config(tmp_path, errors=ERRORS, tuple_count=100)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

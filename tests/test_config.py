@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 import time
 import warnings
@@ -486,8 +487,10 @@ def _sequence_text(tuple_count: int, datatype: str = "integer", start=1, step=1,
     "text, error",
     [
         pytest.param(_sequence_text(10, interval=[1, 10]), None, id="interval-inside"),
-        pytest.param(_sequence_text(10, interval=[1, 9]), "leaves the interval", id="interval-above"),
-        pytest.param(_sequence_text(10, interval=[2, 10]), "leaves the interval", id="interval-below"),
+        pytest.param(_sequence_text(10, interval=[1, 9]),
+                     r"value 10 of tuple 9 is outside the interval \[1, 9\]", id="interval-above"),
+        pytest.param(_sequence_text(10, interval=[2, 10]),
+                     r"value 1 of tuple 0 is outside the interval \[2, 10\]", id="interval-below"),
         pytest.param(_sequence_text(10, start=10, step=-1, interval=[1, 10]), None, id="interval-descending"),
         pytest.param(_sequence_text(5, admissible_set=[1, 2, 3, 4, 5]), None, id="set-inside"),
         pytest.param(_sequence_text(10, admissible_set=[5, 4, 3, 2, 1]),
@@ -504,12 +507,12 @@ def _sequence_text(tuple_count: int, datatype: str = "integer", start=1, step=1,
         pytest.param(_sequence_text(3, start=0.5, step=0.5, admissible_set=[0, 1, 2]),
                      "integer start and step", id="integer-fractional-under-set"),
         pytest.param(_sequence_text(5, pattern="[0-9]{3}"),
-                     "value 1 of tuple 0 does not match the pattern", id="pattern-start"),
+                     "value 1 of tuple 0 is outside the pattern", id="pattern-start"),
         pytest.param(_sequence_text(900, start=100, pattern="[0-9]{3}"), None, id="pattern-inside"),
         pytest.param(_sequence_text(901, start=100, pattern="[0-9]{3}", unique=True),
-                     "value 1000 of tuple 900 does not match", id="pattern-left"),
+                     "value 1000 of tuple 900 is outside the pattern", id="pattern-left"),
         pytest.param(_sequence_text(3, "float", 0.5, 0.25, pattern=r"0\.[0-9]+"),
-                     "value 1.0 of tuple 2 does not match", id="pattern-float-left"),
+                     "value 1.0 of tuple 2 is outside the pattern", id="pattern-float-left"),
     ],
 )
 def test_sequence_clean_values_stay_in_interval_and_admissible_set(text, error):
@@ -539,6 +542,93 @@ def test_sequence_membership_is_exact_for_integers(datatype, start, step, member
     domain = parse_config(_sequence_text(3, datatype, start, step)).attribute("s").domain
     assert all(domain.contains(v) for v in members)
     assert not any(domain.contains(v) for v in strangers)
+
+
+def test_float_sequence_of_whole_terms_is_outside_a_float_admissible_set():
+    # Start 1 and step 1 write the ints 1-6, none of them the JSON value of
+    # a member 1.0-6.0, so the config is refused; start 1.0 writes the members.
+    members = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    with pytest.raises(ConfigError, match="sequence value 1 of tuple 0 is outside the admissible_set"):
+        parse_config(_sequence_text(6, "float", 1, 1, admissible_set=members))
+    config = parse_config(_sequence_text(6, "float", 1.0, 1, admissible_set=members))
+    domain = config.attribute("s").domain
+    assert [record["s"] for record in generate_clean_dataset(config)] == members
+    assert all(domain.contains(domain.by_index(k)) for k in range(6))
+
+
+def _scaled(low: int, high: int):
+    """Nonzero floats of either sign with magnitudes from 10**low to 10**high."""
+    return st.builds(lambda m, e, sign: sign * m * 10.0**e,
+                     st.floats(1, 9.99), st.integers(low, high), st.sampled_from([1, -1]))
+
+
+_SEQUENCE_PATTERNS = {
+    "integer": [r"-?[0-9]+", r"[0-9]{1,3}", r"-?[0-9]*[02468]", r"[1-9][0-9]*"],
+    "float": [r"-?[0-9]+\.[0-9]+", r"-?[0-9]+\.[0-9]{1,3}", r"[^e]+", r"-?[0-9]+"],
+}
+
+
+@st.composite
+def _sequence_sources(draw):
+    """A sequence attribute, its tuple count and k -> its k-th clean value: integer
+    or float terms (a float sequence's may be ints) over wide magnitudes, and
+    an optional interval, pattern and admissible set near its values."""
+    datatype = draw(st.sampled_from(["integer", "float"]))
+    if datatype == "integer":
+        start, step = draw(st.integers(-(10**18), 10**18)), draw(st.integers(-(10**9), 10**9))
+    else:
+        start = draw(_scaled(-9, 15) | st.integers(-(10**6), 10**6))
+        step = draw(_scaled(-9, 6) | st.integers(-1000, 1000))
+    at = lambda k: start + k * step  # noqa: E731
+    small = draw(st.booleans())
+    tuple_count = draw(st.integers(1, 300) if small else st.integers(301, 10**9))
+    attr = {"name": "s", "datatype": datatype, "source": {"kind": "sequence", "start": start, "step": step}}
+    if draw(st.booleans()):
+        attr["interval"] = sorted(at(draw(st.integers(0, 2 * tuple_count))) for _ in range(2))
+    if small and draw(st.booleans()):
+        attr["pattern"] = draw(st.sampled_from(_SEQUENCE_PATTERNS[datatype]))
+    if small and draw(st.booleans()):
+        # The values of a run of indices about the tuples', maybe one left out.
+        first = draw(st.integers(0, 1))
+        indices = range(first, draw(st.integers(max(tuple_count - 2, first), tuple_count + 1)) + 1)
+        dropped = draw(st.sampled_from([None, *indices])) if len(indices) > 1 else None
+        typed = int if datatype == "integer" else float
+        attr["admissible_set"] = list(dict.fromkeys(typed(at(k)) for k in indices if k != dropped))
+    return attr, tuple_count, at
+
+
+def _satisfies(attr: dict, value) -> bool:
+    """The interval and the pattern, checked here without the library."""
+    lo, hi = attr.get("interval", (value, value))
+    return lo <= value <= hi and ("pattern" not in attr or re.fullmatch(attr["pattern"], str(value)) is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sequence_sources(), st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+def test_property_sequence_clean_values_are_members(source, points):
+    # A config that parses has every sampled clean value as a member of its
+    # domain, and one whose clean values include a value the constraints
+    # refuse does not parse. An interval alone is checked at both ends: the
+    # values are monotonic in the tuple index.
+    attr, tuple_count, at = source
+    text = json.dumps({"schema": [attr], "generation": {"tuple_count": tuple_count}})
+    members = attr.get("admissible_set")
+    # A listed member is a value of the same JSON text.
+    admits = lambda v: _satisfies(attr, v) and (members is None or json.dumps(v) in map(json.dumps, members))  # noqa: E731
+    tuples = range(tuple_count) if "pattern" in attr or members else (0, tuple_count - 1)
+    if not all(_satisfies(attr, m) for m in members or ()):
+        expected = "admissible_set member"
+    elif not all(admits(at(k)) for k in tuples):
+        expected = "sequence value"
+    else:
+        expected = None
+    if expected is not None:
+        with pytest.raises(ConfigError, match=expected):
+            parse_config(text)
+        return
+    domain = parse_config(text).attribute("s").domain
+    sampled = [0, tuple_count - 1] + [int(p * tuple_count) for p in points]
+    assert all(domain.by_index(k) == at(k) and domain.contains(at(k)) for k in sampled)
 
 
 def test_pattern_python_warns_about_is_a_config_error():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtygen import parse_config, plan_errors
+from dirtygen import generate_clean_dataset, parse_config, plan_errors
 from dirtygen.errorplan import PlanEntry, _Claims, format_plan
-from dirtygen.errortypes import ERROR_TYPES
+from dirtygen.errortypes import ERROR_TYPES, _find_donor
 from dirtygen.taxonomy import ERROR_STAGES, INSERTION_TYPES
 
 from confgen import random_config
@@ -321,3 +321,27 @@ def test_multi_target_split_is_balanced():
     # round(0.1 * 303) = 30 split as 10/10/10
     assert sum(per_attr.values()) == 30
     assert max(per_attr.values()) - min(per_attr.values()) <= 1
+
+
+def test_semi_empty_tuple_skips_rows_with_fewer_than_two_values():
+    # Rows where the nulls leave one value or none cannot lose two more:
+    # the walk passes over them and plans only rows with two values or more.
+    schema = [{"name": name, "datatype": "string", "source": {"kind": "set", "values": ["x", "y"]},
+               "null_rate": 0.5, "nullable_in_clean": True} for name in ("a", "b", "c")]
+    doc = {"schema": schema, "errors": [{"type": "semi_empty_tuple", "rate": 0.2}],
+           "generation": {"tuple_count": 40, "seed": 3}}
+    config = parse_config(json.dumps(doc))
+    values = [sum(v is not None for v in record.values()) for record in generate_clean_dataset(config)]
+    plan = plan_errors(config)
+    assert len(plan.entries) == 8
+    assert all(values[entry.row] >= 2 for entry in plan.entries)
+    assert any(count < 2 for count in values)
+
+
+def test_uniqueness_donor_search_gives_up_when_every_earlier_row_is_claimed():
+    config = parse_with_errors([], tuple_count=10)
+    claims = _Claims()
+    assert _find_donor(config, 5, "id", claims) in range(5)
+    for row in range(5):
+        claims.claim(PlanEntry("missing_value", "cell", 0, row, "id"))
+    assert _find_donor(config, 5, "id", claims) is None

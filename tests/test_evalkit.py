@@ -185,6 +185,19 @@ def test_type_changing_rewrite_is_flagged(dirty_value, repaired_value):
     assert rewritten.counts["flagged"] == 1
 
 
+@pytest.mark.parametrize("row, attribute", [(999, "x"), (-1, "x"), (0, "zzz")])
+def test_log_cell_outside_the_scored_cells_is_a_misalignment(row, attribute):
+    # Such a cell could be neither found nor missed; counted as logged, it
+    # would pull repair recall below what the detections show.
+    clean = [{"x": 1}, {"x": 2}]
+    dirty = [{"x": 1}, {"x": 5}]
+    log = [ErrorLogEntry(1, 1, "x", "erroneous_entry", 2, 5)]
+    assert score(clean, dirty, clean, log).counts["logged"] == 1
+    log.append(ErrorLogEntry(row, row, attribute, "erroneous_entry", 2, 5))
+    with pytest.raises(EvaluationError, match=rf"row {row}, attributes \['{attribute}'\]"):
+        score(clean, dirty, clean, log)
+
+
 def reference_score(clean, dirty, repaired, log) -> RepairMetrics:
     """The list-based scoring that the streaming score replaced, kept as
     written (Python ==, the union of clean keys) as the reference."""
@@ -304,12 +317,17 @@ _VALUES = st.none() | st.integers(0, 2) | st.sampled_from(["x", "y"])
 _ATTRIBUTES = ("a", "b", "c")
 
 
+def _scored(cell: tuple, n: int) -> bool:
+    return 0 <= cell[0] < n and cell[1] in _ATTRIBUTES
+
+
 @st.composite
 def _score_inputs(draw):
     """clean, dirty, repaired and log, shaped by hand: deleted and edited
-    repaired rows, inserted rows logged or not, log cells on keys no record
-    has and rows past the end, and the marker and content entries that score
-    skips. Each cell and each inserted row is logged at most once."""
+    repaired rows, inserted rows logged or not, and the marker and content
+    entries that score skips; now and then a stray cell, on a key no record
+    has or a row outside the base rows. Each cell and each inserted row is
+    logged at most once."""
     n, inserted = draw(st.integers(0, 4)), draw(st.integers(0, 3))
 
     def record():
@@ -330,11 +348,16 @@ def _score_inputs(draw):
         {"delete": None, "keep": row, "edit": edited(row)}[draw(st.sampled_from(["delete", "keep", "edit"]))]
         for row in dirty
     ]
+    cell_types = st.sampled_from(["misspelling", "missing_value", "semi_empty_tuple"])
     cells = draw(st.dictionaries(
-        st.tuples(st.integers(0, n + inserted), st.sampled_from(_ATTRIBUTES + ("zz",))),
-        st.sampled_from(["misspelling", "missing_value", "semi_empty_tuple"]),
-        max_size=8,
-    ))
+        st.tuples(st.integers(0, n - 1), st.sampled_from(_ATTRIBUTES)), cell_types, max_size=8,
+    )) if n else {}
+    cells.update(draw(st.dictionaries(
+        st.tuples(st.integers(-1, n + inserted), st.sampled_from(_ATTRIBUTES + ("zz",)))
+        .filter(lambda cell: not _scored(cell, n)),
+        cell_types,
+        max_size=1,
+    )))
     markers = draw(st.dictionaries(
         st.integers(n, n + inserted - 1) if inserted else st.nothing(),
         st.sampled_from(sorted(INSERTION_TYPES)),
@@ -351,10 +374,17 @@ def _score_inputs(draw):
 @given(_score_inputs())
 def test_score_tally_matches_the_reference(inputs):
     clean, dirty, repaired, log = inputs
+    cells = [(e.dirty_tuple_index, e.attribute) for e in log if e.attribute and e.error_type not in INSERTION_TYPES]
+    if not all(_scored(cell, len(clean)) for cell in cells):
+        # A cell that no base row and scored attribute holds is a misalignment.
+        with pytest.raises(EvaluationError, match="log names a cell outside the base rows"):
+            score(clean, dirty, repaired, log)
+        return
     metrics = score(clean, dirty, repaired, log)
     assert metrics == reference_score(clean, dirty, repaired, log)
     counts = metrics.counts
     assert counts["flagged"] == counts["true_positives"] + counts["false_positives"]
+    assert counts["logged"] == counts["true_positives"] + counts["false_negatives"]
     # Each type scored alone, the others' cells unlogged, has the same
     # per-type metrics, and the overall counts are the sums over the types.
     alone = {

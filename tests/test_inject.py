@@ -235,7 +235,9 @@ def test_integer_normal_bound_covers_rounding():
 def test_membership_gate_configs_generate_and_verify(name):
     # Each injector rejects its candidates by the target's membership, and
     # before membership checked the interval and the normal bound, two of
-    # them could not find a value at all.
+    # them could not find a value at all. The verifier reads it too: a
+    # float sequence's erroneous_entry value is a member only by its
+    # nearest index.
     config = parse_config(json.dumps(MEMBERSHIP[name]))
     clean, dirty, log = apply_plan(plan_errors(config), config)
     assert realized_counts(log) == {spec.error_type: spec.count for spec in config.errors}
@@ -244,6 +246,92 @@ def test_membership_gate_configs_generate_and_verify(name):
         assert verify_error(
             entry, clean_record, dirty[entry.dirty_tuple_index], config, dirty_dataset=dirty, clean_dataset=clean
         ), entry
+
+
+def test_float_sequence_entries_verify_far_from_zero():
+    # Readings 1e6 + 0.001 k: the index of a value is about 1e-7 away from a
+    # whole number, so only the nearest index finds each one's term.
+    config = parse_config(json.dumps({
+        "schema": [{"name": "t", "datatype": "float", "source": {"kind": "sequence", "start": 1e6, "step": 0.001}}],
+        "errors": [{"type": "erroneous_entry", "rate": 0.2, "attributes": ["t"]}],
+        "generation": {"tuple_count": 250, "seed": 1},
+    }))
+    clean, dirty, log = apply_plan(plan_errors(config), config)
+    assert len(log) == 50
+    for entry in log:
+        row = entry.clean_tuple_index
+        assert verify_error(entry, clean[row], dirty[row], config, dirty_dataset=dirty, clean_dataset=clean), entry
+
+
+_SET_AND_BIAS = {
+    "schema": [
+        {"name": "n", "datatype": "integer", "source": {"kind": "set", "values": [1, 2, 3]},
+         "admissible_set": [1, 2, 3]},
+        {"name": "x", "datatype": "float", "source": {"kind": "set", "values": [1.5, 2.5]},
+         "admissible_set": [1.5, 2.5]},
+        {"name": "a", "datatype": "integer", "source": {"kind": "numeric", "distribution": "uniform", "min": 0, "max": 9}},
+        {"name": "g", "datatype": "string", "source": {"kind": "set", "values": ["A", "B"]}},
+    ],
+    "errors": [
+        {"type": "set_violation", "rate": 0.3, "attributes": ["n", "x"]},
+        {"type": "bias", "rate": 0.1, "params": {"group_attribute": "g", "group_value": "A",
+                                                   "target_attribute": "n", "skewed_weights": {"1": 1, "3": 1}}},
+        {"type": "bias", "rate": 0.1, "params": {"group_attribute": "g", "group_value": "A",
+                                                   "target_attribute": "a", "shift": 2}},
+    ],
+    "generation": {"tuple_count": 60, "seed": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "error_type, name, dirty_value, verdict",
+    [
+        ("set_violation", "n", 4, True), ("set_violation", "n", 1, False),
+        ("set_violation", "n", True, True), ("set_violation", "n", 1.0, True),
+        ("bias", "n", 3, True), ("bias", "n", True, False), ("bias", "n", 1.0, False),
+        ("bias", "a", 7, True), ("bias", "a", 7.0, False),
+    ],
+)
+def test_set_and_bias_verdicts_are_type_strict(error_type, name, dirty_value, verdict):
+    # true and 1.0 equal 1 under ==, but neither is a member of [1, 2, 3] or
+    # a weighted value 1 or 3, and 7.0 is not the shifted 5 + 2.
+    config = parse_config(json.dumps(_SET_AND_BIAS))
+    clean = {"n": 2, "x": 1.5, "a": 5, "g": "A"}
+    dirty = dict(clean, **{name: dirty_value})
+    entry = ErrorLogEntry(0, 0, name, error_type, clean[name], dirty_value)
+    assert verify_error(entry, clean, dirty, config, dirty_dataset=[dirty], clean_dataset=[clean]) is verdict
+
+
+def test_set_violation_keeps_the_datatype_where_it_can():
+    # A misspelt member is read back as the attribute's datatype when it
+    # parses as one (the integer and the float branch) and stays text otherwise.
+    config = parse_config(json.dumps(_SET_AND_BIAS))
+    clean, dirty, log = apply_plan(plan_errors(config), config)
+    kinds = {(entry.attribute, type(entry.dirty_value)) for entry in log if entry.error_type == "set_violation"}
+    assert {("n", int), ("x", float)} <= kinds <= {("n", int), ("n", str), ("x", float), ("x", str)}
+    for entry in log:
+        clean_record = None if entry.clean_tuple_index is None else clean[entry.clean_tuple_index]
+        assert verify_error(
+            entry, clean_record, dirty[entry.dirty_tuple_index], config, dirty_dataset=dirty, clean_dataset=clean
+        ), entry
+
+
+def test_verify_error_refuses_entries_it_cannot_check(base_config):
+    clean = list(generate_clean_dataset(base_config))[:2]
+    n = len(clean)
+    copy = dict(clean[0])
+    dirty = [*clean, copy]
+    refused = [
+        (ErrorLogEntry(0, 0, "id", "no_such_type", 1, 2), clean[0], clean[0]),
+        # An insertion's content entry whose value the inserted record does not hold.
+        (ErrorLogEntry(n, None, "first_name", "redundancy_about_entity", copy["first_name"], "elsewhere"), None, copy),
+        # A base tuple's entry needs the clean record.
+        (ErrorLogEntry(0, 0, "id", "erroneous_entry", clean[0]["id"], 99), None, dict(clean[0], id=99)),
+    ]
+    for entry, clean_record, dirty_record in refused:
+        assert verify_error(
+            entry, clean_record, dirty_record, base_config, dirty_dataset=dirty, clean_dataset=clean
+        ) is False, entry
 
 
 @pytest.mark.parametrize("dirty_id, verdict", [(1, True), (1.0, False), (True, False)])

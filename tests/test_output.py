@@ -306,6 +306,20 @@ def test_log_requires_header(tmp_path):
         read_error_log(path)
 
 
+def test_log_rejects_an_unknown_error_type(tmp_path):
+    path = tmp_path / "errors.log"
+    path.write_text("# header\n1\t1\tcity\ttypo\tnull\tnull\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="line 2: unknown error type 'typo'"):
+        read_error_log(path)
+
+
+def test_log_reader_skips_blank_lines(tmp_path):
+    path = write_log([entry()], spec_for(tmp_path), seed=1, config_hash="x")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0], "", lines[1], ""]) + "\n", encoding="utf-8")
+    assert read_error_log(path) == [entry()]
+
+
 def test_log_value_with_tab_is_escaped(tmp_path):
     tricky = entry(clean_value="a\tb", dirty_value=None)
     path = write_log([tricky], spec_for(tmp_path), seed=1, config_hash="x")
