@@ -17,9 +17,9 @@ resolved to concrete target attributes with type-specific parameters, and
 rate feasibility proven with exact integer target counts. A config that
 parses is guaranteed to run without applicability errors. The config is the
 one model of a run and nothing changes it afterwards: each attribute's domain
-(domains.resolve) and column rule (datagen.column_rule, whose block of one
-tuple is a single cell) are resolved here, once, and the config is built
-before the errors section, whose hooks read that same object.
+(domains.resolve) and column rule (datagen.column_rule, which clean_columns
+applies to any block of tuples) are resolved here, once, and the config is
+built before the errors section, whose hooks read that same object.
 
 docs/config-reference.md explains the grammar; its tables are checked
 against this one.

@@ -7,15 +7,17 @@ Dependent attributes are never sampled; they are looked up through their
 rule from the determinant's generated value. parse_config resolves each
 attribute's domain (domains.py) and its one clean-value rule (column_rule)
 once and stores both on the AttributeSpec; nothing here keeps state. The
-rule turns a block of tuples into a column of clean values. A single cell or
-record is the block of one tuple, which reads its own Stream, so any cell can
-still be regenerated without touching its neighbours, which the error
-planner and the injectors rely on; stream keys are derived as rng documents.
+rule turns a block of tuples into a column of clean values, and
+clean_columns is the one place that applies the rules: to the 256-tuple
+blocks of the dataset, to a sparse list of tuples, or to the block of one
+tuple that is a single cell or record. So any cell can be regenerated
+without touching its neighbours, which the error planner and the injectors
+rely on; stream keys are derived as rng documents.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .exceptions import GenerationError
 from .rng import TWO53_INV, IndexPermutation, TupleBlock, address_key, stage_key, stream_after
@@ -69,17 +71,17 @@ def column_rule(attr: AttributeSpec, seed: int) -> Callable:
     read = nulls + (domain.words if index_rule is None else 0)  # words of each stream
 
     def column(block: TupleBlock) -> list:
-        words = block.words(base, read)
+        words, rows = block.words(base, read), block.rows
         if index_rule is not None:
-            values = list(map(index_rule, range(block.lo, block.hi)))
+            values = list(map(index_rule, rows))
         else:
-            values = domain.attempts(block.hi - block.lo, words[nulls:])
+            values = domain.attempts(len(rows), words[nulls:])
         if nulls:
             values = [None if (w >> 11) * TWO53_INV < null_rate else v for w, v in zip(words[0], values)]
         if index_rule is None and domain.accept is not None:
             for j, value in enumerate(values):
                 if value is not None and not domain.accept(value):
-                    values[j] = domain.draw(stream_after(base, block.lo + j, read), rejected=1)
+                    values[j] = domain.draw(stream_after(base, rows[j], read), rejected=1)
         return values
 
     return column
@@ -96,54 +98,47 @@ def may_be_null(attr: AttributeSpec, config: GeneratorConfig) -> bool:
     return attr.null_rate > 0
 
 
-def _one_tuple(config: GeneratorConfig, tuple_index: int) -> TupleBlock:
-    """The block of one tuple of the dataset."""
-    if not 0 <= tuple_index < config.tuple_count:
-        raise GenerationError(f"tuple index {tuple_index} is outside the dataset's {config.tuple_count} tuples")
-    return TupleBlock(tuple_index, tuple_index + 1)
+def clean_columns(
+    config: GeneratorConfig, rows: range | list[int], names: Sequence[str] | None = None, known: dict | None = None
+) -> list[list]:
+    """The clean column of each named attribute (all, in schema order, by
+    default) over the tuple indices rows, in their order and with repeats.
+    known maps attributes to their columns over rows already computed; a
+    dependent's determinant chain is walked up to the first column known or
+    computed, and the rules apply determinant-first from there."""
+    if rows and not (0 <= min(rows) and max(rows) < config.tuple_count):
+        outside = min(rows) if min(rows) < 0 else max(rows)
+        raise GenerationError(f"tuple index {outside} is outside the dataset's {config.tuple_count} tuples")
+    block, columns = TupleBlock(rows), {**known} if known else {}
+    names = config.attribute_names if names is None else names
+    for name in names:
+        chain = []  # the attributes up to the first column known, nearest first
+        while name not in columns:
+            chain.append(config.attribute(name))
+            if chain[-1].dependency is None:
+                break
+            name = chain[-1].dependency.determinant
+        for attr in reversed(chain):
+            rule = attr.dependency
+            columns[attr.name] = attr.column(block if rule is None else columns[rule.determinant])
+    return list(map(columns.__getitem__, names))
 
 
-def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, _memo=None):
-    """Regenerate the clean value of one cell in O(1) per determinant above it;
-    _memo holds the tuple's values already known, and gains those computed."""
-    if _memo is None:
-        _memo = {}
-    dependents = []  # the walk up the determinant chain, nearest first
-    while attribute not in _memo:
-        attr = config.attribute(attribute)
-        if attr.dependency is None:
-            (_memo[attribute],) = attr.column(_one_tuple(config, tuple_index))
-            break
-        dependents.append(attr)
-        attribute = attr.dependency.determinant
-    value = _memo[attribute]
-    for attr in reversed(dependents):
-        (value,) = attr.column([value])
-        _memo[attr.name] = value
-    return value
-
-
-def _columns(config: GeneratorConfig, block: TupleBlock) -> list[list]:
-    """The clean columns of a block in schema order, one per attribute; a
-    dependent maps its determinant's column."""
-    columns = {}
-    for attr in map(config.attribute, config.eval_order):
-        rule = attr.dependency
-        columns[attr.name] = attr.column(block if rule is None else columns[rule.determinant])
-    return [columns[name] for name in config.attribute_names]
+def clean_cell_value(config: GeneratorConfig, tuple_index: int, attribute: str, known: dict | None = None):
+    """The clean value of one cell; known maps attributes to the tuple's values already known."""
+    return clean_columns(config, [tuple_index], (attribute,), known and {k: [v] for k, v in known.items()})[0][0]
 
 
 def generate_record(config: GeneratorConfig, tuple_index: int) -> dict:
     """One clean record, keys in schema order."""
-    columns = _columns(config, _one_tuple(config, tuple_index))
-    return dict(zip(config.attribute_names, [column[0] for column in columns]))
+    return dict(zip(config.attribute_names, [column[0] for column in clean_columns(config, [tuple_index])]))
 
 
 def clean_column_blocks(config: GeneratorConfig) -> Iterator[tuple[int, list[list]]]:
     """The first tuple index and the clean columns of each block of tuples,
     in index order, for all tuple_count tuples; memory does not grow with N."""
     for lo in range(0, config.tuple_count, BLOCK_TUPLES):
-        yield lo, _columns(config, TupleBlock(lo, min(lo + BLOCK_TUPLES, config.tuple_count)))
+        yield lo, clean_columns(config, range(lo, min(lo + BLOCK_TUPLES, config.tuple_count)))
 
 
 def generate_clean_dataset(config: GeneratorConfig) -> Iterator[dict]:

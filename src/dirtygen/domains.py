@@ -151,14 +151,14 @@ def _sequence_at(attr) -> Callable:
 
 def _sequence_domain(attr, tuple_count: int) -> Domain:
     at, (start, step) = _sequence_at(attr), _sequence_terms(attr)
-    span, exact = max(tuple_count, 2), attr.datatype == "integer"
+    span, slack = max(tuple_count, 2), 0 if attr.datatype == "integer" else 2
 
-    def contains(value) -> bool:  # at(k) for its nearest index k >= 0, also beyond tuple_count
+    def contains(value) -> bool:  # at(k) for an index k >= 0, also beyond tuple_count
         if step == 0:
             return value == start
-        try:  # an integer sequence's index is exact, a float one's rounded
-            k = (value - start) // step if exact else round((value - start) / step)
-            return k >= 0 and at(k) == value
+        try:  # an integer sequence's index is exact, a float one's rounded and up to two off
+            k = round((value - start) / step) if slack else (value - start) // step
+            return any(at(j) == value for j in range(max(k - slack, 0), k + slack + 1))
         except (OverflowError, ValueError):  # beyond the float range, infinite or nan
             return False
 

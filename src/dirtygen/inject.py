@@ -20,7 +20,7 @@ from typing import Iterator
 
 from . import __version__
 from .config import GeneratorConfig
-from .datagen import clean_column_blocks, generate_record
+from .datagen import BLOCK_TUPLES, clean_column_blocks, clean_columns
 from .errorplan import ErrorPlan, PlanEntry
 from .errortypes import ERROR_TYPES
 from .exceptions import GenerationError
@@ -74,18 +74,23 @@ def inject_row(
 
 def inject_insertions(plan: ErrorPlan, config: GeneratorConfig) -> Iterator[tuple[dict, list[ErrorLogEntry]]]:
     """The inserted records with their log entries, in plan order; they take
-    dirty indices tuple_count, tuple_count + 1, ..."""
-    for dirty_index, entry in enumerate(plan.insertions, config.tuple_count):
-        etype = ERROR_TYPES[entry.error_type]
-        stream = derive_stream(config.seed, f"inject:{etype.name}", dirty_index)
-        source = None if entry.row is None else generate_record(config, entry.row)
-        params = config.errors[entry.spec_index].params
-        record = etype.inject(source, config, stream, params, entry, dirty_index)
-        logs = [ErrorLogEntry(dirty_index, None, None, etype.name, ABSENT, ABSENT)]
-        for name in config.attribute_names:
-            clean_value = ABSENT if source is None else source[name]
-            logs.append(ErrorLogEntry(dirty_index, None, name, etype.name, clean_value, record[name]))
-        yield record, logs
+    dirty indices tuple_count, tuple_count + 1, ... The source tuples of each
+    BLOCK_TUPLES insertions are regenerated as one sparse block."""
+    names = config.attribute_names
+    for lo in range(0, len(plan.insertions), BLOCK_TUPLES):
+        chunk = plan.insertions[lo : lo + BLOCK_TUPLES]
+        sources = zip(*clean_columns(config, [entry.row for entry in chunk if entry.row is not None]))
+        for dirty_index, entry in enumerate(chunk, config.tuple_count + lo):
+            etype = ERROR_TYPES[entry.error_type]
+            stream = derive_stream(config.seed, f"inject:{etype.name}", dirty_index)
+            source = None if entry.row is None else dict(zip(names, next(sources)))
+            params = config.errors[entry.spec_index].params
+            record = etype.inject(source, config, stream, params, entry, dirty_index)
+            logs = [ErrorLogEntry(dirty_index, None, None, etype.name, ABSENT, ABSENT)]
+            for name in names:
+                clean_value = ABSENT if source is None else source[name]
+                logs.append(ErrorLogEntry(dirty_index, None, name, etype.name, clean_value, record[name]))
+            yield record, logs
 
 
 def dirty_blocks(

@@ -227,9 +227,7 @@ class DatasetWriter:
             self._file = None
 
 
-def _infer_mode(path: Path, mode: str | None) -> str:
-    if mode is not None:
-        return mode
+def _infer_mode(path: Path) -> str:
     return "json_array" if path.suffix == ".json" else "ndjson"
 
 
@@ -254,13 +252,11 @@ def _strict_loads(text: str):
     return _decode(text)
 
 
-def read_dataset(
-    path: str | Path, mode: str | None = None, *, allow_deleted: bool = False
-) -> Iterator[dict | None]:
-    """Stream records back from a dataset file; inverse of DatasetWriter."""
+def read_dataset(path: str | Path, *, allow_deleted: bool = False) -> Iterator[dict | None]:
+    """Stream records back from a dataset file, a JSON array if its suffix is
+    .json and ndjson otherwise; inverse of DatasetWriter."""
     path = Path(path)
-    mode = _infer_mode(path, mode)
-    if mode == "ndjson":
+    if _infer_mode(path) == "ndjson":
         for lineno, line in _numbered_lines(path):
             yield _decode_line(line, path, lineno, allow_deleted)
     else:
@@ -290,7 +286,7 @@ def read_aligned(
     the file before. Read out of step, every line is decoded.
     """
     paths = [Path(p) for p in (clean, dirty, *repaired)]
-    if any(_infer_mode(path, None) != "ndjson" for path in paths):
+    if any(_infer_mode(path) != "ndjson" for path in paths):
         return tuple(read_dataset(path, allow_deleted=i >= 2) for i, path in enumerate(paths))
     # last[i + 1] is the row file i read last: its line number, text and
     # record; last[0] matches no line, so the clean file decodes every line.

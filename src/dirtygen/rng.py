@@ -17,10 +17,10 @@ blake2b_64 is the first 8 bytes (big-endian) of BLAKE2b over the UTF-8 label.
 A stream then emits SplitMix64 outputs seeded at key(i). All arithmetic is
 unsigned 64-bit, so results are identical on every platform.
 
-Keys and words may be computed for many tuples at once (TupleBlock): the same
-arithmetic runs on every tuple of a block together and gives identical
-numbers, so a cell's value does not depend on the size of the block it was
-generated in. A block of one tuple reads that tuple's Stream.
+Keys and words may be computed for any sequence of tuple indices at once
+(TupleBlock): the same arithmetic runs on every tuple of a block together
+and gives identical numbers, so a cell's value does not depend on the block
+it was generated in. A block of one tuple reads that tuple's Stream.
 """
 
 from __future__ import annotations
@@ -143,24 +143,25 @@ def _mix_lanes(x: int, mask: int) -> int:
 
 
 class TupleBlock:
-    """Tuples lo..hi-1, whose streams under one base are drawn all at once.
+    """Tuples at any indices, whose streams under one base are drawn at once.
 
-    Each tuple is one lane of a packed int, so a few big-int operations run
-    the SplitMix64 arithmetic of every tuple together. The (i * GOLDEN) lanes
-    are packed once per block and shared by every base. A block of one tuple
-    reads its Stream instead: packing a single lane costs more than it saves.
+    Each index, in order and repeats included, is one lane of a packed int,
+    so a few big-int operations run the SplitMix64 arithmetic of every tuple
+    together. The (i * GOLDEN) lanes are packed once per block and shared by
+    every base. A block of one tuple reads its Stream instead: packing a
+    single lane costs more than it saves.
     """
 
-    __slots__ = ("lo", "hi", "_ones", "_mask", "_golden", "_bytes")
+    __slots__ = ("rows", "_ones", "_mask", "_golden", "_bytes")
 
-    def __init__(self, lo: int, hi: int) -> None:
-        self.lo, self.hi = lo, hi
-        if hi - lo == 1:
+    def __init__(self, rows: range | list[int]) -> None:
+        self.rows = rows
+        if len(rows) == 1:
             return
-        self._bytes = (hi - lo) * _LANE_BITS // 8
-        self._ones = self._pack([1] * (hi - lo))
+        self._bytes = len(rows) * _LANE_BITS // 8
+        self._ones = self._pack([1] * len(rows))
         self._mask = self._ones * _MASK64
-        self._golden = self._pack([(i * GOLDEN) & _MASK64 for i in range(lo, hi)])
+        self._golden = self._pack([(i * GOLDEN) & _MASK64 for i in rows])
 
     def _pack(self, values: list[int]) -> int:
         lanes = array("Q", bytes(self._bytes))
@@ -168,12 +169,12 @@ class TupleBlock:
         return int.from_bytes(lanes, sys.byteorder)
 
     def words(self, base: int, k: int) -> list[list[int]]:
-        """The first k words of Stream(tuple_key(base, i)) for every tuple i of
-        the block: k lists, the j-th holding word j of each tuple in order."""
+        """The first k words of Stream(tuple_key(base, i)) for every index i of
+        the block: k lists, the j-th holding word j of each index in order."""
         if k == 0:
             return []
-        if self.hi - self.lo == 1:
-            stream = Stream(tuple_key(base, self.lo))
+        if len(self.rows) == 1:
+            stream = Stream(tuple_key(base, self.rows[0]))
             return [[stream.u64()] for _ in range(k)]
         mask, ones = self._mask, self._ones
         state = _mix_lanes(((base & _MASK64) * ones) ^ self._golden, mask)  # tuple_key of every lane

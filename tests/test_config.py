@@ -556,6 +556,18 @@ def test_float_sequence_of_whole_terms_is_outside_a_float_admissible_set():
     assert all(domain.contains(domain.by_index(k)) for k in range(6))
 
 
+def test_far_float_sequence_terms_are_members():
+    # Far out, the rounded index (value - start) / step of a float term can
+    # be one or two off its own: here the last term's rounds to the index
+    # before it. Membership tries those neighbours too, so the config parses.
+    start, step, tuple_count = 913.0329539528377, 29832396.5053445, 3781536831718334
+    last = start + (tuple_count - 1) * step
+    assert round((last - start) / step) == tuple_count - 2
+    domain = parse_config(_sequence_text(tuple_count, "float", start, step)).attribute("s").domain
+    assert domain.contains(last) and domain.contains(domain.by_index(tuple_count - 1)) and domain.contains(start)
+    assert not domain.contains(last + step / 2) and not domain.contains(start - step)
+
+
 def _scaled(low: int, high: int):
     """Nonzero floats of either sign with magnitudes from 10**low to 10**high."""
     return st.builds(lambda m, e, sign: sign * m * 10.0**e,

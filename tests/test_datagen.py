@@ -1,10 +1,11 @@
 import json
 import math
+import random
 
 import pytest
 
 from dirtygen import GenerationError, generate_clean_dataset, generate_record, parse_config
-from dirtygen.datagen import STAGE_CLEAN, clean_cell_value, value_in_domain
+from dirtygen.datagen import BLOCK_TUPLES, STAGE_CLEAN, clean_cell_value, clean_columns, value_in_domain
 from dirtygen.cli import main as cli_main
 from dirtygen.rng import IndexPermutation, Stream, address_key, derive_stream, stage_key, tuple_key
 
@@ -383,3 +384,25 @@ def test_block_columns_equal_single_cells(name, tuple_count):
         # The pattern on pint rejects the first attempt of most cells, which
         # then continue drawing on their stream.
         assert any(_first_attempt_rejected(config, "pint", i) for i in range(tuple_count))
+    if tuple_count == 0:
+        return
+    # A drawn, unordered list of rows with repeats, over a subset of names
+    # that holds a dependent without its determinant, against the records
+    # above (which equal the reference).
+    rng = random.Random(tuple_count)
+    rows = rng.choices(range(tuple_count), k=rng.randrange(1, 2 * BLOCK_TUPLES))
+    dependent = next(name for name in reversed(config.eval_order) if config.attribute(name).dependency)
+    determinant = config.attribute(dependent).dependency.determinant
+    names = [name for name in config.attribute_names if name != determinant and rng.random() < 0.5]
+    names = [dependent, *(name for name in names if name != dependent)]
+    for name, column in zip(names, clean_columns(config, rows, names)):
+        assert [repr(value) for value in column] == [repr(records[i][name]) for i in rows], name
+    # A known determinant column is read, not regenerated: given the
+    # determinants of other rows, the dependent maps theirs.
+    others = rows[::-1]
+    known = {determinant: [records[i][determinant] for i in others]}
+    (column,) = clean_columns(config, rows, [dependent], known)
+    assert [repr(value) for value in column] == [repr(records[i][dependent]) for i in others]
+    i, j = rows[0], others[0]
+    value = clean_cell_value(config, i, dependent, {determinant: records[j][determinant]})
+    assert repr(value) == repr(records[j][dependent])

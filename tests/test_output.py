@@ -155,14 +155,14 @@ def test_ndjson_reader_rejects_array_file(tmp_path):
     path = tmp_path / "data.ndjson"
     path.write_text('[\n{"a":1}\n]\n', encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="line 1"):
-        list(read_dataset(path, mode="ndjson"))
+        list(read_dataset(path))
 
 
 def test_array_reader_rejects_ndjson_file(tmp_path):
     path = tmp_path / "data.json"
     path.write_text('{"a":1}\n{"a":2}\n', encoding="utf-8")
     with pytest.raises(DatasetFormatError):
-        list(read_dataset(path, mode="json_array"))
+        list(read_dataset(path))
 
 
 def test_reader_rejects_nan(tmp_path):
@@ -640,8 +640,8 @@ _BYTES = st.lists(
     max_size=12,
 ).map(b"".join)
 _READERS = {
-    "ndjson": lambda a, b: list(read_dataset(a, "ndjson", allow_deleted=True)),
-    "json_array": lambda a, b: list(read_dataset(a, "json_array")),
+    "ndjson": lambda a, b: list(read_dataset(a, allow_deleted=True)),
+    "json_array": lambda a, b: list(read_dataset(a.with_suffix(".json"))),
     # a repaired file after a dirty one that is also the clean file
     "dirty_and_repaired": lambda a, b: list(zip_longest(*read_aligned(a, a, b))),
     # two repair stages after a clean and a dirty file
@@ -658,6 +658,7 @@ def test_readers_raise_only_dirtygen_errors_for_any_bytes(reader, first, second)
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp) / "a.ndjson", Path(tmp) / "b.ndjson"
         a.write_bytes(first)
+        a.with_suffix(".json").write_bytes(first)  # what the array reader reads
         b.write_bytes(second)
         try:
             _READERS[reader](a, b)

@@ -67,18 +67,26 @@ def test_address_key_is_pure():
 
 @pytest.mark.parametrize("length", [1, 2, 255, 256, 257])
 def test_block_words_equal_successive_stream_words(length):
+    # Contiguous blocks, and sparse ones: unordered lists with repeats, and
+    # indices near 2^64. Each lane draws its own tuple's stream.
     rng = random.Random(length)
-    for lo in (0, rng.randrange(1 << 32), (1 << 32) + rng.randrange(1 << 40), (1 << 64) - length):
+    starts = (0, rng.randrange(1 << 32), (1 << 32) + rng.randrange(1 << 40), (1 << 64) - length)
+    pool = [rng.randrange(1 << 40) for _ in range(max(1, length // 2))]
+    scattered = rng.choices(pool, k=length)
+    near_top = rng.choices(range((1 << 64) - 2 * length, 1 << 64), k=length)
+    if length > 2:
+        assert len(set(scattered)) < length and scattered != sorted(scattered)
+    for rows in [*(range(lo, lo + length) for lo in starts), scattered, near_top]:
         base = rng.getrandbits(64)
-        block = TupleBlock(lo, lo + length)
-        streams = [Stream(tuple_key(base, i)) for i in range(lo, lo + length)]
+        block = TupleBlock(rows)
+        streams = [Stream(tuple_key(base, i)) for i in rows]
         expected = [[stream.u64() for stream in streams] for _ in range(7)]
         for k in range(8):
-            assert block.words(base, k) == expected[:k], (lo, k)
+            assert block.words(base, k) == expected[:k], (rows[0], k)
         # A stream placed after k words continues with word k + 1.
-        i = rng.randrange(lo, lo + length)
+        j = rng.randrange(length)
         for k in (0, 3, 6):
-            assert stream_after(base, i, k).u64() == expected[k][i - lo], (lo, k)
+            assert stream_after(base, rows[j], k).u64() == expected[k][j], (rows[0], k)
 
 
 def test_random_in_unit_interval():
