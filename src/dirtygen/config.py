@@ -177,7 +177,6 @@ class GeneratorConfig:
     output: OutputSpec
     config_hash: str = ""
     attr_positions: dict = field(default_factory=dict, repr=False, compare=False)
-    eval_order: tuple[str, ...] = ()
     # (error type, target attribute or None) -> its spec; parse_config proves the keys unique.
     spec_by_target: dict = field(default_factory=dict, repr=False, compare=False)
     attribute_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -499,21 +498,26 @@ def _resolve_domain(attr: AttributeSpec, tuple_count: int) -> None:
     listing the members of a finite one."""
     src, members = attr.source, attr.admissible_set
     if members is not None:
+        pattern = attr.effective_pattern()  # a template's regex where no pattern is declared
         for member in members:
             if not attr.satisfies(member):
                 _fail(
                     f"attribute '{attr.name}': admissible_set member {member!r} "
                     f"violates the declared pattern or interval"
                 )
+            if pattern is not None and pattern.fullmatch(str(member)) is None:  # only a template's can miss
+                _fail(f"attribute '{attr.name}': admissible_set member {member!r} does not match the template "
+                      f"{src['template']!r}")
     if src["kind"] == "set":
         typed = tuple(attr.typed(v, f"attribute '{attr.name}' set value") for v in src["values"])
+        admits = finite(members or typed).contains  # without an admissible_set, every value is admitted
         for member in typed:
             if not attr.satisfies(member):
                 _fail(
                     f"attribute '{attr.name}': set source value {member!r} "
                     f"violates the declared pattern or interval"
                 )
-            if members is not None and member not in members:
+            if not admits(member):
                 _fail(f"attribute '{attr.name}': set source value {member!r} is outside the admissible_set")
         members = members or typed
     elif members is None:  # a declared admissible_set is the domain, whatever the source
@@ -597,8 +601,8 @@ def _validate_sequence(attr: AttributeSpec, tuple_count: int) -> None:
 # Dependencies
 
 
-def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> tuple[list[DependencyRule], tuple]:
-    """Attach and check the rules; returns them with the evaluation order."""
+def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> list[DependencyRule]:
+    """Attach and check the rules; returns them."""
     by_name = {a.name: a for a in attrs}
     rules: list[DependencyRule] = []
     dependents_seen = set()
@@ -633,7 +637,7 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> tuple[
         by_name[dep].domain = finite(tuple(sorted(set(mapping.values()), key=repr)))
         rules.append(rule)
 
-    order = _evaluation_order(attrs, by_name)
+    _check_acyclic(attrs, by_name)
 
     # Totality and image validity; every rule is attached, so a chained
     # determinant's domain is its own rule's images.
@@ -653,15 +657,15 @@ def _resolve_dependencies(attrs: list[AttributeSpec], raw_rules: list) -> tuple[
                 f"dependency rule {rule.determinant!r} -> {rule.dependent!r}: mapping "
                 f"is not total; first unmapped determinant value: {missing[0]!r}"
             )
+        # The dependent's domain lists the images: only an admissible_set can refuse one.
+        admits = finite(dep_attr.admissible_set or dep_attr.domain.values).contains
         for image in rule.mapping.values():
-            if not dep_attr.satisfies(image) or (
-                dep_attr.admissible_set is not None and image not in dep_attr.admissible_set
-            ):
+            if not dep_attr.satisfies(image) or not admits(image):
                 _fail(
                     f"dependency rule {rule.determinant!r} -> {rule.dependent!r}: "
                     f"mapped value {image!r} violates the dependent's constraints"
                 )
-    return rules, order
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -851,14 +855,13 @@ def parse_config(
         if attr.source is not None:
             _resolve_domain(attr, tuple_count)
 
-    dependencies, eval_order = _resolve_dependencies(attrs, raw_rules)
+    dependencies = _resolve_dependencies(attrs, raw_rules)
 
     for attr in attrs:
         _validate_sequence(attr, tuple_count)
         _validate_unique(attr, tuple_count)
-        # Only finite domains (dependents' included) list their members.
-        if attr.synonyms is not None and attr.domain.values is not None:
-            orphan = [k for k in attr.synonyms if k not in attr.domain.values]
+        if attr.synonyms is not None:
+            orphan = [k for k in attr.synonyms if not attr.domain.contains(k)]
             if orphan:
                 _fail(
                     f"attribute '{attr.name}': synonym key {orphan[0]!r} can "
@@ -879,7 +882,6 @@ def parse_config(
         column_replication=replication,
         output=output,
         attr_positions={a.name: i for i, a in enumerate(attrs)},
-        eval_order=eval_order,
         base_dir=base_dir,
     )
     config.errors, config.spec_by_target = _parse_errors(doc.get("errors", []), config)
@@ -890,22 +892,18 @@ def parse_config(
     return config
 
 
-def _evaluation_order(attrs: list[AttributeSpec], by_name: dict) -> tuple[str, ...]:
-    """Schema order with every determinant placed before its dependents. Each
-    walk up a determinant chain stops at the first attribute already placed;
-    one it placed itself closes a cycle."""
-    order: list[str] = []
-    placed: set[str] = set()
+def _check_acyclic(attrs: list[AttributeSpec], by_name: dict) -> None:
+    """Walk up each attribute's determinant chain, in schema order, to the
+    first attribute already reached; one this walk reached closes a cycle."""
+    reached: set[str] = set()
     for attr in attrs:
-        chain = []  # attr and its determinants not yet placed, nearest first
-        while attr is not None and attr.name not in placed:
-            placed.add(attr.name)
-            chain.append(attr.name)
+        chain = set()  # attr and its determinants not reached before
+        while attr is not None and attr.name not in reached:
+            reached.add(attr.name)
+            chain.add(attr.name)
             attr = None if attr.dependency is None else by_name[attr.dependency.determinant]
         if attr is not None and attr.name in chain:
             _fail(f"dependency rules form a cycle involving {attr.name!r}")
-        order.extend(reversed(chain))
-    return tuple(order)
 
 
 def load_config(

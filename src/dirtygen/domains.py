@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .exceptions import ConfigError, GenerationError
-from .output import canonical_json
+from .output import canonical_json, same_json
 from .rng import NORMAL_Z_BOUND, TWO53_INV, gaussian
 from .taxonomy import ABSENT, round_half_away
 from .templates import template_attempts, template_decode, template_regex, template_size
@@ -27,6 +27,7 @@ _FLOAT_GRID_BITS = 53  # unique float values are drawn from a 2^53 grid
 _RESAMPLE_LIMIT = 1000
 # The exact types of each datatype's values: a bool, though an int, is none of them.
 _DATATYPES = {"string": (str,), "integer": (int,), "float": (int, float)}
+_TERMS = {"integer": int, "float": float}  # a sequence's terms in each numeric datatype
 
 
 class Domain(NamedTuple):
@@ -137,11 +138,11 @@ def resolve(attr, tuple_count: int, values: tuple | None = None) -> Domain:
 
 
 def _sequence_terms(attr) -> tuple:
-    """start and step; an integer sequence's as ints, so its values are exact."""
+    """start and step in the attribute's datatype, so integer terms are exact and float terms
+    floats (start 1 writes 1.0); an offdomain carrier, of datatype "string", keeps them as written."""
     start, step = attr.source["start"], attr.source["step"]
-    if attr.datatype == "integer":
-        return int(start), int(step)
-    return start, step
+    typed = _TERMS.get(attr.datatype)
+    return (start, step) if typed is None else (typed(start), typed(step))
 
 
 def _sequence_at(attr) -> Callable:
@@ -153,12 +154,12 @@ def _sequence_domain(attr, tuple_count: int) -> Domain:
     at, (start, step) = _sequence_at(attr), _sequence_terms(attr)
     span, slack = max(tuple_count, 2), 0 if attr.datatype == "integer" else 2
 
-    def contains(value) -> bool:  # at(k) for an index k >= 0, also beyond tuple_count
+    def contains(value) -> bool:  # same_json as at(k) for an index k >= 0, also beyond tuple_count
         if step == 0:
-            return value == start
+            return same_json(value, start)
         try:  # an integer sequence's index is exact, a float one's rounded and up to two off
             k = round((value - start) / step) if slack else (value - start) // step
-            return any(at(j) == value for j in range(max(k - slack, 0), k + slack + 1))
+            return any(same_json(at(j), value) for j in range(max(k - slack, 0), k + slack + 1))
         except (OverflowError, ValueError):  # beyond the float range, infinite or nan
             return False
 

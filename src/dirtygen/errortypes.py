@@ -15,12 +15,18 @@ stage, and a fix to one is one record.
 The stage is the planning stage, which fixes claim order and population; it
 can differ from the paper's conceptual scope (irrelevant_observation is "one
 row" in the paper but is planned as an insertion).
+
+Verdicts and parse checks compare values by output.same_json. The injectors'
+loops that draw until a value differs from the clean one, and inject's
+refusal of an unchanged value, keep ==: both sides have the attribute's
+exact type there, and == is the stricter test (0.0 and -0.0 are one value).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -295,7 +301,8 @@ def _retype(text: str, datatype: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A number a float holds (no bool, infinity, nan or int beyond the float range), so arithmetic cannot overflow."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _always(attr, config) -> bool:
@@ -311,8 +318,7 @@ def _syntax_violation(clean, attr, stream, *_):
 
 
 def _violates_pattern(clean, dirty, attr, *_) -> bool:
-    pattern = attr.effective_pattern()
-    return pattern.fullmatch(str(clean)) is not None and pattern.fullmatch(str(dirty)) is None
+    return attr.effective_pattern().fullmatch(str(dirty)) is None
 
 
 def _interval_violation(clean, attr: AttributeSpec, stream: Stream, *_):
@@ -338,9 +344,7 @@ def _interval_bound(attr, params) -> float:
 
 def _outside_interval(clean, dirty, attr, *_) -> bool:
     lo, hi = attr.interval
-    if not _is_number(dirty):
-        return False
-    return lo <= clean <= hi and not lo <= dirty <= hi
+    return _is_number(dirty) and not lo <= dirty <= hi
 
 
 def _set_violation(clean, attr, stream, *_):
@@ -356,8 +360,8 @@ def _set_violation(clean, attr, stream, *_):
 
 
 def _outside_set(clean, dirty, attr, *_) -> bool:
-    members = attr.admissible_set
-    return any(same_json(clean, m) for m in members) and not any(same_json(dirty, m) for m in members)
+    # Not attr.domain: a dependent's domain is its rule's images, which may be fewer.
+    return not any(same_json(dirty, member) for member in attr.admissible_set)
 
 
 def _misspelled(clean, dirty, *_) -> bool:
@@ -380,7 +384,7 @@ def _inadequate_value(clean, attr, stream, config, *_):
 
 
 def _from_other_domain(clean, dirty, attr, config, *_) -> bool:
-    if dirty == clean or value_in_domain(attr, dirty, config):
+    if same_json(dirty, clean) or value_in_domain(attr, dirty, config):
         return False
     return any(
         value_in_domain(other, dirty, config)
@@ -395,12 +399,7 @@ def _items_beyond(clean, attr, stream, config, *_):
 
 
 def _has_extra_items(clean, dirty, *_) -> bool:
-    return (
-        isinstance(dirty, str)
-        and isinstance(clean, str)
-        and dirty.startswith(clean + " ")
-        and len(dirty) > len(clean) + 1
-    )
+    return isinstance(dirty, str) and dirty.startswith(clean + " ") and len(dirty) > len(clean) + 1
 
 
 def _is_meaningless(clean, dirty, attr, config, *_) -> bool:
@@ -420,7 +419,7 @@ def _erroneous_entry(clean, attr, stream, config, *_):
 
 
 def _plausible_but_wrong(clean, dirty, attr, config, *_) -> bool:
-    return dirty != clean and value_in_domain(attr, dirty, config)
+    return not same_json(dirty, clean) and value_in_domain(attr, dirty, config)
 
 
 def _has_alternative(attr, config) -> bool:
@@ -454,7 +453,7 @@ def _copy_donor(clean, attr, stream, config, params, entry):
 
 
 def _duplicated(clean, dirty, attr, config, params, clean_record, dirty_record, dirty_dataset):
-    if dirty == clean:
+    if same_json(dirty, clean):
         return False
     equal = compress(dirty_dataset, _matches(dirty_dataset, attr.name, dirty))
     return sum(same_json(record.get(attr.name, ABSENT), dirty) for record in equal) >= 2
@@ -467,11 +466,11 @@ def _synonym(clean, attr, stream, *_):
 
 def _has_synonym(config, spec, row, attribute, claims) -> dict | None:
     value = clean_cell_value(config, row, attribute)
-    return {} if config.attribute(attribute).synonyms.get(value) else None
+    return {} if isinstance(value, str) and config.attribute(attribute).synonyms.get(value) else None
 
 
 def _is_synonym(clean, dirty, attr, *_) -> bool:
-    return clean in attr.synonyms and dirty in attr.synonyms[clean]
+    return isinstance(dirty, str) and dirty in attr.synonyms.get(clean, ())
 
 
 def _distribution_sourced(attr, config) -> bool:
@@ -499,7 +498,7 @@ def _outlier(clean, attr, stream, config, params, entry):
 
 def _is_outlier(clean, dirty, attr, config, params, *_) -> bool:
     mu, sigma = attr.domain.mean, attr.domain.stddev
-    return _is_number(dirty) and dirty != clean and abs(dirty - mu) >= params["k"] * sigma
+    return _is_number(dirty) and not same_json(dirty, clean) and abs(dirty - mu) >= params["k"] * sigma
 
 
 def _noise(clean, attr, stream, config, params, entry):
@@ -515,10 +514,6 @@ def _is_noise(clean, dirty, attr, config, params, *_) -> bool:
     return _is_number(dirty) and 0 < abs(dirty - clean) <= bound
 
 
-def _key_removed(clean, dirty, attr, config, params, clean_record, dirty_record, _) -> bool:
-    return attr.name not in dirty_record and attr.name in clean_record
-
-
 def _bias(clean, attr, stream, config, params, entry):
     weights = params.get("skewed_weights")
     if weights is None:
@@ -532,21 +527,19 @@ def _bias(clean, attr, stream, config, params, entry):
 
 
 def _in_group(config, spec, row, attribute, claims) -> dict | None:
-    params = spec.params
-    if clean_cell_value(config, row, params["group_attribute"]) != params["group_value"]:
-        return None
-    return {}
+    group = clean_cell_value(config, row, spec.params["group_attribute"])
+    return {} if same_json(group, spec.params["group_value"]) else None
 
 
 def _is_biased(clean, dirty, attr, config, params, clean_record, *_) -> bool:
     if "group_value" not in params:
         return False  # no bias spec targets this attribute
-    if clean_record.get(params["group_attribute"]) != params["group_value"]:
+    if not same_json(clean_record.get(params["group_attribute"], ABSENT), params["group_value"]):
         return False
     weights = params.get("skewed_weights")
     if weights is None:
         return same_json(dirty, clean + params["shift"])
-    return dirty != clean and any(same_json(dirty, value) for value in weights)
+    return not same_json(dirty, clean) and any(same_json(dirty, value) for value in weights)
 
 
 def _bias_shortfall(spec, index: int, placed: int, count: int) -> str:
@@ -582,7 +575,7 @@ def _parse_bias(params: dict, where: str, config) -> None:
     typed = {}
     for key, weight in weights.items():
         value = target.typed(key, f"{where} skewed_weights key")
-        if value not in target.domain.values:
+        if not target.domain.contains(value):
             raise ConfigError(f"{where}: skewed_weights key {key!r} is outside the target domain")
         typed[value] = weight
     if len([w for w in typed.values() if w > 0]) < 2:
@@ -623,7 +616,7 @@ def _semi_empty(record, config, stream, params, entry) -> list:
 
 
 def _nulled(clean, dirty, *_) -> bool:
-    return clean is not None and dirty is None
+    return dirty is None
 
 
 def _is_semi_empty(clean_record, dirty_record, config, params, clean_dataset) -> bool:
@@ -663,20 +656,24 @@ def _break_rule(record, config, stream, params, entry) -> list:
     return [(rule.dependent, current, alternatives[stream.randrange(len(alternatives))])]
 
 
-def _rule_violated(rule, clean_record, dirty_record) -> bool:
-    det = dirty_record.get(rule.determinant, ABSENT)
+def _image(rule, value, config):
+    """The rule's image of a determinant value, ABSENT where the determinant never takes it. A value
+    its domain holds has the determinant's exact type, so the mapping's keys compare as same_json does."""
+    if not config.attribute(rule.determinant).domain.contains(value):
+        return ABSENT
+    return rule.mapping.get(value, ABSENT)  # a sequence's terms past tuple_count are unmapped
+
+
+def _rule_violated(rule, clean_record, dirty_record, config) -> bool:
+    expected = _image(rule, dirty_record.get(rule.determinant, ABSENT), config)
     dep = dirty_record.get(rule.dependent, ABSENT)
-    if det is ABSENT or dep is ABSENT or det is None:
-        return False
-    expected = rule.mapping.get(det)
     clean_det = clean_record.get(rule.determinant)
-    clean_dep = clean_record.get(rule.dependent)
-    clean_ok = clean_det is None or rule.mapping.get(clean_det) == clean_dep
-    return expected is not None and dep != expected and clean_ok
+    clean_ok = clean_det is None or same_json(_image(rule, clean_det, config), clean_record.get(rule.dependent))
+    return expected is not ABSENT and dep is not ABSENT and not same_json(dep, expected) and clean_ok
 
 
 def _breaks_a_rule(clean_record, dirty_record, config, params, clean_dataset) -> bool:
-    return any(_rule_violated(rule, clean_record, dirty_record) for rule in config.dependencies)
+    return any(_rule_violated(rule, clean_record, dirty_record, config) for rule in config.dependencies)
 
 
 def _breaks_rule_cell(clean, dirty, attr, config, params, clean_record, dirty_record, _) -> bool:
@@ -684,7 +681,7 @@ def _breaks_rule_cell(clean, dirty, attr, config, params, clean_record, dirty_re
     return (
         attr.dependency is not None
         and attr.domain.contains(dirty_record.get(attr.name, ABSENT))
-        and _rule_violated(attr.dependency, clean_record, dirty_record)
+        and _rule_violated(attr.dependency, clean_record, dirty_record, config)
     )
 
 
@@ -925,7 +922,7 @@ _RECORDS = (
         bound=_outlier_bound,
     ),
     ErrorType(
-        "missing_attribute", lambda *_: ABSENT, _key_removed,
+        "missing_attribute", lambda *_: ABSENT, lambda clean, dirty, *_: dirty is ABSENT,
         counts_tuples=True,
         applicable=_always,
         single_target=True,

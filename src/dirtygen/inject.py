@@ -20,7 +20,7 @@ from typing import Iterator
 
 from . import __version__
 from .config import GeneratorConfig
-from .datagen import BLOCK_TUPLES, clean_column_blocks, clean_columns
+from .datagen import BLOCK_TUPLES, clean_column_blocks, clean_columns, value_in_domain
 from .errorplan import ErrorPlan, PlanEntry
 from .errortypes import ERROR_TYPES
 from .exceptions import GenerationError
@@ -200,7 +200,9 @@ def verify_error(
     type does not apply to, is False; a type whose spec is missing from the
     config is checked with its default params. The logged values must equal
     the records' under output.same_json, so a logged 1.0 or true does not
-    match a recorded 1.
+    match a recorded 1. A base cell entry's clean value is checked here, once
+    for every type: it is a member of the attribute's domain, and not null
+    where the planner skips null cells. Any decoded value gives a bool.
     """
     etype = ERROR_TYPES.get(entry.error_type)
     if etype is None:
@@ -238,6 +240,8 @@ def verify_error(
     dirty_value = dirty_record.get(entry.attribute, ABSENT)
     if not (same_json(clean_value, entry.clean_value) and same_json(dirty_value, entry.dirty_value)):
         return False
+    if not value_in_domain(attr, clean_value, config) or clean_value is None and etype.needs_value:
+        return False  # the clean side, checked once: no generated clean cell fails this
     return etype.verify(
         clean_value, dirty_value, attr, config, params, clean_record, dirty_record, dirty_dataset
     )

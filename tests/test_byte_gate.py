@@ -5,11 +5,11 @@ One line per config holds the sha256 of every output file (the manifest
 without its `duration_seconds` line), the `validate` stdout, and the sha256
 of the `generate --emit-plan` stdout with the output directory written as
 <out>. The set is sample_configs/demo.json, demo at shard_count 2 and 3 in
-both output modes, the confgen configs of seeds 0-119, and MEMBERSHIP: four
+both output modes, the confgen configs of seeds 0-119, and MEMBERSHIP: five
 configs whose injectors or verifier read domain membership (an integer
 sequence under an interval, a normal attribute as the target of other
 attributes' values and of an offdomain source, a float sequence whose step
-is far below its magnitude).
+is far below its magnitude, and one whose terms are whole numbers).
 
 A change that moves any of these bytes changes the output format. It must
 say so, and rewrite the file with
@@ -81,6 +81,19 @@ MEMBERSHIP = {
         {"type": "erroneous_entry", "rate": 0.2, "attributes": ["t"]},
         {"type": "inadequate_value_to_attribute_context", "rate": 0.2, "attributes": ["t"]},
     ),
+    # A float sequence written as start 1 and step 1 holds 1.0, 2.0, ...: a
+    # bias group_value 2 is its 2.0, it keys a dependency rule, and no int
+    # drawn from the donor u is one of its members.
+    "membership-whole-float-sequence": dict(_membership_doc(
+        [{"name": "g", "datatype": "float", "source": {"kind": "sequence", "start": 1, "step": 1}},
+         {"name": "parity", "datatype": "string"},
+         {"name": "u", "datatype": "integer", "source": _uniform(0, 400)}, _SCORE],
+        {"type": "bias", "rate": 0.005,
+         "params": {"group_attribute": "g", "group_value": 2, "target_attribute": "score"}},
+        {"type": "inadequate_value_to_attribute_context", "rate": 0.2, "attributes": ["g"]},
+        {"type": "inconsistency_among_attribute_values", "rate": 0.1},
+    ), dependencies=[{"determinant": "g", "dependent": "parity",
+                      "mapping": {str(k): ("even", "odd")[k % 2] for k in range(1, 151)}}]),
 }
 NAMES = (
     ["demo"]

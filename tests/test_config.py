@@ -22,6 +22,7 @@ from dirtygen import (
     parse_config,
 )
 from dirtygen.cli import main as cli_main
+from dirtygen.datagen import clean_cell_value
 from dirtygen.config import DOCUMENT, MAX_SHARDS, MAX_WIDTH, AttributeSpec, Field, Tagged, compute_config_hash
 from dirtygen.errortypes import ALL_ERROR_TYPES, ERROR_TYPES
 
@@ -106,6 +107,66 @@ def test_admissible_member_violating_interval_is_contradiction():
         parse_config(json.dumps(doc))
 
 
+def test_admissible_member_outside_its_template_is_rejected():
+    # The template's regex is the attribute's pattern, so syntax_violation
+    # applies; a member it does not match would log errors none of which
+    # verifies (4 of 20 tuples here, before this check).
+    doc = {
+        "schema": [{"name": "code", "datatype": "string", "source": {"kind": "template", "template": "AA-#"},
+                    "admissible_set": ["zzz", "yyy"]}],
+        "errors": [{"type": "syntax_violation", "rate": 0.2}],
+        "generation": {"tuple_count": 20, "seed": 1},
+    }
+    with pytest.raises(ConfigError, match="admissible_set member 'zzz' does not match the template 'AA-#'"):
+        parse_config(json.dumps(doc))
+    doc["schema"][0]["admissible_set"] = ["ZZ-1", "YY-2"]
+    assert parse_config(json.dumps(doc)).errors[0].count == 4
+
+
+@pytest.mark.parametrize(
+    "attr, error",
+    [
+        ({"datatype": "string", "source": {"kind": "template", "template": "AA-#"},
+          "synonyms": {"zz": ["ZZ"]}}, "synonym key 'zz' can never be generated"),
+        ({"datatype": "float", "source": {"kind": "set", "values": [0.0, 1.0]}},
+         "skewed_weights key '-0.0' is outside the target domain"),
+    ],
+)
+def test_synonym_and_skewed_weights_keys_are_domain_members(attr, error):
+    # A synonym key of any domain, not only a listed one, must be a value the
+    # attribute writes; a skewed_weights key -0.0 is not the member 0.0.
+    doc = {
+        "schema": [dict(attr, name="t"), {"name": "g", "datatype": "string", "source": {"kind": "set", "values": ["A"]}}],
+        "errors": [{"type": "bias", "rate": 0.1, "params": {"group_attribute": "g", "group_value": "A",
+                                                              "target_attribute": "t",
+                                                              "skewed_weights": {"-0.0": 1, "1.0": 1}}}],
+        "generation": {"tuple_count": 10, "seed": 1},
+    }
+    if "synonyms" in attr:
+        del doc["errors"]
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "schema, dependencies, error",
+    [
+        ([{"name": "x", "datatype": "float", "source": {"kind": "set", "values": [-0.0, 1.0]},
+           "admissible_set": [0.0, 1.0]}], [], "set source value -0.0 is outside the admissible_set"),
+        ([{"name": "g", "datatype": "string", "source": {"kind": "set", "values": ["A", "B"]}},
+          {"name": "x", "datatype": "float", "admissible_set": [0.0, 1.0]}],
+         [{"determinant": "g", "dependent": "x", "mapping": {"A": -0.0, "B": 1.0}}],
+         "mapped value -0.0 violates the dependent's constraints"),
+    ],
+)
+def test_admissible_set_membership_compares_by_json(schema, dependencies, error):
+    # -0.0 == 0.0, but they are two JSON values: a set value or a mapped
+    # image -0.0 is not the admissible member 0.0.
+    doc = {"schema": schema, "dependencies": dependencies, "generation": {"tuple_count": 10, "seed": 1}}
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        parse_config(json.dumps(doc))
+
+
 def test_oversubscribed_rates_rejected_at_parse_time():
     doc = {
         "schema": [
@@ -159,7 +220,7 @@ def test_dependency_cycle_is_named_and_long_chains_resolve():
     ]
     doc = {"schema": schema[::-1], "dependencies": rules, "generation": {"tuple_count": 2, "seed": 1}}
     config = parse_config(json.dumps(doc))
-    assert config.eval_order == tuple(f"a{i}" for i in range(width))
+    assert clean_cell_value(config, 0, f"a{width - 1}") == "x"
     # Close the chain into a ring: the first walk, from the last attribute,
     # runs down to a0 and meets the last attribute again.
     del schema[0]["source"]
@@ -544,16 +605,16 @@ def test_sequence_membership_is_exact_for_integers(datatype, start, step, member
     assert not any(domain.contains(v) for v in strangers)
 
 
-def test_float_sequence_of_whole_terms_is_outside_a_float_admissible_set():
-    # Start 1 and step 1 write the ints 1-6, none of them the JSON value of
-    # a member 1.0-6.0, so the config is refused; start 1.0 writes the members.
+def test_float_sequence_of_whole_terms_writes_float_admissible_members():
+    # A float sequence's terms are floats: start 1 and step 1 write the
+    # members 1.0-6.0, as start 1.0 does. The int 1 is no member.
     members = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    with pytest.raises(ConfigError, match="sequence value 1 of tuple 0 is outside the admissible_set"):
-        parse_config(_sequence_text(6, "float", 1, 1, admissible_set=members))
-    config = parse_config(_sequence_text(6, "float", 1.0, 1, admissible_set=members))
-    domain = config.attribute("s").domain
-    assert [record["s"] for record in generate_clean_dataset(config)] == members
-    assert all(domain.contains(domain.by_index(k)) for k in range(6))
+    for start in (1, 1.0):
+        config = parse_config(_sequence_text(6, "float", start, 1, admissible_set=members))
+        domain = config.attribute("s").domain
+        assert [repr(record["s"]) for record in generate_clean_dataset(config)] == list(map(repr, members))
+        assert all(domain.contains(domain.by_index(k)) for k in range(6))
+        assert not domain.contains(1)
 
 
 def test_far_float_sequence_terms_are_members():
@@ -583,15 +644,17 @@ _SEQUENCE_PATTERNS = {
 @st.composite
 def _sequence_sources(draw):
     """A sequence attribute, its tuple count and k -> its k-th clean value: integer
-    or float terms (a float sequence's may be ints) over wide magnitudes, and
-    an optional interval, pattern and admissible set near its values."""
+    or float terms (a float sequence's start and step may be written as ints,
+    its terms are floats) over wide magnitudes, and an optional interval,
+    pattern and admissible set near its values."""
     datatype = draw(st.sampled_from(["integer", "float"]))
     if datatype == "integer":
         start, step = draw(st.integers(-(10**18), 10**18)), draw(st.integers(-(10**9), 10**9))
     else:
         start = draw(_scaled(-9, 15) | st.integers(-(10**6), 10**6))
         step = draw(_scaled(-9, 6) | st.integers(-1000, 1000))
-    at = lambda k: start + k * step  # noqa: E731
+    typed = int if datatype == "integer" else float
+    at = lambda k: typed(start) + k * typed(step)  # noqa: E731
     small = draw(st.booleans())
     tuple_count = draw(st.integers(1, 300) if small else st.integers(301, 10**9))
     attr = {"name": "s", "datatype": datatype, "source": {"kind": "sequence", "start": start, "step": step}}
@@ -604,8 +667,7 @@ def _sequence_sources(draw):
         first = draw(st.integers(0, 1))
         indices = range(first, draw(st.integers(max(tuple_count - 2, first), tuple_count + 1)) + 1)
         dropped = draw(st.sampled_from([None, *indices])) if len(indices) > 1 else None
-        typed = int if datatype == "integer" else float
-        attr["admissible_set"] = list(dict.fromkeys(typed(at(k)) for k in indices if k != dropped))
+        attr["admissible_set"] = list(dict.fromkeys(at(k) for k in indices if k != dropped))
     return attr, tuple_count, at
 
 
@@ -640,7 +702,7 @@ def test_property_sequence_clean_values_are_members(source, points):
         return
     domain = parse_config(text).attribute("s").domain
     sampled = [0, tuple_count - 1] + [int(p * tuple_count) for p in points]
-    assert all(domain.by_index(k) == at(k) and domain.contains(at(k)) for k in sampled)
+    assert all(repr(domain.by_index(k)) == repr(at(k)) and domain.contains(at(k)) for k in sampled)
 
 
 def test_pattern_python_warns_about_is_a_config_error():

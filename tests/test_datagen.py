@@ -340,10 +340,25 @@ def _first_attempt_rejected(config, attribute: str, tuple_index: int) -> bool:
     return not attr.domain.accept(value)
 
 
+def _determinant_first(config) -> list[str]:
+    """The attribute names in schema order, each determinant moved before its dependents."""
+    order = []
+    for name in config.attribute_names:
+        chain = []  # name and its determinants not yet placed, nearest first
+        while name not in order and name not in chain:
+            chain.append(name)
+            rule = config.attribute(name).dependency
+            if rule is None:
+                break
+            name = rule.determinant
+        order += reversed(chain)
+    return order
+
+
 def _reference_record(config, tuple_index: int) -> dict:
     """Tuple i's clean record, one cell at a time from the documented rules."""
     values = {}
-    for name in config.eval_order:
+    for name in _determinant_first(config):
         attr = config.attribute(name)
         domain = attr.domain
         if attr.dependency is not None:
@@ -391,7 +406,7 @@ def test_block_columns_equal_single_cells(name, tuple_count):
     # above (which equal the reference).
     rng = random.Random(tuple_count)
     rows = rng.choices(range(tuple_count), k=rng.randrange(1, 2 * BLOCK_TUPLES))
-    dependent = next(name for name in reversed(config.eval_order) if config.attribute(name).dependency)
+    dependent = next(name for name in reversed(_determinant_first(config)) if config.attribute(name).dependency)
     determinant = config.attribute(dependent).dependency.determinant
     names = [name for name in config.attribute_names if name != determinant and rng.random() < 0.5]
     names = [dependent, *(name for name in names if name != dependent)]

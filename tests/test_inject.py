@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -11,11 +13,13 @@ from dirtygen import ABSENT, apply_plan, parse_config, plan_errors, verify_error
 from dirtygen.datagen import clean_cell_value, generate_clean_dataset, value_in_domain
 from dirtygen.errortypes import ERROR_TYPES, _interval_violation, apply_edit, edit_distance_one, misspell
 from dirtygen.inject import write_run
-from dirtygen.output import ErrorLogEntry, read_error_log
+from dirtygen.output import ErrorLogEntry, read_dataset, read_error_log, same_json
 from dirtygen.rng import derive_stream
 from dirtygen.taxonomy import INSERTION_TYPES
 
 from confgen import random_config
+from test_acceptance import _golden_dense_doc
+from test_datagen import _block_docs
 from test_byte_gate import MEMBERSHIP
 from conftest import make_config_text
 from replay import realized_counts, replay
@@ -261,6 +265,112 @@ def test_float_sequence_entries_verify_far_from_zero():
     for entry in log:
         row = entry.clean_tuple_index
         assert verify_error(entry, clean[row], dirty[row], config, dirty_dataset=dirty, clean_dataset=clean), entry
+
+
+def test_whole_float_sequence_writes_floats_and_groups_bias_by_them(tmp_path):
+    # start 1 and step 1 on a float attribute write 1.0, 2.0, ...: the clean
+    # file holds 2.0, the bias group_value 2 is that 2.0, and every bias
+    # entry's tuple has it. An int donor value is no member, so the
+    # injector can borrow one.
+    config = parse_config(json.dumps(MEMBERSHIP["membership-whole-float-sequence"]), output_dir_override=tmp_path)
+    write_run(config, plan_errors(config))
+    clean = list(read_dataset(tmp_path / "clean.ndjson"))
+    assert '"g":2.0,' in (tmp_path / "clean.ndjson").read_text(encoding="utf-8").splitlines()[1]
+    assert all(type(record["g"]) is float for record in clean)
+    log = read_error_log(tmp_path / "errors.log")
+    bias = [entry for entry in log if entry.error_type == "bias"]
+    assert bias and all(same_json(clean[entry.clean_tuple_index]["g"], 2.0) for entry in bias)
+    borrowed = [e.dirty_value for e in log if e.error_type == "inadequate_value_to_attribute_context"]
+    assert any(type(value) is int for value in borrowed)
+
+
+# A float attribute of each source kind the other docs lack: a set, an
+# admissible set and a dependent, all written as ints.
+_FLOAT_SOURCES = {
+    "schema": [
+        {"name": "fs", "datatype": "float", "source": {"kind": "set", "values": [1, 2.5]}},
+        {"name": "fa", "datatype": "float", "source": {"kind": "numeric", "distribution": "uniform", "min": 0, "max": 9},
+         "admissible_set": [1, 2, 3]},
+        {"name": "fd", "datatype": "float"},
+    ],
+    "dependencies": [{"determinant": "fs", "dependent": "fd", "mapping": {"1": 3, "2.5": 4}}],
+    "generation": {"tuple_count": 50, "seed": 1},
+}
+
+
+def _fixed_float_texts() -> list[str]:
+    blocks = list(_block_docs().values())
+    for doc in blocks:
+        doc["generation"]["tuple_count"] = 300
+    return [json.dumps(doc) for doc in (*blocks, *MEMBERSHIP.values(), _FLOAT_SOURCES)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_fixed_float_texts()) | st.integers(0, 2**32).map(lambda seed: random_config(random.Random(seed))))
+def test_property_float_attributes_hold_floats(text):
+    # Every non-null clean value of a float attribute is a float, whatever its
+    # source: uniform, normal, set, admissible set, dependent image or sequence.
+    config = parse_config(text)
+    floats = [attr.name for attr in config.schema if attr.datatype == "float"]
+    for record in generate_clean_dataset(config):
+        assert all(type(record[name]) is float for name in floats if record[name] is not None), record
+
+
+_RULE_AND_GROUP = {
+    "schema": [
+        {"name": "n", "datatype": "integer", "source": {"kind": "set", "values": [1, 2]}},
+        {"name": "d", "datatype": "string"},
+        {"name": "x", "datatype": "float", "source": {"kind": "set", "values": [1.5, 2.0]}},
+        {"name": "a", "datatype": "integer", "source": {"kind": "numeric", "distribution": "uniform", "min": 0, "max": 9}},
+    ],
+    "dependencies": [{"determinant": "n", "dependent": "d", "mapping": {"1": "one", "2": "two"}}],
+    "errors": [{"type": "bias", "rate": 0.1, "params": {"group_attribute": "x", "group_value": 2,
+                                                          "target_attribute": "a", "shift": 2}}],
+    "generation": {"tuple_count": 60, "seed": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "error_type, name, clean_changes, dirty_changes, verdict",
+    [
+        ("inconsistency_among_attribute_values", "d", {}, {"d": "two"}, True),
+        ("inconsistency_among_attribute_values", "d", {}, {"d": "two", "n": True}, False),
+        ("inconsistency_among_attribute_values", "d", {}, {"d": "two", "n": 1.0}, False),
+        ("inconsistency_among_attribute_values", "d", {}, {"d": "two", "n": [1]}, False),
+        ("bias", "a", {}, {"a": 7}, True),
+        ("bias", "a", {"x": 2}, {"a": 7}, False),
+        ("bias", "a", {"x": [2.0]}, {"a": 7}, False),
+    ],
+)
+def test_rule_and_group_verdicts_compare_by_json(error_type, name, clean_changes, dirty_changes, verdict):
+    # The determinant true, 1.0 or [1] is not the 1 the rule maps, and a
+    # clean 2 is not the group value 2.0: under == the first two would break
+    # the rule, the 2 would be in the group, and [1] would raise.
+    config = parse_config(json.dumps(_RULE_AND_GROUP))
+    clean = dict({"n": 1, "d": "one", "x": 2.0, "a": 5}, **clean_changes)
+    dirty = dict(clean, **dirty_changes)
+    entry = ErrorLogEntry(0, 0, name, error_type, clean[name], dirty[name])
+    assert verify_error(entry, clean, dirty, config, dirty_dataset=[dirty], clean_dataset=[clean]) is verdict
+
+
+@pytest.mark.parametrize("error_type", ["noise", "bias", "outlier", "interval_violation"])
+def test_a_null_clean_value_verifies_no_value_error(error_type):
+    # A nullable target may be null in the clean file, but the planner never
+    # places these types on a null cell: an entry with one is False, not an error.
+    doc = {
+        "schema": [
+            {"name": "v", "datatype": "float", "interval": [0, 100], "nullable_in_clean": True, "null_rate": 0.2,
+             "source": {"kind": "numeric", "distribution": "normal", "mean": 50, "stddev": 5}},
+            {"name": "g", "datatype": "string", "source": {"kind": "set", "values": ["A", "B"]}},
+        ],
+        "errors": [{"type": "bias", "rate": 0.1, "params": {"group_attribute": "g", "group_value": "A",
+                                                              "target_attribute": "v"}}],
+        "generation": {"tuple_count": 40, "seed": 3},
+    }
+    config = parse_config(json.dumps(doc))
+    clean, dirty = {"v": None, "g": "A"}, {"v": 150.0, "g": "A"}
+    entry = ErrorLogEntry(0, 0, "v", error_type, None, 150.0)
+    assert verify_error(entry, clean, dirty, config, dirty_dataset=[dirty], clean_dataset=[clean]) is False
 
 
 _SET_AND_BIAS = {
@@ -785,6 +895,68 @@ def test_verify_error_compares_logged_values_type_strictly(
     assert verify_error(ErrorLogEntry(0, 0, "age", error_type, 1, dirty_age), clean, dirty, base_config, **datasets)
     entry = ErrorLogEntry(0, 0, "age", error_type, logged_clean, logged_dirty)
     assert not verify_error(entry, clean, dirty, base_config, **datasets)
+
+
+@functools.cache
+def _dense_run():
+    """A 60-tuple run of the all-types golden schema: its config, clean and dirty records and log."""
+    doc = _golden_dense_doc()
+    doc["generation"]["tuple_count"] = 60
+    config = parse_config(json.dumps(doc))
+    return (config, *apply_plan(plan_errors(config), config))
+
+
+# Values a reader can decode: JSON scalars, with those that == confuses and
+# the far ends of the number line (1e999 reads as infinity), lists and objects.
+_DECODED_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6)
+    | st.sampled_from([True, 1, 1.0, -0.0, 1e300, -1e300, 10**400, "Berlin", "BER", "10115", "AB-1234"])
+)
+_DECODED = st.recursive(
+    _DECODED_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_DECODED_OR_ABSENT = st.just(ABSENT) | _DECODED
+
+
+@st.composite
+def _decoded_side(draw, logged, record: dict, name):
+    """One side of an entry: its logged value and record, either kept or
+    given a decoded value in both, in the log only, or in the record only
+    (where ABSENT drops the cell), plus a few other cells replaced or dropped."""
+    record = dict(record)
+    mode = draw(st.sampled_from(["keep", "both", "log", "record"]))
+    value = draw(_DECODED if mode in ("both", "log") else _DECODED_OR_ABSENT)
+    if mode in ("both", "log"):
+        logged = value
+    if name is not None and mode in ("both", "record"):
+        record[name] = value
+    others = st.dictionaries(st.sampled_from(list(record)), _DECODED_OR_ABSENT, max_size=2) if record else st.just({})
+    record.update(draw(others))
+    return logged, {key: value for key, value in record.items() if value is not ABSENT}
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(sorted(ERROR_TYPES)), st.data())
+def test_property_verify_error_never_raises_for_decoded_values(error_type, data):
+    # An entry of a generated log, its logged values and its records' cells
+    # replaced by what a reader may decode: the verdict is a bool, never an error.
+    config, clean, dirty, log = _dense_run()
+    entry = data.draw(st.sampled_from([e for e in log if e.error_type == error_type]))
+    source = {} if entry.clean_tuple_index is None else clean[entry.clean_tuple_index]
+    clean_value, clean_record = data.draw(_decoded_side(entry.clean_value, source, entry.attribute))
+    dirty_value, dirty_record = data.draw(_decoded_side(entry.dirty_value, dirty[entry.dirty_tuple_index], entry.attribute))
+    entry = replace(entry, clean_value=clean_value, dirty_value=dirty_value)
+    clean_dataset, dirty_dataset = list(clean), list(dirty)
+    dirty_dataset[entry.dirty_tuple_index] = dirty_record
+    if entry.clean_tuple_index is not None:
+        clean_dataset[entry.clean_tuple_index] = clean_record
+    verdict = verify_error(
+        entry, None if entry.clean_tuple_index is None else clean_record, dirty_record, config,
+        dirty_dataset=dirty_dataset, clean_dataset=clean_dataset,
+    )
+    assert type(verdict) is bool
 
 
 def test_verifier_passes_on_every_entry_of_a_mixed_run():
