@@ -360,8 +360,12 @@ def _set_violation(clean, attr, stream, *_):
 
 
 def _outside_set(clean, dirty, attr, *_) -> bool:
+    # A str or a number, the kinds _set_violation writes through _retype: a
+    # null, a removed key, an array or a bool is another error's value.
     # Not attr.domain: a dependent's domain is its rule's images, which may be fewer.
-    return not any(same_json(dirty, member) for member in attr.admissible_set)
+    return (isinstance(dirty, str) or _is_number(dirty)) and not any(
+        same_json(dirty, member) for member in attr.admissible_set
+    )
 
 
 def _misspelled(clean, dirty, *_) -> bool:

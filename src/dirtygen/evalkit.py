@@ -15,8 +15,7 @@ detections exist at all".
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections import Counter, namedtuple
 from itertools import zip_longest
 from typing import Iterable
 
@@ -59,17 +58,18 @@ def _safe_div(num: int, den: int) -> float:
     return num / den if den else 0.0
 
 
-@dataclass
-class MetricSet:
-    detection_precision: float
-    detection_recall: float
-    detection_f1: float
-    repair_precision: float
-    repair_recall: float
-    repair_f1: float
+class MetricSet(
+    namedtuple(
+        "MetricSet",
+        "detection_precision detection_recall detection_f1 repair_precision repair_recall repair_f1",
+    )
+):
+    """Detection and repair precision, recall and F1, as a named tuple."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _metric_set(tp: int, fp: int, fn: int, repaired_ok: int, flagged: int, logged: int) -> MetricSet:
@@ -87,14 +87,21 @@ def _metric_set(tp: int, fp: int, fn: int, repaired_ok: int, flagged: int, logge
     )
 
 
-@dataclass
-class RepairMetrics:
-    overall: MetricSet
-    per_error_type: dict[str, MetricSet]
-    counts: dict[str, int] = field(default_factory=dict)
+class RepairMetrics(namedtuple("RepairMetrics", "overall per_error_type counts")):
+    """The overall metrics, each error type's, and the unit counts, as a
+    named tuple; counts defaults to a fresh {}."""
+
+    __slots__ = ()
+
+    def __new__(cls, overall: MetricSet, per_error_type: dict[str, MetricSet], counts: dict[str, int] | None = None):
+        return super().__new__(cls, overall, per_error_type, {} if counts is None else counts)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "overall": self.overall.to_dict(),
+            "per_error_type": {name: metrics.to_dict() for name, metrics in self.per_error_type.items()},
+            "counts": dict(self.counts),
+        }
 
 
 def score(

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
 from math import isfinite
+from operator import ne
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exceptions import DatasetFormatError
 from .taxonomy import ABSENT, ERROR_STAGES, split_count
@@ -30,17 +32,22 @@ LOG_FORMAT_VERSION = "dirtygen-log-v1"
 _LOG_COLUMNS = "dirty_index,clean_index,attribute,error_type,clean_value,dirty_value"
 
 
-@dataclass(frozen=True)
-class OutputSpec:
-    directory: Path = Path("out")
-    mode: str = "ndjson"  # "ndjson" | "json_array"
-    shard_count: int = 1
+class OutputSpec(namedtuple("OutputSpec", "directory mode shard_count")):
+    """Where a run writes its files and how: mode is "ndjson" or
+    "json_array". A named tuple, so immutable and hashable."""
 
-    def __post_init__(self):
-        if self.mode not in ("ndjson", "json_array"):
-            raise ValueError(f"unknown output mode: {self.mode!r}")
-        if self.shard_count < 1:
+    __slots__ = ()
+
+    def __new__(cls, directory: Path = Path("out"), mode: str = "ndjson", shard_count: int = 1):
+        if mode not in ("ndjson", "json_array"):
+            raise ValueError(f"unknown output mode: {mode!r}")
+        if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
+        return super().__new__(cls, directory, mode, shard_count)
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds with: checked as well
+        return cls(*iterable)
 
     @property
     def extension(self) -> str:
@@ -252,13 +259,33 @@ def _strict_loads(text: str):
     return _decode(text)
 
 
+def _loads(text: str):
+    """_strict_loads(text), by the C scanner alone when text is exactly one
+    JSON value. Anything else (spaces, a BOM, extra text, a rejected
+    constant) goes through the full decode, which returns the same value or
+    raises the same error."""
+    try:
+        value, end = _scan_once(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return _strict_loads(text)
+
+
+# Lines an ndjson reader takes from its file at a time, and so the most it
+# holds of each file.
+_BLOCK_LINES = 256
+# The block state of no file: no block starts at line -1.
+_NO_BLOCK = (-1, (), ())
+
+
 def read_dataset(path: str | Path, *, allow_deleted: bool = False) -> Iterator[dict | None]:
     """Stream records back from a dataset file, a JSON array if its suffix is
     .json and ndjson otherwise; inverse of DatasetWriter."""
     path = Path(path)
     if _infer_mode(path) == "ndjson":
-        for lineno, line in _numbered_lines(path):
-            yield _decode_line(line, path, lineno, allow_deleted)
+        yield from chain.from_iterable(_ndjson_blocks(path, allow_deleted, _NO_BLOCK, []))
     else:
         try:
             data = _strict_loads(path.read_text(encoding="utf-8"))
@@ -283,51 +310,122 @@ def read_aligned(
     decoded: identical text decodes to identical values. So the dirty rows
     an error left alone are the clean records, and a repair's untouched
     rows, or a later repair's rows a stage left alone, are the records of
-    the file before. Read out of step, every line is decoded.
+    the file before. Read out of step, a file decodes every line of a
+    block that the file before has not reached or has left.
     """
     paths = [Path(p) for p in (clean, dirty, *repaired)]
     if any(_infer_mode(path) != "ndjson" for path in paths):
         return tuple(read_dataset(path, allow_deleted=i >= 2) for i, path in enumerate(paths))
-    # last[i + 1] is the row file i read last: its line number, text and
-    # record; last[0] matches no line, so the clean file decodes every line.
-    last = [[0, "", None] for _ in range(len(paths) + 1)]
+    # blocks[i + 1] is the block file i read last; blocks[0] is no block, so
+    # the clean file decodes every line.
+    blocks = [_NO_BLOCK, *(list(_NO_BLOCK) for _ in paths)]
+    return tuple(
+        chain.from_iterable(_ndjson_blocks(path, i >= 2, blocks[i], blocks[i + 1])) for i, path in enumerate(paths)
+    )
 
-    def rows(i: int) -> Iterator[dict | None]:
-        path, previous, mine = paths[i], last[i], last[i + 1]
-        for lineno, line in _numbered_lines(path):
-            if lineno == previous[0] and line == previous[1]:
-                record = previous[2]
+
+def _ndjson_blocks(path: Path, allow_deleted: bool, before, mine: list) -> Iterator[Iterable]:
+    """The rows of an ndjson file, a block of lines at a time.
+
+    mine is set to each block as it is read: the number of lines before it,
+    its lines and its records so far. before is the previous file's, and a
+    line equal to that file's line at the same number is that file's record.
+    A block's rows are a list, decoded when it is read, if every line it
+    must decode is a row. Otherwise, or while the previous file's block at
+    these numbers is still being read, they are read row by row.
+    """
+    start = 0
+    for lines in _line_blocks(path):
+        count = len(lines)
+        records = []
+        if before[0] != start or len(before[2]) == len(before[1]):
+            known_lines, known = before[1:] if before[0] == start else ((), ())
+            differ = list(map(ne, lines, known_lines))
+            differ += [True] * (count - len(differ))
+            numbers = compress(range(start + 1, start + count + 1), differ)
+            try:
+                decoded = _decode_lines(path, numbers, list(compress(lines, differ)), allow_deleted)
+            except DatasetFormatError:
+                pass
             else:
-                record = _decode_line(line, path, lineno, i >= 2)
-            mine[:] = lineno, line, record
-            yield record
+                records = list(known[:count])
+                records += [None] * (count - len(records))
+                for index, record in zip(compress(range(count), differ), decoded):
+                    records[index] = record
+        mine[:] = start, lines, records
+        yield records if len(records) == count else _row_by_row(path, allow_deleted, before, start, lines, records)
+        start += count
 
-    return tuple(rows(i) for i in range(len(paths)))
+
+def _row_by_row(path: Path, allow_deleted: bool, before, start: int, lines: list[str], records: list):
+    """The rows of a block of _ndjson_blocks, each appended to records as it
+    is read: a bad line raises when its row is reached, and a line whose
+    counterpart in the previous file is not read yet is decoded."""
+    for index, line in enumerate(lines):
+        if before[0] == start and index < len(before[2]) and before[1][index] == line:
+            record = before[2][index]
+        else:
+            (record,) = _decode_lines(path, (start + index + 1,), (line,), allow_deleted)
+        records.append(record)
+        yield record
 
 
-def _numbered_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """The numbered lines of a UTF-8 file, without their LF."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                yield lineno, line.rstrip("\n")
-        except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+def _line_blocks(path: Path) -> Iterator[list[str]]:
+    """The lines of a UTF-8 file, without their LF, _BLOCK_LINES at a time.
+    Lines end at LF, CRLF or a lone CR, as in universal-newline reading. The
+    block that meets bytes that are not UTF-8 ends at the line before them,
+    and the error is raised when the next block is asked for."""
+    done = 0
+    # Splitting at LF alone reads about twice as fast. At the first CR or
+    # decoding error, the file is read again from the first line not yet
+    # given, with universal newlines.
+    for newline in ("\n", ""):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            lines = islice(fh, done, None)
+            while True:
+                block: list[str] = []
+                try:
+                    block.extend(islice(lines, _BLOCK_LINES))  # keeps what it read if a line raises
+                except UnicodeDecodeError as exc:
+                    if newline:
+                        break
+                    if block:
+                        yield list(map(str.rstrip, block, repeat("\n")))
+                    raise DatasetFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+                if not block:
+                    return
+                if newline and "\r" in "".join(block):
+                    break
+                done += len(block)
+                yield list(map(str.rstrip, block, repeat("\n")))
+
+
+# The kinds of row a line may decode to, by allow_deleted.
+_ROW_TYPES = ({dict}, {dict, type(None)})
+
+
+def _decode_lines(path: Path, numbers, lines, allow_deleted: bool) -> list:
+    """The rows of the lines of path numbered numbers: records, or None for a
+    deleted row if allowed. If each line is exactly one JSON row, they are
+    decoded in one pass of the C scanner; otherwise each line is decoded on
+    its own, and the first that is no row raises."""
+    try:
+        # A line the scanner cannot start raises StopIteration, which ends the
+        # map early: at the first line, the unpacking fails; later, the ends
+        # are too few.
+        values, ends = zip(*map(_scan_once, lines, repeat(0)))
+    except (ValueError, RecursionError):
+        pass
+    else:
+        if ends == tuple(map(len, lines)) and _ROW_TYPES[allow_deleted] >= set(map(type, values)):
+            return list(values)
+    return list(map(_decode_line, lines, repeat(path), numbers, repeat(allow_deleted)))
 
 
 def _decode_line(line: str, path: Path, lineno: int, allow_deleted: bool):
     """One ndjson line as a record, or None for a deleted row if allowed."""
-    # Fast path: a line that is exactly one JSON object. Anything else (spaces,
-    # a BOM, extra text, a non-object, a rejected constant) goes through the
-    # full decode, which returns the same object or raises the same error.
     try:
-        obj, end = _scan_once(line, 0)
-        if end == len(line) and type(obj) is dict:
-            return obj
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    try:
-        obj = _strict_loads(line)
+        obj = _loads(line)
     except (ValueError, RecursionError) as exc:
         raise DatasetFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
     return _check_row(obj, path, lineno, allow_deleted)
@@ -346,26 +444,23 @@ def _encode_log_value(value) -> str:
 
 
 def _decode_log_value(text: str):
-    if text == "-":
-        return ABSENT
-    return _strict_loads(text)
+    return ABSENT if text == "-" else _loads(text)
 
 
-@dataclass(slots=True)
-class ErrorLogEntry:
-    """Provenance of one injected error.
+class ErrorLogEntry(
+    namedtuple(
+        "ErrorLogEntry",
+        "dirty_tuple_index clean_tuple_index attribute error_type clean_value dirty_value",
+    )
+):
+    """Provenance of one injected error, as a named tuple.
 
     clean_tuple_index is None exactly for inserted tuples, which have no
     clean counterpart. Values use ABSENT for "no value at all" (shown as '-'
     in the log file), which is distinct from an explicit null.
     """
 
-    dirty_tuple_index: int
-    clean_tuple_index: int | None
-    attribute: str | None
-    error_type: str
-    clean_value: object
-    dirty_value: object
+    __slots__ = ()
 
 
 class ErrorLogWriter:
@@ -394,10 +489,10 @@ def read_error_log(path: str | Path) -> list[ErrorLogEntry]:
     """Parse an error log back into ErrorLogEntry objects."""
     path = Path(path)
     entries = []
-    lines = _numbered_lines(path)
-    if not next(lines, (1, ""))[1].startswith("#"):
+    lines = chain.from_iterable(_line_blocks(path))
+    if not next(lines, "").startswith("#"):
         raise DatasetFormatError(f"{path}: missing '#' header line")
-    for lineno, line in lines:
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         fields = line.split("\t")
@@ -413,12 +508,12 @@ def read_error_log(path: str | Path) -> list[ErrorLogEntry]:
         try:
             entries.append(
                 ErrorLogEntry(
-                    dirty_tuple_index=int(dirty_idx),
-                    clean_tuple_index=None if clean_idx == "-" else int(clean_idx),
-                    attribute=None if attribute == "-" else attribute,
-                    error_type=error_type,
-                    clean_value=_decode_log_value(clean_val),
-                    dirty_value=_decode_log_value(dirty_val),
+                    int(dirty_idx),
+                    None if clean_idx == "-" else int(clean_idx),
+                    None if attribute == "-" else attribute,
+                    error_type,
+                    _decode_log_value(clean_val),
+                    _decode_log_value(dirty_val),
                 )
             )
         except (ValueError, RecursionError) as exc:

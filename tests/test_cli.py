@@ -246,7 +246,9 @@ def test_evaluate_imports_only_the_scoring_modules(tmp_path, capsys):
     argv += [f"--{which}={out / 'dirty.ndjson' if which == 'repaired' else out / f'{which}.ndjson'}"
              for which in ("clean", "dirty", "repaired")]
     assert _dirtygen_modules("import dirtygen") == ["dirtygen"]
-    assert _dirtygen_modules(f"from dirtygen.cli import main\nassert main({argv!r}) == 0") == [
+    # Nor does it load dataclasses, which imports inspect: a few ms of every evaluate.
+    code = f"from dirtygen.cli import main\nassert main({argv!r}) == 0\nassert not {{'dataclasses', 'inspect'}} & set(sys.modules)"
+    assert _dirtygen_modules(code) == [
         "dirtygen", "dirtygen.cli", "dirtygen.evalkit", "dirtygen.exceptions", "dirtygen.output",
         "dirtygen.taxonomy",
     ]

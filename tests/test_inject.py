@@ -2,7 +2,6 @@ import functools
 import json
 import math
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -397,18 +396,31 @@ _SET_AND_BIAS = {
     "error_type, name, dirty_value, verdict",
     [
         ("set_violation", "n", 4, True), ("set_violation", "n", 1, False),
-        ("set_violation", "n", True, True), ("set_violation", "n", 1.0, True),
+        ("set_violation", "n", True, False), ("set_violation", "n", 1.0, True),
         ("bias", "n", 3, True), ("bias", "n", True, False), ("bias", "n", 1.0, False),
         ("bias", "a", 7, True), ("bias", "a", 7.0, False),
     ],
 )
 def test_set_and_bias_verdicts_are_type_strict(error_type, name, dirty_value, verdict):
     # true and 1.0 equal 1 under ==, but neither is a member of [1, 2, 3] or
-    # a weighted value 1 or 3, and 7.0 is not the shifted 5 + 2.
+    # a weighted value 1 or 3, and 7.0 is not the shifted 5 + 2. A set
+    # violation is a str or a number, so true is none.
     config = parse_config(json.dumps(_SET_AND_BIAS))
     clean = {"n": 2, "x": 1.5, "a": 5, "g": "A"}
     dirty = dict(clean, **{name: dirty_value})
     entry = ErrorLogEntry(0, 0, name, error_type, clean[name], dirty_value)
+    assert verify_error(entry, clean, dirty, config, dirty_dataset=[dirty], clean_dataset=[clean]) is verdict
+
+
+@pytest.mark.parametrize("dirty_value, verdict", [(None, False), (ABSENT, False), ([1], False), ("zz", True), (4.5, True)])
+def test_set_violation_is_a_str_or_a_number(dirty_value, verdict):
+    # A null, a removed key or an array outside [1, 2, 3] is a missing value,
+    # a missing attribute or another error's value, not a set violation; a
+    # string on an integer attribute is one, as a failed _retype writes it.
+    config = parse_config(json.dumps(_SET_AND_BIAS))
+    clean = {"n": 2, "x": 1.5, "a": 5, "g": "A"}
+    dirty = {k: v for k, v in dict(clean, n=dirty_value).items() if v is not ABSENT}
+    entry = ErrorLogEntry(0, 0, "n", "set_violation", 2, dirty_value)
     assert verify_error(entry, clean, dirty, config, dirty_dataset=[dirty], clean_dataset=[clean]) is verdict
 
 
@@ -947,7 +959,7 @@ def test_property_verify_error_never_raises_for_decoded_values(error_type, data)
     source = {} if entry.clean_tuple_index is None else clean[entry.clean_tuple_index]
     clean_value, clean_record = data.draw(_decoded_side(entry.clean_value, source, entry.attribute))
     dirty_value, dirty_record = data.draw(_decoded_side(entry.dirty_value, dirty[entry.dirty_tuple_index], entry.attribute))
-    entry = replace(entry, clean_value=clean_value, dirty_value=dirty_value)
+    entry = entry._replace(clean_value=clean_value, dirty_value=dirty_value)
     clean_dataset, dirty_dataset = list(clean), list(dirty)
     dirty_dataset[entry.dirty_tuple_index] = dirty_record
     if entry.clean_tuple_index is not None:

@@ -3,6 +3,7 @@ import re
 import tempfile
 from itertools import zip_longest
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -529,13 +530,15 @@ def test_repaired_lines_identical_to_dirty_are_the_dirty_records(tmp_path):
 def _count_decodes(monkeypatch) -> list:
     """The (file name, line number) of each line the readers decode from now on."""
     decoded = []
-    decode = output_module._decode_line
+    decode = output_module._decode_lines
 
-    def counting(line, path, lineno, allow_deleted):
-        decoded.append((Path(path).name, lineno))
-        return decode(line, path, lineno, allow_deleted)
+    def counting(path, numbers, lines, allow_deleted):
+        numbers = list(numbers)
+        rows = decode(path, numbers, lines, allow_deleted)
+        decoded.extend((Path(path).name, lineno) for lineno in numbers)
+        return rows
 
-    monkeypatch.setattr(output_module, "_decode_line", counting)
+    monkeypatch.setattr(output_module, "_decode_lines", counting)
     return decoded
 
 
@@ -552,8 +555,9 @@ def test_score_reads_dirty_before_repaired(tmp_path, monkeypatch):
     decoded = _count_decodes(monkeypatch)
     log = [ErrorLogEntry(1, 1, "a", "erroneous_entry", 1, 2)]
     metrics = score(*read_aligned(clean, dirty, repaired), log)
+    # A block of dirty lines is decoded before the repaired lines at its numbers.
     assert [d for d in decoded if d[0] != "clean.ndjson"] == [
-        ("dirty.ndjson", 1), ("dirty.ndjson", 2), ("repaired.ndjson", 2), ("dirty.ndjson", 3)
+        ("dirty.ndjson", 1), ("dirty.ndjson", 2), ("dirty.ndjson", 3), ("repaired.ndjson", 2)
     ]
     assert metrics.counts["correct_repairs"] == 1
     assert metrics.counts["flagged"] == 1
@@ -573,8 +577,8 @@ def test_dirty_lines_identical_to_clean_are_the_clean_records(tmp_path, monkeypa
     rows = list(zip(*read_aligned(*paths)))
     # Only the clean file and the lines that differ from the file before are decoded.
     assert decoded == [
-        ("clean.ndjson", 1), ("clean.ndjson", 2), ("dirty.ndjson", 2), ("repaired.ndjson", 2),
-        ("clean.ndjson", 3), ("repaired.ndjson", 3),
+        ("clean.ndjson", 1), ("clean.ndjson", 2), ("clean.ndjson", 3), ("dirty.ndjson", 2),
+        ("repaired.ndjson", 2), ("repaired.ndjson", 3),
     ]
     assert rows == [({"a": 1},) * 4, ({"a": 2}, {"a": 5}, {"a": 2}, {"a": 2}), ({"a": 3}, {"a": 3}, None, None)]
     assert all(record is rows[0][0] for record in rows[0])
@@ -592,15 +596,15 @@ _LINE = (
 
 
 @st.composite
-def _aligned_files(draw):
+def _aligned_files(draw, line=_LINE, max_size=6):
     """Three files as lists of lines: each line is drawn afresh or copied
     from the previous file's line at its index, and lengths may differ."""
-    files = [draw(st.lists(_LINE, max_size=6))]
+    files = [draw(st.lists(line, max_size=max_size))]
     for _ in range(2):
         previous = files[-1]
         lines = [
-            draw(st.sampled_from([line, draw(_LINE)])) for line in previous
-        ] + draw(st.lists(_LINE, max_size=2))
+            draw(st.sampled_from([text, draw(line)])) for text in previous
+        ] + draw(st.lists(line, max_size=2))
         files.append(lines[: draw(st.integers(0, len(lines)))])
     return files
 
@@ -626,6 +630,112 @@ def test_aligned_reader_scores_as_independent_readers(files, logged):
             read_dataset(paths[0]), read_dataset(paths[1]), read_dataset(paths[2], allow_deleted=True), log
         )
         assert _score_or_error(*read_aligned(*paths), log) == expected
+
+
+def _line_reader(paths: list[Path]) -> list:
+    """The aligned streams as a reader that takes one line at a time reads
+    them: a line equal to the line of the same number that the previous file
+    read last is that file's record; any other is decoded by the full
+    decoder. Lines end as universal newlines end them."""
+    last = [[0, "", None] for _ in range(len(paths) + 1)]
+
+    def rows(i: int):
+        path, allow_deleted = paths[i], i >= 2
+        with open(path, encoding="utf-8", newline="") as fh:
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.rstrip("\n")
+                    if last[i][:2] == [lineno, line]:
+                        record = last[i][2]
+                    else:
+                        try:
+                            obj = _strict_loads(line)
+                        except (ValueError, RecursionError) as exc:
+                            raise DatasetFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
+                        record = _check_row(obj, path, lineno, allow_deleted)
+                    last[i + 1][:] = lineno, line, record
+                    yield record
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+
+    return [rows(i) for i in range(len(paths))]
+
+
+def _lockstep(streams) -> list:
+    """Reading streams as score does, row i of each in turn until all end:
+    each row as (stream, repr, whether it is the object the stream before
+    gave at its index), then the error that stopped the reading, if any."""
+    events, live, ended = [], list(streams), object()
+    try:
+        while any(stream is not None for stream in live):
+            row = []
+            for k, stream in enumerate(live):
+                record = ended if stream is None else next(stream, ended)
+                if record is ended:
+                    live[k] = None
+                else:
+                    events.append((k, repr(record), k > 0 and record is row[k - 1]))
+                row.append(record)
+    except DirtygenError as exc:
+        events.append((type(exc), str(exc)))
+    return events
+
+
+def _write_lines(paths: list[Path], files: list[list[str]]) -> None:
+    # surrogateescape writes "\udcff" as the byte 0xff, which is not UTF-8
+    for path, lines in zip(paths, files):
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+
+
+# Lines for the block reader's other paths: a CRLF ending, a lone CR that
+# splits an LF-terminated line in two, a byte that is not UTF-8, and a long
+# record, so that the text decoder's 8 KiB chunks end inside a file.
+_EDGE_LINE = _LINE | st.sampled_from(['{"a":1}\r', '{"a":1}\r{"a":2}', "\udcff", '{"a":1,"p":"' + "x" * 3000 + '"}'])
+
+
+@settings(max_examples=400, deadline=None)
+@given(files=_aligned_files(_EDGE_LINE, max_size=10), block=st.integers(1, 4))
+def test_block_reader_reads_as_the_line_reader(files, block):
+    # Small blocks put files of several blocks and a partial one, and bad
+    # lines on either side of a block edge, within a few lines. The rows,
+    # which of them are the previous file's records, and the first error
+    # (class, message, line number) are those of the line-at-a-time reader.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(output_module, "_BLOCK_LINES", block):
+        paths = [Path(tmp) / f"{name}.ndjson" for name in ("clean", "dirty", "repaired")]
+        _write_lines(paths, files)
+        assert _lockstep(read_aligned(*paths)) == _lockstep(_line_reader(paths))
+
+
+@pytest.mark.parametrize(
+    "edge", ["none", "dirty_last", "dirty_first", "repaired_null", "clean_short", "not_utf8", "not_utf8_after_cr"]
+)
+def test_block_edges_at_the_block_size(tmp_path, edge):
+    # Files of two blocks and part of a third, at the reader's own block size.
+    # Lines of about 100 bytes put a byte that is not UTF-8 at line 150 in a
+    # later 8 KiB chunk than the first line of its block.
+    n = output_module._BLOCK_LINES
+    clean = [encode_record({"a": i, "p": "x" * 90}) for i in range(2 * n + n // 2)]
+    dirty = clean + [encode_record({"a": -1})] * 3
+    dirty[n - 2], dirty[n + 1] = encode_record({"a": -2}), json.dumps({"a": n + 1})
+    repaired = list(dirty)
+    repaired[n - 1], repaired[2 * n] = "null", encode_record({"a": 0.5})
+    if edge == "dirty_last":
+        dirty[n - 1] = '{"a":'  # the last line of the first block
+    elif edge == "dirty_first":
+        dirty[n] = "null"  # the first line of the second block
+    elif edge == "repaired_null":
+        repaired = repaired[: 2 * n + 1] + ["null", "[1]"]
+    elif edge == "clean_short":
+        clean = clean[: n + 3]
+    elif edge.startswith("not_utf8"):
+        dirty[150] = "\udcff"
+        if edge == "not_utf8_after_cr":
+            dirty[40] = '{"a":1}\r{"a":2}'  # two lines, as universal newlines read it
+    paths = [tmp_path / f"{name}.ndjson" for name in ("clean", "dirty", "repaired")]
+    _write_lines(paths, [clean, dirty, repaired])
+    events = _lockstep(read_aligned(*paths))
+    assert events == _lockstep(_line_reader(paths))
+    assert sum(shortcut for *_, shortcut in events[:-1]) > 40  # the rows an edit left alone
 
 
 # Pieces of the readers' formats, of JSON and of bad UTF-8, so that drawn
