@@ -336,25 +336,17 @@ def _ndjson_blocks(path: Path, allow_deleted: bool, before, mine: list) -> Itera
     """
     start = 0
     for lines in _line_blocks(path):
-        count = len(lines)
-        records = []
+        records = None
         if before[0] != start or len(before[2]) == len(before[1]):
             known_lines, known = before[1:] if before[0] == start else ((), ())
-            differ = list(map(ne, lines, known_lines))
-            differ += [True] * (count - len(differ))
-            numbers = compress(range(start + 1, start + count + 1), differ)
-            try:
-                decoded = _decode_lines(path, numbers, list(compress(lines, differ)), allow_deleted)
-            except DatasetFormatError:
-                pass
-            else:
-                records = list(known[:count])
-                records += [None] * (count - len(records))
-                for index, record in zip(compress(range(count), differ), decoded):
-                    records[index] = record
-        mine[:] = start, lines, records
-        yield records if len(records) == count else _row_by_row(path, allow_deleted, before, start, lines, records)
-        start += count
+            records = _block_records(lines, known_lines, known, allow_deleted)
+        if records is None:
+            mine[:] = start, lines, []
+            yield _row_by_row(path, allow_deleted, before, start, lines, mine[2])
+        else:
+            mine[:] = start, lines, records
+            yield records
+        start += len(lines)
 
 
 def _row_by_row(path: Path, allow_deleted: bool, before, start: int, lines: list[str], records: list):
@@ -365,61 +357,60 @@ def _row_by_row(path: Path, allow_deleted: bool, before, start: int, lines: list
         if before[0] == start and index < len(before[2]) and before[1][index] == line:
             record = before[2][index]
         else:
-            (record,) = _decode_lines(path, (start + index + 1,), (line,), allow_deleted)
+            record = _decode_line(line, path, start + index + 1, allow_deleted)
         records.append(record)
         yield record
 
 
 def _line_blocks(path: Path) -> Iterator[list[str]]:
     """The lines of a UTF-8 file, without their LF, _BLOCK_LINES at a time.
-    Lines end at LF, CRLF or a lone CR, as in universal-newline reading. The
-    block that meets bytes that are not UTF-8 ends at the line before them,
-    and the error is raised when the next block is asked for."""
-    done = 0
-    # Splitting at LF alone reads about twice as fast. At the first CR or
-    # decoding error, the file is read again from the first line not yet
-    # given, with universal newlines.
-    for newline in ("\n", ""):
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            lines = islice(fh, done, None)
-            while True:
-                block: list[str] = []
-                try:
-                    block.extend(islice(lines, _BLOCK_LINES))  # keeps what it read if a line raises
-                except UnicodeDecodeError as exc:
-                    if newline:
-                        break
-                    if block:
-                        yield list(map(str.rstrip, block, repeat("\n")))
-                    raise DatasetFormatError(f"{path}: not valid UTF-8: {exc}") from exc
-                if not block:
-                    return
-                if newline and "\r" in "".join(block):
-                    break
-                done += len(block)
-                yield list(map(str.rstrip, block, repeat("\n")))
+    Lines end at LF, CRLF or a lone CR, as in universal-newline reading.
+    Bytes that are not UTF-8 fail the decoding of the text chunk that holds
+    them: the block in reading ends at the last line decoded before that
+    chunk, as in line-by-line reading, and the error is raised when the
+    next block is asked for."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        while True:
+            block: list[str] = []
+            try:
+                block.extend(islice(fh, _BLOCK_LINES))  # keeps what it read if a line raises
+            except UnicodeDecodeError as exc:
+                if block:
+                    yield list(map(str.rstrip, block, repeat("\n")))
+                raise DatasetFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+            if not block:
+                return
+            yield list(map(str.rstrip, block, repeat("\n")))
 
 
 # The kinds of row a line may decode to, by allow_deleted.
 _ROW_TYPES = ({dict}, {dict, type(None)})
 
 
-def _decode_lines(path: Path, numbers, lines, allow_deleted: bool) -> list:
-    """The rows of the lines of path numbered numbers: records, or None for a
-    deleted row if allowed. If each line is exactly one JSON row, they are
-    decoded in one pass of the C scanner; otherwise each line is decoded on
-    its own, and the first that is no row raises."""
-    try:
-        # A line the scanner cannot start raises StopIteration, which ends the
-        # map early: at the first line, the unpacking fails; later, the ends
-        # are too few.
-        values, ends = zip(*map(_scan_once, lines, repeat(0)))
-    except (ValueError, RecursionError):
-        pass
-    else:
-        if ends == tuple(map(len, lines)) and _ROW_TYPES[allow_deleted] >= set(map(type, values)):
-            return list(values)
-    return list(map(_decode_line, lines, repeat(path), numbers, repeat(allow_deleted)))
+def _block_records(lines: list[str], known_lines, known, allow_deleted: bool) -> list | None:
+    """The rows of a block of lines, given the lines and rows of the
+    previous file at the same numbers: a line equal to its known line is
+    that row, and the others are decoded in one pass of the C scanner. None
+    if any of those is not exactly one JSON row."""
+    differ = list(map(ne, lines, known_lines))
+    differ += [True] * (len(lines) - len(differ))
+    fresh = list(compress(lines, differ))
+    values = ()
+    if fresh:
+        try:
+            # A line the scanner cannot start raises StopIteration, which ends
+            # the map early: at the first line, the unpacking fails; later, the
+            # ends are too few.
+            values, ends = zip(*map(_scan_once, fresh, repeat(0)))
+        except (ValueError, RecursionError):
+            return None
+        if ends != tuple(map(len, fresh)) or not _ROW_TYPES[allow_deleted] >= set(map(type, values)):
+            return None
+    records = list(known[: len(lines)])
+    records += [None] * (len(lines) - len(records))
+    for index, record in zip(compress(range(len(lines)), differ), values):
+        records[index] = record
+    return records
 
 
 def _decode_line(line: str, path: Path, lineno: int, allow_deleted: bool):

@@ -530,15 +530,38 @@ def test_repaired_lines_identical_to_dirty_are_the_dirty_records(tmp_path):
 def _count_decodes(monkeypatch) -> list:
     """The (file name, line number) of each line the readers decode from now on."""
     decoded = []
-    decode = output_module._decode_lines
+    block = [None, 0]  # the block read last: its file's name and the lines before it
+    line_blocks, block_records, decode_line = (
+        output_module._line_blocks, output_module._block_records, output_module._decode_line
+    )
 
-    def counting(path, numbers, lines, allow_deleted):
-        numbers = list(numbers)
-        rows = decode(path, numbers, lines, allow_deleted)
-        decoded.extend((Path(path).name, lineno) for lineno in numbers)
+    def blocks(path):
+        start = 0
+        for lines in line_blocks(path):
+            block[:] = Path(path).name, start
+            yield lines
+            start += len(lines)
+
+    def records(lines, known_lines, known, allow_deleted):
+        # called on the block read last, before any other block is read
+        rows = block_records(lines, known_lines, known, allow_deleted)
+        if rows is not None:
+            name, start = block
+            decoded.extend(
+                (name, start + index + 1)
+                for index, line in enumerate(lines)
+                if index >= len(known_lines) or line != known_lines[index]
+            )
         return rows
 
-    monkeypatch.setattr(output_module, "_decode_lines", counting)
+    def line(text, path, lineno, allow_deleted):
+        row = decode_line(text, path, lineno, allow_deleted)
+        decoded.append((Path(path).name, lineno))
+        return row
+
+    monkeypatch.setattr(output_module, "_line_blocks", blocks)
+    monkeypatch.setattr(output_module, "_block_records", records)
+    monkeypatch.setattr(output_module, "_decode_line", line)
     return decoded
 
 
